@@ -39,17 +39,19 @@ from .instance import (
     verify_solution,
 )
 from .lp import LpError
-from .models import (
-    ModelError,
-    build_matching_model,
-    build_tree_model,
-    certify_relaxation,
-    lexicographic_refine,
-    solve_relaxation,
-)
+from .models import ModelError, certify_relaxation, lexicographic_refine, solve_relaxation
+# unused here, but perfbench/spans.py wraps these names on this module
+from .models import build_matching_model, build_tree_model  # noqa: F401
 from .oracle import EnumerationError, Objective, brute_optimum
 from .render import RenderError, render_svg
-from .solve import SolveError, branch_and_bound, iterated_rounding, min_length_matching, min_length_tree
+from .solve import (
+    SolveError,
+    branch_and_bound,
+    build_model,
+    iterated_rounding,
+    min_length_matching,
+    min_length_tree,
+)
 
 USAGE_ERRORS = (
     InstanceError,
@@ -67,6 +69,7 @@ PROBLEMS = {
     "tree": Problem.SPANNING_TREE,
     "triangulation": Problem.TRIANGULATION,
 }
+TIME_LIMIT_HELP = "milliseconds for branch-and-bound after rounding, 0 = unlimited"
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -130,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="branch and bound to proven optimality")
     _common_instance(p)
     _common_model(p)
-    p.add_argument("--time-limit", type=int, default=0, help="milliseconds, 0 = unlimited")
+    p.add_argument("--time-limit", type=int, default=0, help=TIME_LIMIT_HELP)
     p.add_argument("--exact-check", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_exact)
@@ -165,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="bound + rounding + exact in one run")
     _common_instance(p)
     _common_model(p)
-    p.add_argument("--time-limit", type=int, default=0)
+    p.add_argument("--time-limit", type=int, default=0, help=TIME_LIMIT_HELP)
     p.add_argument("--exact-check", action="store_true")
     p.set_defaults(func=_cmd_report)
 
@@ -199,12 +202,6 @@ def _emit(text: str, output: Optional[str]) -> None:
         Path(output).write_text(text, encoding="ascii")
     else:
         sys.stdout.write(text)
-
-
-def _build_model(inst: Instance, problem: Problem, family: LineFamily):
-    if problem is Problem.MATCHING:
-        return build_matching_model(inst, family)
-    return build_tree_model(inst, family)
 
 
 def _cmd_gen(args) -> int:
@@ -247,7 +244,7 @@ def _cmd_bound(args) -> int:
     family = FAMILIES[args.family]
     problem = PROBLEMS[args.problem]
     start = time.perf_counter()
-    model = _build_model(inst, problem, family)
+    model = build_model(inst, problem, family)
     relax = solve_relaxation(model)
     elapsed = time.perf_counter() - start
     k_frac = float(relax.k_frac)
@@ -292,9 +289,10 @@ def _cmd_exact(args) -> int:
     inst = _load_instance(args)
     family = FAMILIES[args.family]
     problem = PROBLEMS[args.problem]
-    sol = branch_and_bound(inst, problem, family, time_limit=args.time_limit)
+    rounded = iterated_rounding(inst, problem, family)
+    sol = branch_and_bound(inst, problem, family, rounded, time_limit=args.time_limit)
     if args.exact_check:
-        model = _build_model(inst, problem, family)
+        model = build_model(inst, problem, family)
         relax = solve_relaxation(model)
         exact = certify_relaxation(model, relax)
         sol = Solution(
@@ -334,7 +332,7 @@ def _cmd_render(args) -> int:
             inst, edges=sol.edges, annotation=f"k={sol.k} ({sol.family.value})"
         )
     elif args.lp:
-        model = _build_model(inst, PROBLEMS[args.problem], FAMILIES[args.family])
+        model = build_model(inst, PROBLEMS[args.problem], FAMILIES[args.family])
         relax = solve_relaxation(model)
         refined = lexicographic_refine(model, relax)
         svg = render_svg(
@@ -374,7 +372,7 @@ def _cmd_report(args) -> int:
     problem = PROBLEMS[args.problem]
 
     t0 = time.perf_counter()
-    model = _build_model(inst, problem, family)
+    model = build_model(inst, problem, family)
     relax = solve_relaxation(model)
     t_lp = time.perf_counter() - t0
     k_frac = float(relax.k_frac)
@@ -385,7 +383,9 @@ def _cmd_report(args) -> int:
     t_round = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    exact_sol = branch_and_bound(inst, problem, family, time_limit=args.time_limit)
+    exact_sol = branch_and_bound(
+        inst, problem, family, rounded, time_limit=args.time_limit
+    )
     t_exact = time.perf_counter() - t0
 
     print(f"instance={inst.name}")

@@ -132,15 +132,6 @@ def lp_fix_variable(lp: LinearProgram, var: int, value: Number) -> LinearProgram
     return LinearProgram(lp.num_vars, lp.objective, lp.rows, tuple(lo), tuple(hi))
 
 
-def lp_add_rows(
-    lp: LinearProgram, new_rows: Sequence[Row], prior: Optional[LpResult] = None
-) -> LpResult:
-    """Solve lp augmented with new_rows, warm starting from a prior result."""
-    augmented = lp.with_rows(new_rows)
-    warm = prior.basis if prior is not None and prior.status is LpStatus.OPTIMAL else None
-    return lp_solve(augmented, warm_basis=warm)
-
-
 def lp_solve(
     lp: LinearProgram,
     warm_basis: Optional[Sequence[int]] = None,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .cuts import separate_blossom
+from .cuts import separate_blossom  # noqa: F401  perfbench/spans.py wraps this name
 from .geom import (
     LineFamily,
     Segment,
@@ -21,25 +21,14 @@ from .geom import (
     stabbing_number,
 )
 from .instance import Instance, Method, Problem, Solution
-from .lp import (
-    OBJ_TOL,
-    LinearProgram,
-    LpResult,
-    LpStatus,
-    Row,
-    lp_fix_variable,
-    lp_solve,
-    make_lp,
-    make_row,
-)
+from .lp import OBJ_TOL, LinearProgram, lp_fix_variable, make_lp, make_row
+from .lp import lp_solve  # noqa: F401  perfbench/spans.py wraps this name
 from .models import (
     InfeasibleRelaxationError,
-    ModelError,
-    RelaxationResult,
     StabModel,
+    _run_loop,
     build_matching_model,
     build_tree_model,
-    cut_key,
     cut_row,
     fix_edge,
     lexicographic_refine,
@@ -90,7 +79,7 @@ def _rationalized(value: float) -> Fraction:
     return Fraction(value).limit_denominator(10**6)
 
 
-def _build_model(inst: Instance, problem: Problem, family: LineFamily) -> StabModel:
+def build_model(inst: Instance, problem: Problem, family: LineFamily) -> StabModel:
     if problem is Problem.MATCHING:
         return build_matching_model(inst, family)
     if problem is Problem.SPANNING_TREE:
@@ -115,7 +104,7 @@ def iterated_rounding(
     on_iteration, when given, receives one record per LP round (refined
     weights, chosen edge) for instrumentation.
     """
-    model = _build_model(inst, problem, family)
+    model = build_model(inst, problem, family)
     target = _structure_size(inst, problem)
     first_k_frac: Optional[float] = None
     while len(model.fixed_ones) < target:
@@ -198,18 +187,19 @@ def _assert_feasible(edges: Sequence[Segment], inst: Instance, problem: Problem)
     if problem is Problem.MATCHING:
         covered = sorted(v for e in edges for v in e)
         if covered != list(range(inst.n)):
-            raise SolveError("rounding built a non-perfect matching")
+            raise SolveError("edges do not form a perfect matching")
     else:
         if len(edges) != inst.n - 1 or _forms_cycle(edges, inst.n):
-            raise SolveError("rounding built a non-spanning structure")
+            raise SolveError("edges do not form a spanning tree")
         uf = _UnionFind(inst.n)
         for e in edges:
             uf.union(e.a, e.b)
         if len({uf.find(v) for v in range(inst.n)}) != 1:
-            raise SolveError("rounding built a disconnected structure")
+            raise SolveError("edges do not connect every point")
 
 
-def _integral_edges(model: StabModel, x: dict) -> Optional[list[Segment]]:
+def _integral(x: dict) -> Optional[list[Segment]]:
+    """The edges at weight one when x is integral, otherwise None."""
     chosen = []
     for e, w in x.items():
         v = float(w)
@@ -224,19 +214,31 @@ def branch_and_bound(
     inst: Instance,
     problem: Problem,
     family: LineFamily,
+    incumbent: Solution,
     time_limit: int = 0,
 ) -> Solution:
     """Best-first search over LP bounds; branch on the most fractional edge.
 
-    time_limit is in milliseconds, 0 means unlimited. On expiry the best
-    incumbent is returned with proven=False instead of raising.
+    incumbent is a feasible solution of the same problem and family, usually
+    from iterated_rounding; the search only accepts strictly better ones.
+    time_limit is in milliseconds and bounds the search, not the incumbent's
+    construction; 0 means unlimited. On expiry the best incumbent is returned
+    with proven=False instead of raising.
     """
+    if incumbent.problem is not problem or incumbent.family is not family:
+        raise SolveError(
+            f"incumbent solves {incumbent.problem.value}/{incumbent.family.value}, "
+            f"not {problem.value}/{family.value}"
+        )
+    _assert_feasible(incumbent.edges, inst, problem)
+    k, _ = stabbing_number(incumbent.edges, inst.points, family)
+    if k != incumbent.k:
+        raise SolveError(f"incumbent claims k={incumbent.k}, its edges give {k}")
     deadline = time.monotonic() + time_limit / 1000 if time_limit else None
-    incumbent = iterated_rounding(inst, problem, family)
     best_edges = incumbent.edges
     best_k = incumbent.k
 
-    root_model = _build_model(inst, problem, family)
+    root_model = build_model(inst, problem, family)
     cut_pool: set[frozenset[int]] = set()
     try:
         root_relax = solve_relaxation(root_model)
@@ -259,7 +261,7 @@ def branch_and_bound(
         bound, _, node = heapq.heappop(heap)
         if math.ceil(bound - OBJ_TOL) >= best_k:
             break  # best-first: every remaining node is at least as bad
-        model = _build_model(inst, problem, family)
+        model = build_model(inst, problem, family)
         rows = []
         for members in sorted(cut_pool, key=sorted):
             rows.append(cut_row(model, members))
@@ -280,7 +282,7 @@ def branch_and_bound(
         node_bound = math.ceil(k_frac - OBJ_TOL)
         if node_bound >= best_k:
             continue
-        integral = _integral_edges(model, relax.x)
+        integral = _integral(relax.x)
         if integral is not None:
             _assert_feasible(integral, inst, problem)
             k_int, _ = stabbing_number(integral, inst.points, family)
@@ -363,16 +365,16 @@ def min_length_matching(inst: Instance, metric: str = "euclidean") -> Solution:
     """
     if inst.n % 2 != 0:
         raise SolveError(f"matching requires even n, got {inst.n}")
-    edges = tuple(inst.all_edges())
-    index = {e: i for i, e in enumerate(edges)}
-    lengths = [_metric_length(e, inst, metric) for e in edges]
-    lp = _matching_polytope_lp(inst, edges, lengths)
+    family = _metric_family(metric)
+    # the model supplies edges, cut rows and cut keys; its stabbing LP is unused
+    model = build_matching_model(inst, family)
+    lengths = [_metric_length(e, inst, metric) for e in model.edges]
+    lp = _matching_polytope_lp(inst, model.edges, lengths)
 
-    seen_cuts: set[frozenset[int]] = set()
-    lp, result, x = _blossom_loop(inst, edges, lp, exact=False, seen=seen_cuts)
+    lp, result, x, _, _ = _run_loop(model, lp, exact=False, warm_basis=None)
     if _integral(x) is None:
         logger.info("fractional matching optimum; re-checking with exact solver")
-        lp, result, x = _blossom_loop(inst, edges, lp, exact=True, seen=seen_cuts)
+        lp, result, x, _, _ = _run_loop(model, lp, exact=True, warm_basis=None)
         if _integral(x) is None:
             raise SolveError(
                 "matching LP stayed fractional after exact re-check; "
@@ -387,32 +389,28 @@ def min_length_matching(inst: Instance, metric: str = "euclidean") -> Solution:
     chosen: list[Segment] = []
     matched: set[int] = set()
     warm = result.basis
-    for e in edges:
+    for i, e in enumerate(model.edges):
         if len(chosen) == inst.n // 2:
             break
         if e.a in matched or e.b in matched:
             continue
-        trial = lp_fix_variable(work, index[e], 1)
-        trial, t_result, t_x = _blossom_loop(
-            inst,
-            edges,
-            trial,
-            exact=False,
-            warm_basis=warm,
-            allow_infeasible=True,
-            seen=set(seen_cuts),
-        )
-        if t_result is not None and t_result.status is LpStatus.OPTIMAL:
-            work = trial
-            warm = t_result.basis
-            chosen.append(e)
-            matched.update(e)
-        else:
-            work = lp_fix_variable(work, index[e], 0)
+        keys, num_cuts = set(model.cut_keys), len(model.added_cuts)
+        try:
+            work, t_result, _, _, _ = _run_loop(
+                model, lp_fix_variable(work, i, 1), exact=False, warm_basis=warm
+            )
+        except InfeasibleRelaxationError:
+            # the rejected trial's cut rows are dropped with its program
+            model.cut_keys = keys
+            del model.added_cuts[num_cuts:]
+            work = lp_fix_variable(work, i, 0)
+            continue
+        warm = t_result.basis
+        chosen.append(e)
+        matched.update(e)
     if len(chosen) != inst.n // 2:
         raise SolveError("lexicographic fixing failed to complete a matching")
     out = tuple(sorted(chosen))
-    family = _metric_family(metric)
     k, _ = stabbing_number(out, inst.points, family)
     return Solution(
         problem=Problem.MATCHING,
@@ -425,6 +423,7 @@ def min_length_matching(inst: Instance, metric: str = "euclidean") -> Solution:
 
 
 def _matching_polytope_lp(inst, edges, lengths) -> LinearProgram:
+    """Degree equalities over the edges with a length objective; no k column."""
     index = {e: i for i, e in enumerate(edges)}
     rows = []
     for v in range(inst.n):
@@ -432,62 +431,6 @@ def _matching_polytope_lp(inst, edges, lengths) -> LinearProgram:
     return make_lp(
         len(edges), dict(enumerate(lengths)), rows, [(0, 1)] * len(edges)
     )
-
-
-def _blossom_loop(
-    inst: Instance,
-    edges: tuple[Segment, ...],
-    lp: LinearProgram,
-    *,
-    exact: bool,
-    warm_basis: Optional[Sequence[int]] = None,
-    allow_infeasible: bool = False,
-    seen: Optional[set[frozenset[int]]] = None,
-):
-    """Solve/separate until no violated odd-set cut; standalone version for
-    plain matching-polytope programs (no k variable)."""
-    if seen is None:
-        seen = set()
-    warm = list(warm_basis) if warm_basis else None
-    while True:
-        result = lp_solve(lp, warm_basis=warm, exact=exact)
-        if result.status is LpStatus.INFEASIBLE:
-            if allow_infeasible:
-                return lp, None, {}
-            raise SolveError("matching polytope LP infeasible")
-        if result.status is not LpStatus.OPTIMAL:
-            raise SolveError(f"matching LP came back {result.status.value}")
-        x = {e: result.primal[i] for i, e in enumerate(edges)}
-        kwargs = dict(support_eps=0, violation_eps=0) if exact else {}
-        cuts = []
-        for c in separate_blossom(x, inst.n, **kwargs):
-            key = cut_key(c.members, inst.n)
-            if key not in seen:
-                seen.add(key)
-                cuts.append(c)
-        if not cuts:
-            return lp, result, x
-        rows = []
-        for c in cuts:
-            coeffs = {
-                i: 1
-                for i, e in enumerate(edges)
-                if (e.a in c.members) != (e.b in c.members)
-            }
-            rows.append(make_row(coeffs, ">=", 1))
-        lp = lp.with_rows(rows)
-        warm = result.basis
-
-
-def _integral(x: dict) -> Optional[list[Segment]]:
-    chosen = []
-    for e, w in x.items():
-        v = float(w)
-        if abs(v - 1) <= INT_TOL:
-            chosen.append(e)
-        elif v > INT_TOL:
-            return None
-    return sorted(chosen)
 
 
 def min_length_tree(inst: Instance, metric: str = "euclidean") -> Solution:

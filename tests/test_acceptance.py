@@ -78,7 +78,7 @@ def _run_instance(inst: Instance, problem: Problem, family: LineFamily) -> Recor
     trace = []
     rounded = iterated_rounding(inst, problem, family, on_iteration=trace.append)
     verify_solution(inst, rounded)
-    exact = branch_and_bound(inst, problem, family)
+    exact = branch_and_bound(inst, problem, family, rounded)
     verify_solution(inst, exact)
 
     max_weights = []
@@ -260,7 +260,8 @@ class TestCriterion5:
         report("5.lp", ok, f"k_frac={relax.k_frac!r} exact={exact}")
 
     def test_exact_matching(self, square):
-        sol = branch_and_bound(square, Problem.MATCHING, AXIS)
+        rounded = iterated_rounding(square, Problem.MATCHING, AXIS)
+        sol = branch_and_bound(square, Problem.MATCHING, AXIS, rounded)
         report("5.matching", sol.k == 2 and sol.proven, f"k={sol.k}")
 
     def test_exact_tree(self, square):
@@ -274,7 +275,8 @@ class TestCriterion5:
         ]
         lower = math.ceil((square.n - 1) * min(hits) / len(lines))
         oracle, _ = brute_optimum(square, Problem.SPANNING_TREE, AXIS, Objective.STABBING)
-        sol = branch_and_bound(square, Problem.SPANNING_TREE, AXIS)
+        rounded = iterated_rounding(square, Problem.SPANNING_TREE, AXIS)
+        sol = branch_and_bound(square, Problem.SPANNING_TREE, AXIS, rounded)
         ok = (
             len(lines) == 4
             and len(hits) == 6

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import minstab.cli
+import minstab.solve
 from minstab.cli import main
 
 
@@ -131,6 +133,23 @@ class TestPipeline:
             capsys, "report", str(instance_file), "--problem", "matching", "--family", "axis"
         )
         assert first == second
+
+    @pytest.mark.parametrize("command", ["report", "exact"])
+    def test_rounds_once(self, instance_file, capsys, monkeypatch, command):
+        calls = []
+        rounding = minstab.solve.iterated_rounding
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rounding(*args, **kwargs)
+
+        monkeypatch.setattr(minstab.cli, "iterated_rounding", counted)
+        monkeypatch.setattr(minstab.solve, "iterated_rounding", counted)
+        code, _, _ = run(
+            capsys, command, str(instance_file), "--problem", "matching", "--family", "axis"
+        )
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestOracleCommand:

@@ -19,7 +19,6 @@ from minstab.lp import (
     LinearProgram,
     LpError,
     LpStatus,
-    lp_add_rows,
     lp_fix_variable,
     lp_solve,
     make_lp,
@@ -151,14 +150,14 @@ class TestAddRows:
     def test_non_binding_row_keeps_objective(self):
         lp = k_example()
         prior = lp_solve(lp)
-        res = lp_add_rows(lp, [make_row({0: 1}, "<=", 5)], prior)
+        res = lp_solve(lp.with_rows([make_row({0: 1}, "<=", 5)]), warm_basis=prior.basis)
         assert res.objective_value == pytest.approx(prior.objective_value)
 
     def test_binding_row_matches_cold_solve(self):
         lp = k_example()
         prior = lp_solve(lp)
         row = make_row({0: 1}, ">=", 0.5)
-        warm = lp_add_rows(lp, [row], prior)
+        warm = lp_solve(lp.with_rows([row]), warm_basis=prior.basis)
         cold = lp_solve(lp.with_rows([row]))
         assert warm.status is LpStatus.OPTIMAL
         assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-6)
@@ -168,7 +167,8 @@ class TestAddRows:
         lp = k_example()
         prior = lp_solve(lp)
         rows = [make_row({0: 1}, ">=", 2), make_row({0: 1}, "<=", 1)]
-        assert lp_add_rows(lp, rows, prior).status is LpStatus.INFEASIBLE
+        res = lp_solve(lp.with_rows(rows), warm_basis=prior.basis)
+        assert res.status is LpStatus.INFEASIBLE
 
 
 class TestFixVariable:

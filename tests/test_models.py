@@ -175,7 +175,7 @@ class TestSolveRelaxation:
         assert certify_relaxation(model, res) == Fraction(2)
 
     def test_lp_optima_satisfy_every_odd_set_inequality(self):
-        for n in (8, 10):
+        for n in (8, 10, 12):
             for seed in range(8):
                 inst = gen_random(n, 100, seed=seed)
                 for family in (AXIS, GENERAL):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -22,6 +23,12 @@ from minstab.solve import SolveError
 
 AXIS = LineFamily.AXIS_PARALLEL
 GENERAL = LineFamily.GENERAL
+
+
+def rounded_bnb(inst, problem, family, **kwargs):
+    """Branch-and-bound from the iterated-rounding incumbent, as the CLI runs it."""
+    incumbent = iterated_rounding(inst, problem, family)
+    return branch_and_bound(inst, problem, family, incumbent, **kwargs)
 
 
 class TestIteratedRounding:
@@ -59,7 +66,7 @@ class TestIteratedRounding:
 
 class TestBranchAndBound:
     def test_unit_square_matching(self, unit_square):
-        sol = branch_and_bound(unit_square, Problem.MATCHING, AXIS)
+        sol = rounded_bnb(unit_square, Problem.MATCHING, AXIS)
         assert sol.k == 2
         assert sol.proven
         assert sol.method is Method.EXACT
@@ -72,7 +79,7 @@ class TestBranchAndBound:
             unit_square, Problem.SPANNING_TREE, AXIS, Objective.STABBING
         )
         assert value == 3
-        sol = branch_and_bound(unit_square, Problem.SPANNING_TREE, AXIS)
+        sol = rounded_bnb(unit_square, Problem.SPANNING_TREE, AXIS)
         assert sol.k == value
         assert sol.proven
 
@@ -80,7 +87,7 @@ class TestBranchAndBound:
     def test_matches_oracle_random_matchings(self, family):
         for seed in range(8):
             inst = gen_random(10, 100, seed=400 + seed)
-            sol = branch_and_bound(inst, Problem.MATCHING, family)
+            sol = rounded_bnb(inst, Problem.MATCHING, family)
             value, _ = brute_optimum(inst, Problem.MATCHING, family, Objective.STABBING)
             assert sol.k == value
             assert sol.proven
@@ -90,7 +97,7 @@ class TestBranchAndBound:
     def test_matches_oracle_random_trees(self, family):
         for seed in range(6):
             inst = gen_random(7, 100, seed=500 + seed)
-            sol = branch_and_bound(inst, Problem.SPANNING_TREE, family)
+            sol = rounded_bnb(inst, Problem.SPANNING_TREE, family)
             value, _ = brute_optimum(
                 inst, Problem.SPANNING_TREE, family, Objective.STABBING
             )
@@ -102,19 +109,44 @@ class TestBranchAndBound:
             inst = gen_random(8, 80, seed=600 + seed)
             for fam in (AXIS, GENERAL):
                 rounded = iterated_rounding(inst, Problem.MATCHING, fam)
-                exact = branch_and_bound(inst, Problem.MATCHING, fam)
+                exact = branch_and_bound(inst, Problem.MATCHING, fam, rounded)
                 lb = float(exact.lower_bound)
                 assert math.ceil(lb - 1e-6) <= exact.k <= rounded.k
 
     def test_time_limit_returns_incumbent(self, unit_square):
-        sol = branch_and_bound(unit_square, Problem.MATCHING, AXIS, time_limit=1)
+        sol = rounded_bnb(unit_square, Problem.MATCHING, AXIS, time_limit=1)
         assert sol.k >= 2
         verify_solution(unit_square, sol)
 
+    @pytest.mark.parametrize(
+        "problem, family",
+        [(Problem.SPANNING_TREE, AXIS), (Problem.MATCHING, GENERAL)],
+        ids=["wrong_problem", "wrong_family"],
+    )
+    def test_rejects_incumbent_of_another_model(self, problem, family):
+        inst = gen_random(8, 60, seed=77)
+        incumbent = iterated_rounding(inst, Problem.MATCHING, AXIS)
+        with pytest.raises(SolveError, match="incumbent solves"):
+            branch_and_bound(inst, problem, family, incumbent)
+
+    def test_rejects_incumbent_with_wrong_k(self):
+        inst = gen_random(8, 60, seed=77)
+        incumbent = iterated_rounding(inst, Problem.MATCHING, AXIS)
+        lying = dataclasses.replace(incumbent, k=incumbent.k - 1)
+        with pytest.raises(SolveError, match="incumbent claims"):
+            branch_and_bound(inst, Problem.MATCHING, AXIS, lying)
+
+    def test_rejects_infeasible_incumbent(self):
+        inst = gen_random(8, 60, seed=77)
+        incumbent = iterated_rounding(inst, Problem.MATCHING, AXIS)
+        partial = dataclasses.replace(incumbent, edges=incumbent.edges[1:])
+        with pytest.raises(SolveError, match="perfect matching"):
+            branch_and_bound(inst, Problem.MATCHING, AXIS, partial)
+
     def test_value_independent_of_rerun(self):
         inst = gen_random(8, 60, seed=77)
-        a = branch_and_bound(inst, Problem.MATCHING, AXIS)
-        b = branch_and_bound(inst, Problem.MATCHING, AXIS)
+        a = rounded_bnb(inst, Problem.MATCHING, AXIS)
+        b = rounded_bnb(inst, Problem.MATCHING, AXIS)
         assert a.k == b.k
         assert a.edges == b.edges
 
