@@ -1,16 +1,23 @@
-"""Sparse bounded-variable primal simplex with row addition.
+"""Bounded-variable simplex with warm re-optimization after added rows.
 
 Two independent solver paths share one contract: a numpy float64 tableau
 simplex (Dantzig pricing first, Bland afterwards, with a cycling guard) and a
 pure-Fraction Bland simplex used to certify float results exactly. Both are
-two-phase with artificial variables and support warm starts from a prior
-basis when that basis is still primal feasible.
+two-phase with artificial variables and accept the basis of a prior solve.
+
+The float path re-optimizes from that basis after rows are added or bounds
+fixed: nonbasic variables return to the bound they held, a bounded dual
+simplex restores primal feasibility while the reduced costs stay dual
+feasible, and the primal simplex finishes. A basis that is not dual feasible,
+or a dual ratio test with no entering column, falls back to the cold
+two-phase solve, so only phase 1 declares a program infeasible. The exact
+path warm-starts only from a primal feasible basis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -109,12 +116,27 @@ def make_lp(
     return LinearProgram(num_vars, obj, tuple(rows), lo, hi)
 
 
+@dataclass(frozen=True)
+class Basis:
+    """The basic variable of each row and the nonbasic variables held at their
+    upper bound. Slacks are numbered after the program's variables in row
+    order; -1 marks a row whose artificial stayed basic."""
+
+    basic: tuple[int, ...]
+    at_upper: frozenset[int] = frozenset()
+
+
+NO_BASIS = Basis(())
+
+
 @dataclass
 class LpResult:
     status: LpStatus
     objective_value: Optional[Number]
     primal: list
-    basis: list[int]
+    basis: Basis
+    warm_started: bool = False  # the prior basis was used, with or without dual pivots
+    pivots: int = 0  # basis changes of every phase, a discarded warm attempt included
 
 
 def lp_fix_variable(lp: LinearProgram, var: int, value: Number) -> LinearProgram:
@@ -134,15 +156,16 @@ def lp_fix_variable(lp: LinearProgram, var: int, value: Number) -> LinearProgram
 
 def lp_solve(
     lp: LinearProgram,
-    warm_basis: Optional[Sequence[int]] = None,
+    warm_basis: Optional[Basis] = None,
     *,
     exact: bool = False,
 ) -> LpResult:
     """Solve to proven optimality, or report Infeasible/Unbounded.
 
-    exact=True runs the independent Fraction simplex (Bland pivoting, no
-    tolerances); float coefficients are converted to their exact binary
-    rationals.
+    warm_basis is the basis of an earlier solve of this program before rows
+    were appended or bounds changed. exact=True runs the independent Fraction
+    simplex (Bland pivoting, no tolerances); float coefficients are converted
+    to their exact binary rationals.
     """
     if exact:
         return _ExactSimplex(lp).solve(warm_basis)
@@ -204,19 +227,29 @@ class _FloatSimplex:
         size = m + N
         self.dantzig_limit = 500 + 5 * size
         self.iter_cap = self.dantzig_limit + 5000 + 100 * size
+        self.pivots = 0
 
-    def solve(self, warm_basis: Optional[Sequence[int]]) -> LpResult:
+    def solve(self, warm_basis: Optional[Basis]) -> LpResult:
+        result = None
         if warm_basis is not None and self.m > 0:
-            state = self._warm_state(list(warm_basis))
-            if state is not None:
-                status = self._loop(state, phase1=False)
-                if status != "cycled":
-                    return self._finish(state, status)
-        return self._cold()
+            result = self._warm(warm_basis)
+        warm_started = result is not None
+        if result is None:
+            result = self._cold()
+        return replace(result, warm_started=warm_started, pivots=self.pivots)
 
-    def _warm_state(self, warm: list[int]) -> Optional[_State]:
+    def _warm(self, warm: Basis) -> Optional[LpResult]:
+        state = self._warm_state(warm)
+        if state is None or not self._dual_loop(state):
+            return None
+        status = self._loop(state, phase1=False)
+        if status == "cycled":
+            return None
+        return self._finish(state, status)
+
+    def _warm_state(self, warm: Basis) -> Optional[_State]:
         m, N = self.m, self.N
-        basis = list(warm[:m])
+        basis = list(warm.basic[:m])
         for i in range(len(basis), m):
             s = int(self.slack_of_row[i])
             if s < 0:
@@ -224,28 +257,74 @@ class _FloatSimplex:
             basis.append(s)
         if len(basis) != m or len(set(basis)) != m:
             return None
-        if any(not 0 <= j < N for j in basis):
+        if any(not 0 <= j < N for j in basis + list(warm.at_upper)):
             return None
         basis_arr = np.array(basis, dtype=int)
-        B = self.A[:, basis_arr]
         try:
-            T = np.linalg.solve(B, self.A)
+            T = np.linalg.solve(self.A[:, basis_arr], np.column_stack([self.A, self.b]))
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(T)):
             return None
         at_upper = np.zeros(N, dtype=bool)
-        xN = self.lo.copy()
+        at_upper[list(warm.at_upper)] = True
+        at_upper &= np.isfinite(self.hi)
+        at_upper[basis_arr] = False
+        xN = np.where(at_upper, self.hi, self.lo)
         xN[basis_arr] = 0.0
-        try:
-            xB = np.linalg.solve(B, self.b - self.A @ xN)
-        except np.linalg.LinAlgError:
-            return None
-        if np.any(xB < self.lo[basis_arr] - FEAS_TOL) or np.any(
-            xB > self.hi[basis_arr] + FEAS_TOL
-        ):
-            return None
+        xB = T[:, N] - T[:, :N] @ xN
+        T = np.ascontiguousarray(T[:, :N])
         return _State(T, basis_arr, xB, at_upper, self.lo.copy(), self.hi.copy(), 0)
+
+    def _dual_loop(self, state: _State) -> bool:
+        """Bounded dual simplex until every basic value fits its bounds.
+
+        The row with the largest bound violation leaves; the entering column
+        minimizes |d_j| / |alpha_rj| over the nonbasic columns that move the
+        leaving value toward its bound, ties to the largest |alpha_rj| and then
+        the lowest index. Returns False when the basis is not dual feasible,
+        no column can enter or the iteration cap trips; the caller then
+        solves cold.
+        """
+        lo, hi = state.lo, state.hi
+        movable = (hi - lo) > 0
+        for it in range(self.dantzig_limit):
+            basis = state.basis
+            T = state.T
+            below = lo[basis] - state.xB
+            above = state.xB - hi[basis]
+            viol = np.maximum(below, above)
+            r = int(np.argmax(viol))
+            if viol[r] <= FEAS_TOL:
+                return True
+            z = self.cost - self.cost[basis] @ T
+            free = movable.copy()
+            free[basis] = False
+            # dual slack: how far each reduced cost is from pricing its column in
+            slack = np.where(state.at_upper, -z, z)
+            if it == 0 and np.any(free & (slack < -FEAS_TOL)):
+                return False
+            alpha = T[r]
+            # the leaving value rises when below its bound; column j moves it by
+            # -alpha_rj per unit, up from a lower bound or down from an upper one
+            toward = alpha if below[r] > 0 else -alpha
+            elig = free & np.where(state.at_upper, toward > PIVOT_TOL, toward < -PIVOT_TOL)
+            if not elig.any():
+                return False
+            ratios = np.full(len(z), np.inf)
+            ratios[elig] = np.maximum(slack[elig], 0.0) / np.abs(alpha[elig])
+            best = float(ratios.min())
+            tied = np.flatnonzero(ratios <= best + 1e-12 + 1e-9 * best)
+            q = int(tied[np.argmax(np.abs(alpha[tied]))])
+            target = lo[basis[r]] if below[r] > 0 else hi[basis[r]]
+            step = (state.xB[r] - target) / alpha[q]
+            entering_value = (hi[q] if state.at_upper[q] else lo[q]) + step
+            state.xB -= step * T[:, q]
+            leaving = int(basis[r])
+            state.at_upper[leaving] = not below[r] > 0
+            self._pivot(state, r, q)
+            state.xB[r] = entering_value
+        return False
 
     def _cold(self) -> LpResult:
         m, N = self.m, self.N
@@ -308,7 +387,7 @@ class _FloatSimplex:
                 raise LpError("phase 1 became unbounded; inconsistent state")
             phase1_obj = float(state.xB[state.basis >= N].sum())
             if phase1_obj > FEAS_TOL * max(1.0, float(np.abs(self.b).sum())):
-                return LpResult(LpStatus.INFEASIBLE, None, [], [])
+                return LpResult(LpStatus.INFEASIBLE, None, [], NO_BASIS)
             self._drive_out_artificials(state)
             state.hi[N:] = 0.0
 
@@ -340,6 +419,7 @@ class _FloatSimplex:
             basic.add(pivot_col)
 
     def _pivot(self, state: _State, r: int, j: int) -> None:
+        self.pivots += 1
         T = state.T
         piv = T[r, j]
         T[r] = T[r] / piv
@@ -428,7 +508,7 @@ class _FloatSimplex:
 
     def _finish(self, state: _State, status: str) -> LpResult:
         if status == "unbounded":
-            return LpResult(LpStatus.UNBOUNDED, None, [], [])
+            return LpResult(LpStatus.UNBOUNDED, None, [], NO_BASIS)
         width = state.width
         x = np.where(state.at_upper, np.where(np.isfinite(state.hi), state.hi, 0.0), state.lo)
         basis = state.basis
@@ -457,7 +537,10 @@ class _FloatSimplex:
             if row.rel == "=" and abs(act - rhs) > 10 * FEAS_TOL * scale:
                 raise LpError(f"row {i} violated at optimum: {act} != {rhs}")
         obj = float(self.cost[: self.n] @ primal)
-        basis_out = [int(j) if j < self.N else -1 for j in basis]
+        basis_out = Basis(
+            tuple(int(j) if j < self.N else -1 for j in basis),
+            frozenset(int(j) for j in np.flatnonzero(state.at_upper[: self.N])),
+        )
         return LpResult(LpStatus.OPTIMAL, obj, [float(v) for v in primal], basis_out)
 
 
@@ -497,19 +580,23 @@ class _ExactSimplex:
         for idx, coef in lp.objective:
             self.cost[idx] += _frac(coef)
         self.iter_cap = 20000 + 200 * (m + N)
+        self.pivots = 0
 
-    def solve(self, warm_basis: Optional[Sequence[int]]) -> LpResult:
+    def solve(self, warm_basis: Optional[Basis]) -> LpResult:
         state = None
         if warm_basis is not None and self.m > 0:
-            state = self._warm_state(list(warm_basis))
+            state = self._warm_state(list(warm_basis.basic))
+        warm_started = state is not None
+        infeasible = False
         if state is None:
             state, infeasible = self._phase1()
-            if infeasible:
-                return LpResult(LpStatus.INFEASIBLE, None, [], [])
-        status = self._loop(state, phase1=False)
-        if status == "unbounded":
-            return LpResult(LpStatus.UNBOUNDED, None, [], [])
-        return self._finish(state)
+        if infeasible:
+            result = LpResult(LpStatus.INFEASIBLE, None, [], NO_BASIS)
+        elif self._loop(state, phase1=False) == "unbounded":
+            result = LpResult(LpStatus.UNBOUNDED, None, [], NO_BASIS)
+        else:
+            result = self._finish(state)
+        return replace(result, warm_started=warm_started, pivots=self.pivots)
 
     # state: [T, basis, xB, at_upper, num_art]
 
@@ -630,6 +717,7 @@ class _ExactSimplex:
             basic.add(pivot_col)
 
     def _pivot(self, state, r: int, j: int) -> None:
+        self.pivots += 1
         T, basis, _, at_upper, _ = state
         piv = T[r][j]
         if piv != 1:
@@ -750,7 +838,10 @@ class _ExactSimplex:
             if row.rel == "=" and acc != 0:
                 raise LpError(f"exact optimum violates row {i}")
         obj = sum((self.cost[j] * primal[j] for j in range(self.n)), Fraction(0))
-        basis_out = [int(j) if j < self.N else -1 for j in basis]
+        basis_out = Basis(
+            tuple(int(j) if j < self.N else -1 for j in basis),
+            frozenset(j for j in range(self.N) if at_upper[j]),
+        )
         return LpResult(LpStatus.OPTIMAL, obj, list(primal), basis_out)
 
 

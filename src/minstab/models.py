@@ -7,7 +7,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 from .cuts import (
     SUPPORT_EPS,
@@ -27,6 +27,7 @@ from .geom import (
 from .instance import Instance, Problem
 from .lp import (
     OBJ_TOL,
+    Basis,
     LinearProgram,
     LpError,
     LpResult,
@@ -88,7 +89,7 @@ class RelaxationResult:
     x: dict[Segment, Union[float, Fraction]]
     cuts_added: int
     lp_iterations: int
-    basis: list[int]
+    basis: Basis
 
 
 def _build(inst: Instance, family: LineFamily, problem: Problem) -> StabModel:
@@ -186,7 +187,7 @@ def _run_loop(
     lp: LinearProgram,
     *,
     exact: bool,
-    warm_basis: Optional[Sequence[int]],
+    warm_basis: Optional[Basis],
     mirror: Optional[Callable[[Row, Cut], None]] = None,
 ) -> tuple[LinearProgram, LpResult, dict, int, int]:
     """Solve, separate, add violated cut rows, repeat until clean.
@@ -196,9 +197,8 @@ def _run_loop(
     """
     iterations = 0
     cuts_added = 0
-    warm = list(warm_basis) if warm_basis else None
     while True:
-        result = lp_solve(lp, warm_basis=warm, exact=exact)
+        result = lp_solve(lp, warm_basis=warm_basis, exact=exact)
         iterations += 1
         if result.status is LpStatus.INFEASIBLE:
             raise InfeasibleRelaxationError(
@@ -228,7 +228,7 @@ def _run_loop(
                 mirror(row, c)
         lp = lp.with_rows(rows)
         cuts_added += len(rows)
-        warm = result.basis
+        warm_basis = result.basis
 
 
 def solve_relaxation(model: StabModel) -> RelaxationResult:

@@ -366,12 +366,23 @@ def min_length_matching(inst: Instance, metric: str = "euclidean") -> Solution:
     if inst.n % 2 != 0:
         raise SolveError(f"matching requires even n, got {inst.n}")
     family = _metric_family(metric)
-    # the model supplies edges, cut rows and cut keys; its stabbing LP is unused
-    model = build_matching_model(inst, family)
-    lengths = [_metric_length(e, inst, metric) for e in model.edges]
-    lp = _matching_polytope_lp(inst, model.edges, lengths)
+    edges = tuple(inst.all_edges())
+    lengths = [_metric_length(e, inst, metric) for e in edges]
+    # the cutting-plane loop needs only edges, cut rows and cut keys: no
+    # stabbing lines or rows, and no k column
+    model = StabModel(
+        problem=Problem.MATCHING,
+        family=family,
+        inst=inst,
+        edges=edges,
+        edge_index={e: i for i, e in enumerate(edges)},
+        k_index=-1,
+        lines=(),
+        stab_row_of_line=(),
+        lp=_matching_polytope_lp(inst, edges, lengths),
+    )
 
-    lp, result, x, _, _ = _run_loop(model, lp, exact=False, warm_basis=None)
+    lp, result, x, _, _ = _run_loop(model, model.lp, exact=False, warm_basis=None)
     if _integral(x) is None:
         logger.info("fractional matching optimum; re-checking with exact solver")
         lp, result, x, _, _ = _run_loop(model, lp, exact=True, warm_basis=None)

@@ -171,6 +171,106 @@ class TestAddRows:
         assert res.status is LpStatus.INFEASIBLE
 
 
+class TestDualReoptimize:
+    def test_binding_row_reoptimizes_warm(self):
+        lp = make_lp(2, {0: 1, 1: 2}, [make_row({0: 1, 1: 1}, ">=", 2)], [(0, 3), (0, 3)])
+        prior = lp_solve(lp)
+        assert prior.objective_value == pytest.approx(2)
+        cut = lp.with_rows([make_row({0: 1}, "<=", 1)])
+        warm = lp_solve(cut, warm_basis=prior.basis)
+        cold = lp_solve(cut)
+        assert warm.warm_started and not cold.warm_started
+        assert warm.status is cold.status is LpStatus.OPTIMAL
+        assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+        assert warm.objective_value == pytest.approx(scipy_solve(cut).fun, abs=1e-9)
+        assert warm.objective_value == pytest.approx(3)
+
+    def test_nonbasic_at_upper_bound_is_restored(self):
+        # x0 and x1 sit at their upper bound 1 at the optimum; put back at their
+        # lower bound their reduced costs are dual infeasible and the warm start
+        # could only fall back to a cold solve
+        lp = make_lp(
+            3,
+            {0: -1, 1: -1, 2: -1},
+            [make_row({0: 1, 1: 1, 2: 2}, "<=", 3)],
+            [(0, 1)] * 3,
+        )
+        prior = lp_solve(lp)
+        assert prior.objective_value == pytest.approx(-2.5)
+        assert {0, 1} <= prior.basis.at_upper
+        cut = lp.with_rows([make_row({2: 1}, "<=", 0.25)])
+        warm = lp_solve(cut, warm_basis=prior.basis)
+        assert warm.warm_started
+        assert warm.objective_value == pytest.approx(-2.25)
+        assert warm.primal == pytest.approx([1, 1, 0.25])
+
+    def test_contradictory_rows_left_to_phase_one(self):
+        lp = k_example()
+        prior = lp_solve(lp)
+        rows = [make_row({0: 1}, ">=", 2), make_row({0: 1}, "<=", 1)]
+        res = lp_solve(lp.with_rows(rows), warm_basis=prior.basis)
+        assert res.status is LpStatus.INFEASIBLE
+        assert not res.warm_started
+
+    def test_counts_pivots_on_both_paths(self):
+        lp = k_example()
+        for exact in (False, True):
+            cold = lp_solve(lp, exact=exact)
+            assert cold.pivots > 0 and not cold.warm_started
+            again = lp_solve(lp, warm_basis=cold.basis, exact=exact)
+            assert again.warm_started and again.pivots == 0
+
+    def test_fuzz_rows_and_fixings_against_cold_and_scipy(self):
+        rng = random.Random(2005)
+        warm_optimal = optimal = 0
+        for _ in range(200):
+            n = rng.randint(2, 7)
+            hi = [rng.choice([1, 2, 5]) for _ in range(n)]
+            point = [rng.uniform(0, h) for h in hi]
+
+            def random_row(feasible_at_point: bool):
+                coeffs = {j: rng.randint(-4, 4) for j in range(n) if rng.random() < 0.7}
+                coeffs = {j: c for j, c in coeffs.items() if c} or {0: 1}
+                rel = rng.choice(["<=", ">="])
+                if feasible_at_point:
+                    act = sum(c * point[j] for j, c in coeffs.items())
+                    rhs = math.floor(act) + 1 if rel == "<=" else math.ceil(act) - 1
+                else:
+                    rhs = rng.randint(-6, 6)
+                return make_row(coeffs, rel, rhs)
+
+            lp = make_lp(
+                n,
+                {j: rng.randint(-5, 5) for j in range(n)},
+                [random_row(True) for _ in range(rng.randint(1, 6))],
+                [(0, h) for h in hi],
+            )
+            prior = lp_solve(lp)
+            assert prior.status is LpStatus.OPTIMAL
+            changed = lp
+            if rng.random() < 0.8:
+                changed = changed.with_rows(
+                    [random_row(False) for _ in range(rng.randint(1, 3))]
+                )
+            if changed is lp or rng.random() < 0.5:
+                var = rng.randrange(n)
+                changed = lp_fix_variable(changed, var, rng.choice([0, hi[var]]))
+            warm = lp_solve(changed, warm_basis=prior.basis)
+            cold = lp_solve(changed)
+            ref = scipy_solve(changed)
+            expected = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE}[ref.status]
+            assert warm.status is cold.status is expected
+            if expected is LpStatus.OPTIMAL:
+                optimal += 1
+                warm_optimal += warm.warm_started
+                assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-6)
+                assert warm.objective_value == pytest.approx(ref.fun, abs=1e-6)
+        # the prior optimum stays dual feasible under added rows and fixings,
+        # so no feasible case may fall back to a cold solve
+        assert optimal > 50
+        assert warm_optimal == optimal
+
+
 class TestFixVariable:
     def test_fix_forces_value(self):
         lp = lp_fix_variable(k_example(), 0, 1)

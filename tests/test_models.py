@@ -3,7 +3,9 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from test_lp import scipy_solve
 
+import minstab.models as models
 from minstab import (
     Instance,
     LineFamily,
@@ -184,6 +186,30 @@ class TestSolveRelaxation:
                     assert min_odd_cut(res.x, n) >= 1 - 1e-7, (n, seed, family)
                     refined = lexicographic_refine(model, res)
                     assert min_odd_cut(refined.x, n) >= 1 - 1e-7, (n, seed, family)
+
+
+class TestWarmReoptimization:
+    @pytest.mark.parametrize(
+        "build, seed", [(build_matching_model, 1), (build_tree_model, 4)]
+    )
+    def test_every_round_after_a_cut_starts_warm(self, monkeypatch, build, seed):
+        results = []
+        real = models.lp_solve
+
+        def spy(lp, warm_basis=None, **kwargs):
+            res = real(lp, warm_basis, **kwargs)
+            results.append(res)
+            return res
+
+        monkeypatch.setattr(models, "lp_solve", spy)
+        model = build(gen_random(24, 100, seed), GENERAL)
+        relax = solve_relaxation(model)
+        assert relax.lp_iterations == len(results) >= 2
+        assert not results[0].warm_started
+        assert all(r.warm_started for r in results[1:])
+        ref = scipy_solve(model.lp)
+        assert ref.status == 0
+        assert relax.k_frac == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
 
 
 class TestLexicographicRefine:
