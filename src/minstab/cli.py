@@ -8,6 +8,7 @@ timings go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
@@ -204,6 +205,12 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _solve_root(inst: Instance, args):
+    """The one model of a command, and its root relaxation solved once."""
+    model = build_model(inst, PROBLEMS[args.problem], FAMILIES[args.family])
+    return model, solve_relaxation(model)
+
+
 def _cmd_gen(args) -> int:
     if args.random is not None:
         inst = gen_random(args.random, args.bbox, args.seed)
@@ -241,11 +248,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_bound(args) -> int:
     inst = _load_instance(args)
-    family = FAMILIES[args.family]
-    problem = PROBLEMS[args.problem]
     start = time.perf_counter()
-    model = build_model(inst, problem, family)
-    relax = solve_relaxation(model)
+    model, relax = _solve_root(inst, args)
     elapsed = time.perf_counter() - start
     k_frac = float(relax.k_frac)
     print(f"instance={inst.name} problem={args.problem} family={args.family}")
@@ -275,33 +279,20 @@ def _solution_summary(sol: Solution) -> str:
 
 
 def _cmd_round(args) -> int:
-    inst = _load_instance(args)
-    sol = iterated_rounding(inst, PROBLEMS[args.problem], FAMILIES[args.family])
-    if args.output:
-        _emit(solution_to_json(sol), args.output)
-    else:
-        sys.stdout.write(solution_to_json(sol))
+    model, root = _solve_root(_load_instance(args), args)
+    sol = iterated_rounding(model, root)
+    _emit(solution_to_json(sol), args.output)
     sys.stdout.write(_solution_summary(sol))
     return 0
 
 
 def _cmd_exact(args) -> int:
-    inst = _load_instance(args)
-    family = FAMILIES[args.family]
-    problem = PROBLEMS[args.problem]
-    rounded = iterated_rounding(inst, problem, family)
-    sol = branch_and_bound(inst, problem, family, rounded, time_limit=args.time_limit)
+    model, root = _solve_root(_load_instance(args), args)
+    rounded = iterated_rounding(model, root)
+    sol = branch_and_bound(model, root, rounded, time_limit=args.time_limit)
     if args.exact_check:
-        model = build_model(inst, problem, family)
-        relax = solve_relaxation(model)
-        exact = certify_relaxation(model, relax)
-        sol = Solution(
-            sol.problem, sol.family, sol.edges, sol.k, exact, sol.method, sol.proven
-        )
-    if args.output:
-        _emit(solution_to_json(sol), args.output)
-    else:
-        sys.stdout.write(solution_to_json(sol))
+        sol = dataclasses.replace(sol, lower_bound=certify_relaxation(model, root))
+    _emit(solution_to_json(sol), args.output)
     sys.stdout.write(_solution_summary(sol))
     return 0
 
@@ -313,10 +304,7 @@ def _cmd_minlen(args) -> int:
         sol = min_length_matching(inst, metric)
     else:
         sol = min_length_tree(inst, metric)
-    if args.output:
-        _emit(solution_to_json(sol), args.output)
-    else:
-        sys.stdout.write(solution_to_json(sol))
+    _emit(solution_to_json(sol), args.output)
     sys.stdout.write(_solution_summary(sol))
     return 0
 
@@ -332,8 +320,7 @@ def _cmd_render(args) -> int:
             inst, edges=sol.edges, annotation=f"k={sol.k} ({sol.family.value})"
         )
     elif args.lp:
-        model = build_model(inst, PROBLEMS[args.problem], FAMILIES[args.family])
-        relax = solve_relaxation(model)
+        model, relax = _solve_root(inst, args)
         refined = lexicographic_refine(model, relax)
         svg = render_svg(
             inst,
@@ -368,24 +355,19 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_report(args) -> int:
     inst = _load_instance(args)
-    family = FAMILIES[args.family]
-    problem = PROBLEMS[args.problem]
 
     t0 = time.perf_counter()
-    model = build_model(inst, problem, family)
-    relax = solve_relaxation(model)
+    model, relax = _solve_root(inst, args)
     t_lp = time.perf_counter() - t0
     k_frac = float(relax.k_frac)
     ceil_bound = math.ceil(k_frac - 1e-6)
 
     t0 = time.perf_counter()
-    rounded = iterated_rounding(inst, problem, family)
+    rounded = iterated_rounding(model, relax)
     t_round = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    exact_sol = branch_and_bound(
-        inst, problem, family, rounded, time_limit=args.time_limit
-    )
+    exact_sol = branch_and_bound(model, relax, rounded, time_limit=args.time_limit)
     t_exact = time.perf_counter() - t0
 
     print(f"instance={inst.name}")

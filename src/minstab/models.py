@@ -5,7 +5,7 @@ planar support."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
@@ -81,6 +81,17 @@ class StabModel:
     fixed_zeros: set[Segment] = field(default_factory=set)
     added_cuts: list[Cut] = field(default_factory=list)
     cut_keys: set[frozenset[int]] = field(default_factory=set)
+
+    def fork(self) -> StabModel:
+        """A copy with its own fixings and cut bookkeeping; the immutable lp
+        is shared until either side replaces it."""
+        return replace(
+            self,
+            fixed_ones=set(self.fixed_ones),
+            fixed_zeros=set(self.fixed_zeros),
+            added_cuts=list(self.added_cuts),
+            cut_keys=set(self.cut_keys),
+        )
 
 
 @dataclass

@@ -25,11 +25,11 @@ from .lp import OBJ_TOL, LinearProgram, lp_fix_variable, make_lp, make_row
 from .lp import lp_solve  # noqa: F401  perfbench/spans.py wraps this name
 from .models import (
     InfeasibleRelaxationError,
+    RelaxationResult,
     StabModel,
     _run_loop,
     build_matching_model,
     build_tree_model,
-    cut_row,
     fix_edge,
     lexicographic_refine,
     solve_relaxation,
@@ -92,49 +92,51 @@ def _structure_size(inst: Instance, problem: Problem) -> int:
 
 
 def iterated_rounding(
-    inst: Instance,
-    problem: Problem,
-    family: LineFamily,
+    model: StabModel,
+    root: RelaxationResult,
     on_iteration: Optional[Callable[[dict], None]] = None,
 ) -> Solution:
     """Fix a heaviest refined edge to one and re-solve until the structure is
     complete. Ties go to the lexicographically smallest segment; for trees,
     cycle-closing candidates are skipped rather than fixed to zero.
 
+    root is model's solved relaxation, refined for the first fixing; the
+    fixings go on a fork of model.
+
     on_iteration, when given, receives one record per LP round (refined
     weights, chosen edge) for instrumentation.
     """
-    model = build_model(inst, problem, family)
+    inst, problem, family = model.inst, model.problem, model.family
+    work = model.fork()
     target = _structure_size(inst, problem)
-    first_k_frac: Optional[float] = None
-    while len(model.fixed_ones) < target:
-        relax = solve_relaxation(model)
-        if first_k_frac is None:
-            first_k_frac = float(relax.k_frac)
-        refined = lexicographic_refine(model, relax)
-        choice = _pick_edge(model, refined.x, inst, problem)
+    relax = root
+    while True:
+        refined = lexicographic_refine(work, relax)
+        choice = _pick_edge(work, refined.x, inst, problem)
         if on_iteration is not None:
             on_iteration(
                 {
-                    "iteration": len(model.fixed_ones),
+                    "iteration": len(work.fixed_ones),
                     "k_frac": float(relax.k_frac),
                     "x": dict(refined.x),
-                    "fixed_ones": frozenset(model.fixed_ones),
+                    "fixed_ones": frozenset(work.fixed_ones),
                     "chosen": choice,
                 }
             )
-        fix_edge(model, choice, 1)
-        _fix_dead_edges(model, inst, problem)
-    edges = tuple(sorted(model.fixed_ones))
+        fix_edge(work, choice, 1)
+        _fix_dead_edges(work, inst, problem)
+        if len(work.fixed_ones) >= target:
+            break
+        relax = solve_relaxation(work)
+    edges = tuple(sorted(work.fixed_ones))
     _assert_feasible(edges, inst, problem)
     k, _ = stabbing_number(edges, inst.points, family)
-    assert first_k_frac is not None
     return Solution(
         problem=problem,
         family=family,
         edges=edges,
         k=k,
-        lower_bound=_rationalized(first_k_frac),
+        lower_bound=_rationalized(float(root.k_frac)),
         method=Method.ROUNDING,
     )
 
@@ -211,13 +213,15 @@ def _integral(x: dict) -> Optional[list[Segment]]:
 
 
 def branch_and_bound(
-    inst: Instance,
-    problem: Problem,
-    family: LineFamily,
+    model: StabModel,
+    root: RelaxationResult,
     incumbent: Solution,
     time_limit: int = 0,
 ) -> Solution:
     """Best-first search over LP bounds; branch on the most fractional edge.
+
+    model has no fixings and root, its solved relaxation, is the root node.
+    Other nodes solve forks of a pool copy of model that gathers their cuts.
 
     incumbent is a feasible solution of the same problem and family, usually
     from iterated_rounding; the search only accepts strictly better ones.
@@ -225,6 +229,9 @@ def branch_and_bound(
     construction; 0 means unlimited. On expiry the best incumbent is returned
     with proven=False instead of raising.
     """
+    inst, problem, family = model.inst, model.problem, model.family
+    if model.fixed_ones or model.fixed_zeros:
+        raise SolveError("branch-and-bound needs a model without fixings")
     if incumbent.problem is not problem or incumbent.family is not family:
         raise SolveError(
             f"incumbent solves {incumbent.problem.value}/{incumbent.family.value}, "
@@ -238,20 +245,12 @@ def branch_and_bound(
     best_edges = incumbent.edges
     best_k = incumbent.k
 
-    root_model = build_model(inst, problem, family)
-    cut_pool: set[frozenset[int]] = set()
-    try:
-        root_relax = solve_relaxation(root_model)
-    except InfeasibleRelaxationError as exc:
-        raise SolveError(f"root relaxation infeasible: {exc}") from exc
-    cut_pool.update(root_model.cut_keys)
-    root_bound = float(root_relax.k_frac)
-    lower_bound = _rationalized(root_bound)
-
+    pool = model.fork()
+    root_bound = float(root.k_frac)
     counter = 0
     heap: list[tuple[float, int, BnbNode]] = []
-    root = BnbNode(frozenset(), frozenset(), root_bound, 0)
-    heapq.heappush(heap, (root.bound, counter, root))
+    start = BnbNode(frozenset(), frozenset(), root_bound, 0)
+    heapq.heappush(heap, (start.bound, counter, start))
     proven = True
 
     while heap:
@@ -261,23 +260,22 @@ def branch_and_bound(
         bound, _, node = heapq.heappop(heap)
         if math.ceil(bound - OBJ_TOL) >= best_k:
             break  # best-first: every remaining node is at least as bad
-        model = build_model(inst, problem, family)
-        rows = []
-        for members in sorted(cut_pool, key=sorted):
-            rows.append(cut_row(model, members))
-            model.cut_keys.add(members)
-        if rows:
-            model.lp = model.lp.with_rows(rows)
+        work = pool.fork()
         for e in sorted(node.fixed_ones):
-            fix_edge(model, e, 1)
+            fix_edge(work, e, 1)
         for e in sorted(node.fixed_zeros):
-            fix_edge(model, e, 0)
-        _fix_dead_edges(model, inst, problem)
-        try:
-            relax = solve_relaxation(model)
-        except InfeasibleRelaxationError:
-            continue
-        cut_pool.update(model.cut_keys)
+            fix_edge(work, e, 0)
+        _fix_dead_edges(work, inst, problem)
+        if node is start:
+            relax = root
+        else:
+            try:
+                relax = solve_relaxation(work)
+            except InfeasibleRelaxationError:
+                continue
+            # cut rows hold at every node: hand the new ones to the pool
+            pool.lp = pool.lp.with_rows(work.lp.rows[len(pool.lp.rows) :])
+            pool.cut_keys, pool.added_cuts = work.cut_keys, work.added_cuts
         k_frac = float(relax.k_frac)
         node_bound = math.ceil(k_frac - OBJ_TOL)
         if node_bound >= best_k:
@@ -290,7 +288,7 @@ def branch_and_bound(
                 best_k = k_int
                 best_edges = tuple(integral)
             continue
-        branch_edge = _most_fractional(model, relax.x)
+        branch_edge = _most_fractional(work, relax.x)
         for value in (1, 0):
             ones = set(node.fixed_ones)
             zeros = set(node.fixed_zeros)
@@ -310,7 +308,7 @@ def branch_and_bound(
         family=family,
         edges=tuple(sorted(best_edges)),
         k=best_k,
-        lower_bound=lower_bound,
+        lower_bound=_rationalized(root_bound),
         method=Method.EXACT,
         proven=proven,
     )

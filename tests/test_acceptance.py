@@ -73,13 +73,13 @@ def _run_instance(inst: Instance, problem: Problem, family: LineFamily) -> Recor
     build = build_matching_model if problem is Problem.MATCHING else build_tree_model
     model = build(inst, family)
     relax = solve_relaxation(model)
-    exact_value = certify_relaxation(model, relax)
 
     trace = []
-    rounded = iterated_rounding(inst, problem, family, on_iteration=trace.append)
+    rounded = iterated_rounding(model, relax, on_iteration=trace.append)
     verify_solution(inst, rounded)
-    exact = branch_and_bound(inst, problem, family, rounded)
+    exact = branch_and_bound(model, relax, rounded)
     verify_solution(inst, exact)
+    exact_value = certify_relaxation(model, relax)
 
     max_weights = []
     crossings = []
@@ -260,8 +260,9 @@ class TestCriterion5:
         report("5.lp", ok, f"k_frac={relax.k_frac!r} exact={exact}")
 
     def test_exact_matching(self, square):
-        rounded = iterated_rounding(square, Problem.MATCHING, AXIS)
-        sol = branch_and_bound(square, Problem.MATCHING, AXIS, rounded)
+        model = build_matching_model(square, AXIS)
+        relax = solve_relaxation(model)
+        sol = branch_and_bound(model, relax, iterated_rounding(model, relax))
         report("5.matching", sol.k == 2 and sol.proven, f"k={sol.k}")
 
     def test_exact_tree(self, square):
@@ -275,8 +276,9 @@ class TestCriterion5:
         ]
         lower = math.ceil((square.n - 1) * min(hits) / len(lines))
         oracle, _ = brute_optimum(square, Problem.SPANNING_TREE, AXIS, Objective.STABBING)
-        rounded = iterated_rounding(square, Problem.SPANNING_TREE, AXIS)
-        sol = branch_and_bound(square, Problem.SPANNING_TREE, AXIS, rounded)
+        model = build_tree_model(square, AXIS)
+        relax = solve_relaxation(model)
+        sol = branch_and_bound(model, relax, iterated_rounding(model, relax))
         ok = (
             len(lines) == 4
             and len(hits) == 6

@@ -151,6 +151,41 @@ class TestPipeline:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("command", ["report", "exact"])
+    def test_builds_and_solves_root_once(self, instance_file, capsys, monkeypatch, command):
+        builds = []
+        unfixed_solves = []
+        for name in ("build_matching_model", "build_tree_model"):
+            builder = getattr(minstab.solve, name)
+
+            def counted_build(*args, _builder=builder, **kwargs):
+                builds.append(args)
+                return _builder(*args, **kwargs)
+
+            monkeypatch.setattr(minstab.solve, name, counted_build)
+        solve = minstab.solve.solve_relaxation
+
+        def counted_solve(model, *args, **kwargs):
+            if not model.fixed_ones and not model.fixed_zeros:
+                unfixed_solves.append(model)
+            return solve(model, *args, **kwargs)
+
+        monkeypatch.setattr(minstab.cli, "solve_relaxation", counted_solve)
+        monkeypatch.setattr(minstab.solve, "solve_relaxation", counted_solve)
+        code, _, _ = run(
+            capsys,
+            command,
+            str(instance_file),
+            "--problem",
+            "matching",
+            "--family",
+            "axis",
+            "--exact-check",
+        )
+        assert code == 0
+        assert len(builds) == 1
+        assert len(unfixed_solves) == 1
+
 
 class TestOracleCommand:
     def test_square_matching(self, tmp_path, capsys):

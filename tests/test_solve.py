@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import minstab.solve
 from minstab import (
     Instance,
     LineFamily,
@@ -16,37 +17,50 @@ from minstab import (
     iterated_rounding,
     min_length_matching,
     min_length_tree,
+    solve_relaxation,
     verify_solution,
 )
+from minstab.models import ModelError, fix_edge
 from minstab.oracle import Objective
-from minstab.solve import SolveError
+from minstab.solve import SolveError, build_model
 
 AXIS = LineFamily.AXIS_PARALLEL
 GENERAL = LineFamily.GENERAL
 
 
+def relaxed(inst, problem, family):
+    """The model of an instance and its solved root relaxation."""
+    model = build_model(inst, problem, family)
+    return model, solve_relaxation(model)
+
+
+def rounded(inst, problem, family):
+    return iterated_rounding(*relaxed(inst, problem, family))
+
+
 def rounded_bnb(inst, problem, family, **kwargs):
     """Branch-and-bound from the iterated-rounding incumbent, as the CLI runs it."""
-    incumbent = iterated_rounding(inst, problem, family)
-    return branch_and_bound(inst, problem, family, incumbent, **kwargs)
+    model, root = relaxed(inst, problem, family)
+    incumbent = iterated_rounding(model, root)
+    return branch_and_bound(model, root, incumbent, **kwargs)
 
 
 class TestIteratedRounding:
     def test_two_points(self):
         inst = Instance("pair", (Point(0, 0), Point(3, 4)))
-        sol = iterated_rounding(inst, Problem.MATCHING, AXIS)
+        sol = rounded(inst, Problem.MATCHING, AXIS)
         assert sol.k == 1
         assert sol.edges == (Segment(0, 1),)
         assert sol.method is Method.ROUNDING
 
     def test_unit_square_matching(self, unit_square):
-        sol = iterated_rounding(unit_square, Problem.MATCHING, AXIS)
+        sol = rounded(unit_square, Problem.MATCHING, AXIS)
         assert sol.k == 2
         verify_solution(unit_square, sol)
         assert float(sol.lower_bound) == pytest.approx(1.5, abs=1e-6)
 
     def test_three_collinear_tree(self, collinear3):
-        sol = iterated_rounding(collinear3, Problem.SPANNING_TREE, AXIS)
+        sol = rounded(collinear3, Problem.SPANNING_TREE, AXIS)
         assert sol.k == 2
         verify_solution(collinear3, sol)
 
@@ -56,12 +70,12 @@ class TestIteratedRounding:
             n = 8 if problem is Problem.MATCHING else 7
             inst = gen_random(n, 60, seed=seed)
             for fam in (AXIS, GENERAL):
-                sol = iterated_rounding(inst, problem, fam)
+                sol = rounded(inst, problem, fam)
                 verify_solution(inst, sol)
 
     def test_odd_matching_rejected(self, collinear3):
-        with pytest.raises(Exception):
-            iterated_rounding(collinear3, Problem.MATCHING, AXIS)
+        with pytest.raises(ModelError, match="even n"):
+            rounded(collinear3, Problem.MATCHING, AXIS)
 
 
 class TestBranchAndBound:
@@ -108,10 +122,11 @@ class TestBranchAndBound:
         for seed in range(6):
             inst = gen_random(8, 80, seed=600 + seed)
             for fam in (AXIS, GENERAL):
-                rounded = iterated_rounding(inst, Problem.MATCHING, fam)
-                exact = branch_and_bound(inst, Problem.MATCHING, fam, rounded)
+                model, root = relaxed(inst, Problem.MATCHING, fam)
+                heuristic = iterated_rounding(model, root)
+                exact = branch_and_bound(model, root, heuristic)
                 lb = float(exact.lower_bound)
-                assert math.ceil(lb - 1e-6) <= exact.k <= rounded.k
+                assert math.ceil(lb - 1e-6) <= exact.k <= heuristic.k
 
     def test_time_limit_returns_incumbent(self, unit_square):
         sol = rounded_bnb(unit_square, Problem.MATCHING, AXIS, time_limit=1)
@@ -125,23 +140,68 @@ class TestBranchAndBound:
     )
     def test_rejects_incumbent_of_another_model(self, problem, family):
         inst = gen_random(8, 60, seed=77)
-        incumbent = iterated_rounding(inst, Problem.MATCHING, AXIS)
+        incumbent = rounded(inst, Problem.MATCHING, AXIS)
         with pytest.raises(SolveError, match="incumbent solves"):
-            branch_and_bound(inst, problem, family, incumbent)
+            branch_and_bound(*relaxed(inst, problem, family), incumbent)
 
     def test_rejects_incumbent_with_wrong_k(self):
         inst = gen_random(8, 60, seed=77)
-        incumbent = iterated_rounding(inst, Problem.MATCHING, AXIS)
+        model, root = relaxed(inst, Problem.MATCHING, AXIS)
+        incumbent = iterated_rounding(model, root)
         lying = dataclasses.replace(incumbent, k=incumbent.k - 1)
         with pytest.raises(SolveError, match="incumbent claims"):
-            branch_and_bound(inst, Problem.MATCHING, AXIS, lying)
+            branch_and_bound(model, root, lying)
 
     def test_rejects_infeasible_incumbent(self):
         inst = gen_random(8, 60, seed=77)
-        incumbent = iterated_rounding(inst, Problem.MATCHING, AXIS)
+        model, root = relaxed(inst, Problem.MATCHING, AXIS)
+        incumbent = iterated_rounding(model, root)
         partial = dataclasses.replace(incumbent, edges=incumbent.edges[1:])
         with pytest.raises(SolveError, match="perfect matching"):
-            branch_and_bound(inst, Problem.MATCHING, AXIS, partial)
+            branch_and_bound(model, root, partial)
+
+    @pytest.mark.parametrize(
+        "problem, n", [(Problem.MATCHING, 10), (Problem.SPANNING_TREE, 8)]
+    )
+    def test_leaves_caller_model_unchanged(self, problem, n, monkeypatch):
+        # seed 406 rounds above the root's ceiling at both sizes, so the
+        # search solves nodes and grows its cut pool
+        model, root = relaxed(gen_random(n, 100, seed=406), problem, AXIS)
+        before = (
+            model.lp,
+            set(model.fixed_ones),
+            set(model.fixed_zeros),
+            set(model.cut_keys),
+            list(model.added_cuts),
+        )
+        node_solves = []
+        solve = minstab.solve.solve_relaxation
+
+        def counted(work):
+            node_solves.append(work)
+            return solve(work)
+
+        heuristic = iterated_rounding(model, root)
+        monkeypatch.setattr(minstab.solve, "solve_relaxation", counted)
+        exact = branch_and_bound(model, root, heuristic)
+        assert exact.proven
+        assert node_solves
+        after = (
+            model.lp,
+            model.fixed_ones,
+            model.fixed_zeros,
+            model.cut_keys,
+            model.added_cuts,
+        )
+        assert after == before
+        assert model.lp is before[0]
+
+    def test_rejects_model_with_fixings(self):
+        model, root = relaxed(gen_random(8, 60, seed=77), Problem.MATCHING, AXIS)
+        incumbent = iterated_rounding(model, root)
+        fix_edge(model, incumbent.edges[0], 1)
+        with pytest.raises(SolveError, match="without fixings"):
+            branch_and_bound(model, root, incumbent)
 
     def test_value_independent_of_rerun(self):
         inst = gen_random(8, 60, seed=77)
