@@ -355,22 +355,6 @@ def sqrt_decompose(m: int) -> tuple[int, int]:
     return f, s
 
 
-def euclidean_total_key(
-    edges: Sequence[Segment], points: Sequence[Point]
-) -> tuple[tuple[int, int], ...]:
-    """Exact canonical form of the total Euclidean length Σ f_i * sqrt(s_i).
-
-    Square roots of distinct squarefree integers are linearly independent
-    over the rationals, so two edge sets have equal total length iff their
-    keys are equal.
-    """
-    coeff: dict[int, int] = {}
-    for e in edges:
-        f, s = sqrt_decompose(euclidean_length_sq(e, points))
-        coeff[s] = coeff.get(s, 0) + f
-    return tuple(sorted((s, f) for s, f in coeff.items() if f))
-
-
 def average_stabbing(
     edges: Sequence[Segment], points: Sequence[Point], family: LineFamily
 ):
@@ -448,51 +432,3 @@ def segments_compatible(e1: Segment, e2: Segment, points: Sequence[Point]) -> bo
                     return False
     return True
 
-
-def triangulation_faces(
-    edges: Sequence[Segment], points: Sequence[Point]
-) -> list[tuple[int, int, int]]:
-    """Triangles of a triangulation edge set: triples with all three edges
-    present, non-collinear corners, and an empty open interior."""
-    present = set(edges)
-    verts = sorted({i for e in edges for i in e})
-    faces = []
-    for ai in range(len(verts)):
-        for bi in range(ai + 1, len(verts)):
-            for ci in range(bi + 1, len(verts)):
-                i, j, k = verts[ai], verts[bi], verts[ci]
-                if (
-                    Segment(i, j) not in present
-                    or Segment(j, k) not in present
-                    or Segment(i, k) not in present
-                ):
-                    continue
-                if orient(points[i], points[j], points[k]) == 0:
-                    continue
-                if any(
-                    _strictly_inside(points[m], points[i], points[j], points[k])
-                    for m in range(len(points))
-                    if m not in (i, j, k)
-                ):
-                    continue
-                faces.append((i, j, k))
-    return faces
-
-
-def _strictly_inside(w: Point, p: Point, q: Point, r: Point) -> bool:
-    d1 = orient(p, q, w)
-    d2 = orient(q, r, w)
-    d3 = orient(r, p, w)
-    return (d1 > 0 and d2 > 0 and d3 > 0) or (d1 < 0 and d2 < 0 and d3 < 0)
-
-
-def triangles_met(
-    line: StabLine, faces: Sequence[tuple[int, int, int]], points: Sequence[Point]
-) -> int:
-    """Number of triangles whose open interior the line passes through."""
-    met = 0
-    for i, j, k in faces:
-        sides = (line.side(points[i]), line.side(points[j]), line.side(points[k]))
-        if min(sides) < 0 < max(sides):
-            met += 1
-    return met

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .geom import (
     GeometryError,
@@ -224,23 +224,38 @@ def parse_solution(data: Union[str, bytes]) -> Solution:
     return Solution(problem, family, edges, k, lb, method)
 
 
-def _spanning_tree_ok(edges: Sequence[Segment], n: int) -> bool:
-    if len(edges) != n - 1:
-        return False
-    parent = list(range(n))
+class UnionFind:
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
+    def find(self, i: int) -> int:
+        while self.parent[i] != i:
+            self.parent[i] = self.parent[self.parent[i]]
+            i = self.parent[i]
         return i
 
-    for e in edges:
-        ra, rb = find(e.a), find(e.b)
-        if ra == rb:
+    def union(self, i: int, j: int) -> bool:
+        ri, rj = self.find(i), self.find(j)
+        if ri == rj:
             return False
-        parent[ra] = rb
-    return True
+        self.parent[ri] = rj
+        return True
+
+
+def structure_defect(
+    edges: Sequence[Segment], n: int, problem: Problem
+) -> Optional[str]:
+    """Why edges on points 0..n-1 are not a perfect matching (MATCHING) or a
+    spanning tree (SPANNING_TREE), or None when they are one. n - 1 acyclic
+    edges on n points always connect them."""
+    if problem is Problem.MATCHING:
+        if sorted(v for e in edges for v in e) != list(range(n)):
+            return "edges do not form a perfect matching"
+        return None
+    uf = UnionFind(n)
+    if len(edges) != n - 1 or not all(uf.union(e.a, e.b) for e in edges):
+        return "edges do not form a spanning tree"
+    return None
 
 
 def verify_solution(inst: Instance, sol: Solution) -> None:
@@ -249,13 +264,10 @@ def verify_solution(inst: Instance, sol: Solution) -> None:
     for e in sol.edges:
         if not (0 <= e.a < n and 0 <= e.b < n):
             raise SolutionError(f"edge {tuple(e)} out of range for n={n}")
-    if sol.problem is Problem.MATCHING:
-        covered = [i for e in sol.edges for i in e]
-        if sorted(covered) != list(range(n)):
-            raise SolutionError("edges are not a perfect matching")
-    elif sol.problem is Problem.SPANNING_TREE:
-        if not _spanning_tree_ok(sol.edges, n):
-            raise SolutionError("edges are not a spanning tree")
+    if sol.problem in (Problem.MATCHING, Problem.SPANNING_TREE):
+        defect = structure_defect(sol.edges, n, sol.problem)
+        if defect:
+            raise SolutionError(defect)
     else:
         from .geom import admissible_edges, segments_compatible
 

@@ -90,14 +90,6 @@ class LinearProgram:
             self.num_vars, self.objective, self.rows + tuple(new_rows), self.lo, self.hi
         )
 
-    def with_objective(
-        self, objective: Mapping[int, Number] | Iterable[tuple[int, Number]]
-    ) -> "LinearProgram":
-        obj = tuple(
-            sorted(objective.items() if isinstance(objective, Mapping) else objective)
-        )
-        return LinearProgram(self.num_vars, obj, self.rows, self.lo, self.hi)
-
 
 def make_lp(
     num_vars: int,
@@ -188,7 +180,7 @@ class _State:
 
     @property
     def width(self) -> int:
-        return self.T.shape[1] if self.T.ndim == 2 else len(self.at_upper)
+        return self.T.shape[1]
 
 
 class _FloatSimplex:
@@ -328,21 +320,6 @@ class _FloatSimplex:
 
     def _cold(self) -> LpResult:
         m, N = self.m, self.N
-        if m == 0:
-            state = _State(
-                np.zeros((0, N)),
-                np.zeros(0, dtype=int),
-                np.zeros(0),
-                np.zeros(N, dtype=bool),
-                self.lo.copy(),
-                self.hi.copy(),
-                0,
-            )
-            status = self._loop(state, phase1=False)
-            if status == "cycled":
-                raise LpError("cycling guard tripped")
-            return self._finish(state, status)
-
         resid = self.b - self.A @ self.lo
         basis = np.full(m, -1, dtype=int)
         art_rows = []
@@ -451,10 +428,7 @@ class _FloatSimplex:
                 return "cycled"
             basis = state.basis
             T = state.T
-            if len(basis):
-                z = cost - cost[basis] @ T
-            else:
-                z = cost.copy()
+            z = cost - cost[basis] @ T
             basic_mask = np.zeros(width, dtype=bool)
             basic_mask[basis] = True
             z[basic_mask] = 0.0
@@ -471,25 +445,21 @@ class _FloatSimplex:
                 j = int(np.flatnonzero(elig)[0])
 
             sigma = -1.0 if state.at_upper[j] else 1.0
-            d = T[:, j] if len(basis) else np.zeros(0)
+            d = T[:, j]
             delta = -sigma * d
             t_rows = np.full(len(basis), np.inf)
-            if len(basis):
-                hiB = hi[basis]
-                loB = lo[basis]
-                up = delta > PIVOT_TOL
-                dn = delta < -PIVOT_TOL
-                with np.errstate(invalid="ignore"):
-                    t_rows[up] = (hiB[up] - state.xB[up]) / delta[up]
-                    t_rows[dn] = (state.xB[dn] - loB[dn]) / (-delta[dn])
-                t_rows = np.maximum(t_rows, 0.0)
+            up = delta > PIVOT_TOL
+            dn = delta < -PIVOT_TOL
+            with np.errstate(invalid="ignore"):
+                t_rows[up] = (hi[basis][up] - state.xB[up]) / delta[up]
+                t_rows[dn] = (state.xB[dn] - lo[basis][dn]) / (-delta[dn])
+            t_rows = np.maximum(t_rows, 0.0)
             t_flip = hi[j] - lo[j]
             row_min = float(t_rows.min()) if len(t_rows) else np.inf
             t_star = min(row_min, t_flip)
             if not np.isfinite(t_star):
                 return "unbounded"
-            if len(basis):
-                state.xB -= sigma * t_star * d
+            state.xB -= sigma * t_star * d
             if t_flip <= row_min:
                 state.at_upper[j] = not state.at_upper[j]
                 continue

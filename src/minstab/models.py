@@ -7,7 +7,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .cuts import (
     SUPPORT_EPS,
@@ -19,7 +19,6 @@ from .cuts import (
 from .geom import (
     LineFamily,
     Segment,
-    StabLine,
     euclidean_length,
     is_crossing_pair,
     representative_lines,
@@ -29,8 +28,6 @@ from .lp import (
     OBJ_TOL,
     Basis,
     LinearProgram,
-    LpError,
-    LpResult,
     LpStatus,
     Row,
     lp_fix_variable,
@@ -64,8 +61,8 @@ class InfeasibleRelaxationError(ModelError):
 class StabModel:
     """LP over edge variables plus the bound variable k.
 
-    Owned by a single solve loop; the loop mutates lp/added_cuts as lazy cut
-    rows arrive.
+    Owned by a single solve loop: the loop solves lp and appends every
+    violated cut row to it, and fixings replace it with tightened bounds.
     """
 
     problem: Problem
@@ -74,22 +71,18 @@ class StabModel:
     edges: tuple[Segment, ...]
     edge_index: dict[Segment, int]
     k_index: int
-    lines: tuple[StabLine, ...]
-    stab_row_of_line: tuple[int, ...]
     lp: LinearProgram
     fixed_ones: set[Segment] = field(default_factory=set)
     fixed_zeros: set[Segment] = field(default_factory=set)
-    added_cuts: list[Cut] = field(default_factory=list)
     cut_keys: set[frozenset[int]] = field(default_factory=set)
 
     def fork(self) -> StabModel:
-        """A copy with its own fixings and cut bookkeeping; the immutable lp
-        is shared until either side replaces it."""
+        """A copy with its own fixings and cut keys; the immutable lp is
+        shared until either side replaces it."""
         return replace(
             self,
             fixed_ones=set(self.fixed_ones),
             fixed_zeros=set(self.fixed_zeros),
-            added_cuts=list(self.added_cuts),
             cut_keys=set(self.cut_keys),
         )
 
@@ -122,15 +115,12 @@ def _build(inst: Instance, family: LineFamily, problem: Problem) -> StabModel:
         # pair even when a neighbor edge already carries weight one
         bounds = [(0, inf)] * num_edges + [(0, inf)]
         rows.append(make_row({i: 1 for i in range(num_edges)}, "=", n - 1))
-    lines = tuple(representative_lines(inst.points, family))
-    stab_row_of_line = []
-    for line in lines:
+    for line in representative_lines(inst.points, family):
         sides = [line.side(p) for p in inst.points]
         coeffs = {
             edge_index[e]: 1 for e in edges if sides[e.a] * sides[e.b] <= 0
         }
         coeffs[k_index] = -1
-        stab_row_of_line.append(len(rows))
         rows.append(make_row(coeffs, "<=", 0))
     lp = make_lp(num_edges + 1, {k_index: 1}, rows, bounds)
     return StabModel(
@@ -140,8 +130,6 @@ def _build(inst: Instance, family: LineFamily, problem: Problem) -> StabModel:
         edges=edges,
         edge_index=edge_index,
         k_index=k_index,
-        lines=lines,
-        stab_row_of_line=tuple(stab_row_of_line),
         lp=lp,
     )
 
@@ -194,22 +182,18 @@ def _separate(model: StabModel, x, *, exact: bool) -> list[Cut]:
 
 
 def _run_loop(
-    model: StabModel,
-    lp: LinearProgram,
-    *,
-    exact: bool,
-    warm_basis: Optional[Basis],
-    mirror: Optional[Callable[[Row, Cut], None]] = None,
-) -> tuple[LinearProgram, LpResult, dict, int, int]:
-    """Solve, separate, add violated cut rows, repeat until clean.
+    model: StabModel, *, exact: bool, warm_basis: Optional[Basis]
+) -> RelaxationResult:
+    """Solve model.lp, separate, append the violated cut rows to model.lp,
+    repeat until clean; k_frac is the value of model.lp's objective.
 
-    Terminates because each distinct vertex set enters at most once. mirror
-    lets the caller copy accepted rows into a second program.
+    Terminates because each distinct vertex set enters at most once.
     """
+    n = model.inst.n
     iterations = 0
     cuts_added = 0
     while True:
-        result = lp_solve(lp, warm_basis=warm_basis, exact=exact)
+        result = lp_solve(model.lp, warm_basis=warm_basis, exact=exact)
         iterations += 1
         if result.status is LpStatus.INFEASIBLE:
             raise InfeasibleRelaxationError(
@@ -218,48 +202,44 @@ def _run_loop(
         if result.status is not LpStatus.OPTIMAL:
             raise ModelError(f"relaxation came back {result.status.value}")
         x = {e: result.primal[i] for i, e in enumerate(model.edges)}
-        n = model.inst.n
-        new_cuts = []
-        fresh_keys = set()
+        rows = []
         for c in _separate(model, x, exact=exact):
             key = cut_key(c.members, n)
-            if key in model.cut_keys or key in fresh_keys:
-                continue
-            fresh_keys.add(key)
-            new_cuts.append(c)
-        if not new_cuts:
-            return lp, result, x, cuts_added, iterations
-        rows = []
-        for c in new_cuts:
-            row = cut_row(model, c.members)
-            rows.append(row)
-            model.cut_keys.add(cut_key(c.members, n))
-            model.added_cuts.append(c)
-            if mirror is not None:
-                mirror(row, c)
-        lp = lp.with_rows(rows)
+            if key not in model.cut_keys:
+                model.cut_keys.add(key)
+                rows.append(cut_row(model, c.members))
+        if not rows:
+            return RelaxationResult(
+                k_frac=result.objective_value,
+                x=x,
+                cuts_added=cuts_added,
+                lp_iterations=iterations,
+                basis=result.basis,
+            )
+        model.lp = model.lp.with_rows(rows)
         cuts_added += len(rows)
         warm_basis = result.basis
 
 
 def solve_relaxation(model: StabModel) -> RelaxationResult:
     """Cutting-plane loop on the stabbing LP; returns the fractional optimum."""
-    lp, result, x, cuts_added, iterations = _run_loop(
-        model, model.lp, exact=False, warm_basis=None
-    )
-    model.lp = lp
-    return RelaxationResult(
-        k_frac=result.objective_value,
-        x=x,
-        cuts_added=cuts_added,
-        lp_iterations=iterations,
-        basis=result.basis,
-    )
+    return _run_loop(model, exact=False, warm_basis=None)
+
+
+def _set_objective(model: StabModel, objective, k_hi) -> None:
+    """Give model.lp this objective and this upper bound on k."""
+    hi = list(model.lp.hi)
+    hi[model.k_index] = k_hi
+    model.lp = replace(model.lp, objective=objective, hi=tuple(hi))
 
 
 def lexicographic_refine(model: StabModel, result: RelaxationResult) -> RelaxationResult:
-    """Phase 2: hold k at its optimum (within tolerance) and minimize total
+    """Phase 2: cap k at its optimum (within tolerance) and minimize total
     Euclidean edge length, re-running the separation loop.
+
+    The cap is k's upper bound, so the length program has exactly model.lp's
+    rows and the cuts it finds stay in model.lp; its objective and k's bound
+    are restored on return or raise.
 
     Shifting weight off a properly crossing pair onto the sides of its convex
     quadrilateral strictly shortens the solution, so length-optimal supports
@@ -270,40 +250,37 @@ def lexicographic_refine(model: StabModel, result: RelaxationResult) -> Relaxati
     enlarged cut set and phase 2 retried, which terminates because every
     retry consumes at least one fresh cut.
     """
-    lengths = {
-        i: euclidean_length(e, model.inst.points) for i, e in enumerate(model.edges)
-    }
-
-    def mirror(row: Row, _cut: Cut) -> None:
-        model.lp = model.lp.with_rows([row])
-
+    lengths = tuple(
+        (i, euclidean_length(e, model.inst.points)) for i, e in enumerate(model.edges)
+    )
+    k_objective, k_hi = model.lp.objective, model.lp.hi[model.k_index]
     k_frac = result.k_frac
     warm = result.basis
     cuts_total = 0
     iters_total = 0
-    for _ in range(len(model.edges) * 4 + 64):
-        cap = make_row({model.k_index: 1}, "<=", float(k_frac) + OBJ_TOL)
-        lp2 = model.lp.with_objective(lengths).with_rows([cap])
-        try:
-            lp2, res2, x, cuts_added, iterations = _run_loop(
-                model, lp2, exact=False, warm_basis=warm, mirror=mirror
+    try:
+        for _ in range(len(model.edges) * 4 + 64):
+            _set_objective(model, lengths, float(k_frac) + OBJ_TOL)
+            try:
+                refined = _run_loop(model, exact=False, warm_basis=warm)
+            except InfeasibleRelaxationError:
+                _set_objective(model, k_objective, k_hi)
+                fresh = solve_relaxation(model)  # raises if fixings truly infeasible
+                k_frac = fresh.k_frac
+                warm = fresh.basis
+                iters_total += fresh.lp_iterations
+                cuts_total += fresh.cuts_added
+                continue
+            _log_support_quality(model, refined.x)
+            return replace(
+                refined,
+                k_frac=k_frac,
+                cuts_added=cuts_total + refined.cuts_added,
+                lp_iterations=iters_total + refined.lp_iterations,
             )
-        except InfeasibleRelaxationError:
-            fresh = solve_relaxation(model)  # raises if fixings truly infeasible
-            k_frac = fresh.k_frac
-            warm = fresh.basis
-            iters_total += fresh.lp_iterations
-            cuts_total += fresh.cuts_added
-            continue
-        _log_support_quality(model, x)
-        return RelaxationResult(
-            k_frac=k_frac,
-            x=x,
-            cuts_added=cuts_total + cuts_added,
-            lp_iterations=iters_total + iterations,
-            basis=res2.basis,
-        )
-    raise ModelError("length refinement failed to stabilize")
+        raise ModelError("length refinement failed to stabilize")
+    finally:
+        _set_objective(model, k_objective, k_hi)
 
 
 def _log_support_quality(model: StabModel, x) -> None:
@@ -339,11 +316,7 @@ def certify_relaxation(model: StabModel, result: RelaxationResult) -> Fraction:
     """Exact rational optimum of the relaxation, warm-started from the float
     basis and re-separated with zero tolerances; raises if the exact loop
     cannot confirm the float value within the objective tolerance."""
-    lp, exact_result, _x, _cuts, _iters = _run_loop(
-        model, model.lp, exact=True, warm_basis=result.basis
-    )
-    model.lp = lp
-    value = exact_result.objective_value
+    value = _run_loop(model, exact=True, warm_basis=result.basis).k_frac
     assert isinstance(value, Fraction)
     if abs(float(value) - float(result.k_frac)) > OBJ_TOL:
         raise ModelError(

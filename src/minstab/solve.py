@@ -20,8 +20,8 @@ from .geom import (
     manhattan_length,
     stabbing_number,
 )
-from .instance import Instance, Method, Problem, Solution
-from .lp import OBJ_TOL, LinearProgram, lp_fix_variable, make_lp, make_row
+from .instance import Instance, Method, Problem, Solution, UnionFind, structure_defect
+from .lp import OBJ_TOL, LinearProgram, make_lp, make_row
 from .lp import lp_solve  # noqa: F401  perfbench/spans.py wraps this name
 from .models import (
     InfeasibleRelaxationError,
@@ -52,26 +52,8 @@ class BnbNode:
     depth: int
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> bool:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return False
-        self.parent[ri] = rj
-        return True
-
-
 def _forms_cycle(edges: Sequence[Segment], n: int) -> bool:
-    uf = _UnionFind(n)
+    uf = UnionFind(n)
     return any(not uf.union(e.a, e.b) for e in sorted(edges))
 
 
@@ -152,7 +134,7 @@ def _fix_dead_edges(model: StabModel, inst: Instance, problem: Problem) -> None:
     """
     if problem is not Problem.SPANNING_TREE:
         return
-    uf = _UnionFind(inst.n)
+    uf = UnionFind(inst.n)
     for e in sorted(model.fixed_ones):
         uf.union(e.a, e.b)
     for e in model.edges:
@@ -174,7 +156,7 @@ def _pick_edge(
             continue
         candidates.append(e)
     if problem is Problem.SPANNING_TREE:
-        uf = _UnionFind(inst.n)
+        uf = UnionFind(inst.n)
         for e in sorted(model.fixed_ones):
             uf.union(e.a, e.b)
         candidates = [e for e in candidates if uf.find(e.a) != uf.find(e.b)]
@@ -186,18 +168,9 @@ def _pick_edge(
 
 
 def _assert_feasible(edges: Sequence[Segment], inst: Instance, problem: Problem) -> None:
-    if problem is Problem.MATCHING:
-        covered = sorted(v for e in edges for v in e)
-        if covered != list(range(inst.n)):
-            raise SolveError("edges do not form a perfect matching")
-    else:
-        if len(edges) != inst.n - 1 or _forms_cycle(edges, inst.n):
-            raise SolveError("edges do not form a spanning tree")
-        uf = _UnionFind(inst.n)
-        for e in edges:
-            uf.union(e.a, e.b)
-        if len({uf.find(v) for v in range(inst.n)}) != 1:
-            raise SolveError("edges do not connect every point")
+    defect = structure_defect(edges, inst.n, problem)
+    if defect:
+        raise SolveError(defect)
 
 
 def _integral(x: dict) -> Optional[list[Segment]]:
@@ -275,7 +248,7 @@ def branch_and_bound(
                 continue
             # cut rows hold at every node: hand the new ones to the pool
             pool.lp = pool.lp.with_rows(work.lp.rows[len(pool.lp.rows) :])
-            pool.cut_keys, pool.added_cuts = work.cut_keys, work.added_cuts
+            pool.cut_keys = work.cut_keys
         k_frac = float(relax.k_frac)
         node_bound = math.ceil(k_frac - OBJ_TOL)
         if node_bound >= best_k:
@@ -347,7 +320,7 @@ def _metric_length(seg: Segment, inst: Instance, metric: str):
 
 
 def _metric_family(metric: str) -> LineFamily:
-    # mirrors the average-stabbing equivalence: axis lines pair with the
+    # the average-stabbing equivalence: axis lines pair with the
     # Manhattan metric, general lines with the Euclidean one
     return LineFamily.AXIS_PARALLEL if metric == "manhattan" else LineFamily.GENERAL
 
@@ -367,7 +340,7 @@ def min_length_matching(inst: Instance, metric: str = "euclidean") -> Solution:
     edges = tuple(inst.all_edges())
     lengths = [_metric_length(e, inst, metric) for e in edges]
     # the cutting-plane loop needs only edges, cut rows and cut keys: no
-    # stabbing lines or rows, and no k column
+    # stabbing rows and no k column
     model = StabModel(
         problem=Problem.MATCHING,
         family=family,
@@ -375,51 +348,41 @@ def min_length_matching(inst: Instance, metric: str = "euclidean") -> Solution:
         edges=edges,
         edge_index={e: i for i, e in enumerate(edges)},
         k_index=-1,
-        lines=(),
-        stab_row_of_line=(),
         lp=_matching_polytope_lp(inst, edges, lengths),
     )
 
-    lp, result, x, _, _ = _run_loop(model, model.lp, exact=False, warm_basis=None)
-    if _integral(x) is None:
+    result = _run_loop(model, exact=False, warm_basis=None)
+    if _integral(result.x) is None:
         logger.info("fractional matching optimum; re-checking with exact solver")
-        lp, result, x, _, _ = _run_loop(model, lp, exact=True, warm_basis=None)
-        if _integral(x) is None:
+        result = _run_loop(model, exact=True, warm_basis=None)
+        if _integral(result.x) is None:
             raise SolveError(
                 "matching LP stayed fractional after exact re-check; "
                 "blossom separation is incomplete"
             )
-    optimum = float(result.objective_value)
+    optimum = float(result.k_frac)  # the objective value: total length
 
     # lexicographic selection among optimal matchings
     budget = optimum + OBJ_TOL * max(1.0, abs(optimum))
-    cap = make_row(dict(enumerate(lengths)), "<=", budget)
-    work = lp.with_rows([cap])
-    chosen: list[Segment] = []
+    model.lp = model.lp.with_rows([make_row(dict(enumerate(lengths)), "<=", budget)])
     matched: set[int] = set()
     warm = result.basis
-    for i, e in enumerate(model.edges):
-        if len(chosen) == inst.n // 2:
-            break
+    for e in edges:
         if e.a in matched or e.b in matched:
             continue
-        keys, num_cuts = set(model.cut_keys), len(model.added_cuts)
+        trial = model.fork()
+        fix_edge(trial, e, 1)
         try:
-            work, t_result, _, _, _ = _run_loop(
-                model, lp_fix_variable(work, i, 1), exact=False, warm_basis=warm
-            )
+            warm = _run_loop(trial, exact=False, warm_basis=warm).basis
         except InfeasibleRelaxationError:
-            # the rejected trial's cut rows are dropped with its program
-            model.cut_keys = keys
-            del model.added_cuts[num_cuts:]
-            work = lp_fix_variable(work, i, 0)
+            # the rejected trial's cut rows and keys go with its fork
+            fix_edge(model, e, 0)
             continue
-        warm = t_result.basis
-        chosen.append(e)
+        model = trial
         matched.update(e)
-    if len(chosen) != inst.n // 2:
+    out = tuple(sorted(model.fixed_ones))
+    if len(out) != inst.n // 2:
         raise SolveError("lexicographic fixing failed to complete a matching")
-    out = tuple(sorted(chosen))
     k, _ = stabbing_number(out, inst.points, family)
     return Solution(
         problem=Problem.MATCHING,
@@ -457,7 +420,7 @@ def min_length_tree(inst: Instance, metric: str = "euclidean") -> Solution:
         )
     else:
         raise SolveError(f"unknown metric {metric!r}")
-    uf = _UnionFind(inst.n)
+    uf = UnionFind(inst.n)
     chosen = []
     for _, e in keyed:
         if uf.union(e.a, e.b):

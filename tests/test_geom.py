@@ -20,11 +20,8 @@ from minstab.geom import (
     GeometryError,
     StabLine,
     collinear_segments,
-    euclidean_total_key,
     segments_disjoint,
     sqrt_decompose,
-    triangulation_faces,
-    triangles_met,
 )
 from minstab.instance import SplitMix64
 
@@ -303,28 +300,3 @@ class TestExactLengthKeys:
         assert sqrt_decompose(8) == (2, 2)
         assert sqrt_decompose(45) == (3, 5)
         assert sqrt_decompose(49) == (7, 1)
-
-    def test_key_detects_nontrivial_equality(self):
-        # sqrt(2) + sqrt(8) = 3*sqrt(2) = sqrt(18)
-        a = [Point(0, 0), Point(1, 1), Point(10, 0), Point(12, 2)]
-        key_a = euclidean_total_key([seg(0, 1), seg(2, 3)], a)
-        b = [Point(0, 0), Point(3, 3)]
-        key_b = euclidean_total_key([seg(0, 1)], b)
-        assert key_a == key_b
-
-    def test_key_distinguishes(self):
-        pts = [Point(0, 0), Point(1, 0), Point(0, 2)]
-        assert euclidean_total_key([seg(0, 1)], pts) != euclidean_total_key(
-            [seg(0, 2)], pts
-        )
-
-
-class TestTriangulationHelpers:
-    def test_square_faces_and_line_hits(self, unit_square):
-        edges = [seg(0, 1), seg(0, 2), seg(1, 3), seg(2, 3), seg(0, 3)]
-        faces = triangulation_faces(edges, unit_square.points)
-        assert len(faces) == 2
-        midline = StabLine(2, 0, 1)  # x = 1/2
-        assert triangles_met(midline, faces, unit_square.points) == 2
-        # crossing number is one more than the triangles met, maximized
-        assert crossing_number(edges, unit_square.points, AXIS) == 3

@@ -1,0 +1,65 @@
+"""No unused imports in the library: a name a module imports must be used in
+it. ``__init__.py`` re-exports by design, and a line marked ``# noqa: F401``
+keeps a name other code looks up on that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "minstab"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _annotation_names(node: ast.AST) -> set[str]:
+    """Names inside string annotations such as ``-> "StabModel"``."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                expr = ast.parse(sub.value, mode="eval")
+            except SyntaxError:
+                continue
+            names |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return names
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" in lines[alias.lineno - 1]:
+                    continue
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "annotations":  # from __future__ import annotations
+                    imported[name] = alias.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            args += [a for a in (node.args.vararg, node.args.kwarg) if a]
+            for ann in [a.annotation for a in args] + [node.returns]:
+                if ann is not None:
+                    used |= _annotation_names(ann)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _annotation_names(node.annotation)
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_checker_flags_unused_and_honours_noqa():
+    source = (
+        "import os\n"
+        "from typing import Optional, Sequence\n"
+        "from json import dumps  # noqa: F401\n"
+        "def f(x: 'Sequence[int]') -> None:\n"
+        "    return os.sep\n"
+    )
+    assert unused_imports(source) == ["Optional (line 2)"]

@@ -19,7 +19,8 @@ from minstab import (
     solve_relaxation,
 )
 from minstab.cuts import SUPPORT_EPS
-from minstab.geom import StabLine, is_crossing_pair, stabs
+from minstab.geom import StabLine, is_crossing_pair, representative_lines, stabs
+from minstab.lp import NO_BASIS, LpResult, LpStatus
 from minstab.models import (
     InfeasibleRelaxationError,
     ModelError,
@@ -29,6 +30,15 @@ from minstab.models import (
 
 AXIS = LineFamily.AXIS_PARALLEL
 GENERAL = LineFamily.GENERAL
+
+
+def stab_row_of(model):
+    """The model's stabbing rows, one per representative line, in line order;
+    they follow the degree rows (matching) or the total row (tree)."""
+    lines = representative_lines(model.inst.points, model.family)
+    rows = [r for r in model.lp.rows if r.rel == "<="]
+    assert len(rows) == len(lines)
+    return dict(zip(lines, rows))
 
 
 def min_odd_cut(x, n):
@@ -44,7 +54,7 @@ class TestBuildMatchingModel:
     def test_unit_square_structure(self, unit_square):
         model = build_matching_model(unit_square, AXIS)
         assert model.lp.num_vars == 7  # 6 edges + k
-        assert len(model.lines) == 4
+        assert len(stab_row_of(model)) == 4
         degree_rows = [r for r in model.lp.rows if r.rel == "="]
         stab_rows = [r for r in model.lp.rows if r.rel == "<="]
         assert len(degree_rows) == 4
@@ -60,8 +70,7 @@ class TestBuildMatchingModel:
     def test_stab_row_supports_match_predicate(self, unit_square):
         for family in (AXIS, GENERAL):
             model = build_matching_model(unit_square, family)
-            for line, row_idx in zip(model.lines, model.stab_row_of_line):
-                row = model.lp.rows[row_idx]
+            for line, row in stab_row_of(model).items():
                 support = {idx for idx, coef in row.coeffs if coef == 1}
                 expected = {
                     i
@@ -74,10 +83,9 @@ class TestBuildMatchingModel:
     def test_x0_row_support(self, unit_square):
         model = build_matching_model(unit_square, AXIS)
         line = StabLine.vertical(0)
-        idx = model.stab_row_of_line[model.lines.index(line)]
         support = {
             model.edges[i]
-            for i, coef in model.lp.rows[idx].coeffs
+            for i, coef in stab_row_of(model)[line].coeffs
             if i != model.k_index
         }
         assert support == {
@@ -238,6 +246,63 @@ class TestLexicographicRefine:
             for i, e in enumerate(support):
                 for f in support[i + 1 :]:
                     assert not is_crossing_pair(e, f, inst.points)
+
+    def _report_infeasible_once(self, monkeypatch, model):
+        """Make the next solve of a program without k's objective come back
+        infeasible; returns the list of injected calls."""
+        real = models.lp_solve
+        k_objective = model.lp.objective
+        injected = []
+
+        def spy(lp, warm_basis=None, **kwargs):
+            if lp.objective != k_objective and not injected:
+                injected.append(lp)
+                return LpResult(LpStatus.INFEASIBLE, None, [], NO_BASIS)
+            return real(lp, warm_basis, **kwargs)
+
+        monkeypatch.setattr(models, "lp_solve", spy)
+        return injected
+
+    def _assert_k_program_kept(self, model, built, refined):
+        # k's objective and bounds are back, the rows only grew, and every
+        # row past the built ones is a cut the model keys
+        assert model.lp.objective == built.objective
+        assert (model.lp.lo, model.lp.hi) == (built.lo, built.hi)
+        assert model.lp.rows[: len(built.rows)] == built.rows
+        assert len(model.cut_keys) == len(model.lp.rows) - len(built.rows)
+        assert refined.cuts_added > 0
+
+    def test_keeps_k_program_and_its_cuts(self, monkeypatch):
+        # at this seed the length program finds blossom cuts phase 1 missed
+        inst = gen_random(8, 100, seed=5)
+        model = build_matching_model(inst, AXIS)
+        built = model.lp
+        root = solve_relaxation(model)
+        before = len(model.lp.rows)
+        refined = lexicographic_refine(model, root)
+        self._assert_k_program_kept(model, built, refined)
+        assert len(model.lp.rows) == before + refined.cuts_added
+
+        # retry path: the first length solve reports infeasible, so phase 1
+        # is re-solved on the k program before the length program runs again
+        model = build_matching_model(inst, AXIS)
+        root = solve_relaxation(model)
+        injected = self._report_infeasible_once(monkeypatch, model)
+        retried = lexicographic_refine(model, root)
+        assert len(injected) == 1
+        self._assert_k_program_kept(model, built, retried)
+        assert retried.k_frac == pytest.approx(root.k_frac)
+        assert retried.x == pytest.approx(refined.x)
+
+    def test_restores_k_program_when_retry_raises(self):
+        model = build_matching_model(gen_random(8, 100, seed=5), AXIS)
+        root = solve_relaxation(model)
+        fix_edge(model, Segment(0, 1), 1)
+        fix_edge(model, Segment(0, 2), 1)  # vertex 0 twice: infeasible
+        fixed = model.lp
+        with pytest.raises(InfeasibleRelaxationError):
+            lexicographic_refine(model, root)
+        assert model.lp == fixed
 
     def test_heavy_edge_bounds(self):
         for seed in range(8):

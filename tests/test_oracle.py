@@ -200,3 +200,15 @@ class TestRadicalSum:
     def test_ordering(self):
         assert RadicalSum([(2, 1)]) < RadicalSum([(3, 1)])
         assert RadicalSum([(1, 7)]) < RadicalSum([(2, 5)])
+
+    def test_of_edges_detects_nontrivial_equality(self):
+        # sqrt(2) + sqrt(8) = 3*sqrt(2) = sqrt(18)
+        a = [Point(0, 0), Point(1, 1), Point(10, 0), Point(12, 2)]
+        b = [Point(0, 0), Point(3, 3)]
+        pair = [Segment.of(0, 1), Segment.of(2, 3)]
+        assert RadicalSum.of_edges(pair, a) == RadicalSum.of_edges(pair[:1], b)
+
+    def test_of_edges_distinguishes(self):
+        pts = [Point(0, 0), Point(1, 0), Point(0, 2)]
+        short, long = [Segment.of(0, 1)], [Segment.of(0, 2)]
+        assert RadicalSum.of_edges(short, pts) != RadicalSum.of_edges(long, pts)

@@ -172,7 +172,6 @@ class TestBranchAndBound:
             set(model.fixed_ones),
             set(model.fixed_zeros),
             set(model.cut_keys),
-            list(model.added_cuts),
         )
         node_solves = []
         solve = minstab.solve.solve_relaxation
@@ -191,7 +190,6 @@ class TestBranchAndBound:
             model.fixed_ones,
             model.fixed_zeros,
             model.cut_keys,
-            model.added_cuts,
         )
         assert after == before
         assert model.lp is before[0]
