@@ -11,13 +11,19 @@ simplex restores primal feasibility while the reduced costs stay dual
 feasible, and the primal simplex finishes. A basis that is not dual feasible,
 or a dual ratio test with no entering column, falls back to the cold
 two-phase solve, so only phase 1 declares a program infeasible. The exact
-path warm-starts only from a primal feasible basis.
+path warm-starts only from a primal feasible basis, with the nonbasic
+variables at the bounds the basis records.
+
+A program keeps its row coefficients as one float64 matrix, built and
+index-checked once per row set: appending rows converts only the new ones,
+and a copy with other bounds or another objective shares the matrix. The
+float simplex copies it into its tableau instead of re-reading the rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -61,13 +67,20 @@ def make_row(
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Minimization LP over bounded variables; treated as immutable."""
+    """Minimization LP over bounded variables; treated as immutable.
+
+    matrix holds the row coefficients, one float64 row per Row. A program
+    constructed without it builds it and checks every row's indices;
+    with_rows converts and checks only the appended rows, and copies that
+    keep the rows (lp_fix_variable, dataclasses.replace) share it.
+    """
 
     num_vars: int
     objective: tuple[tuple[int, Number], ...]
     rows: tuple[Row, ...]
     lo: tuple[Number, ...]
     hi: tuple[Number, ...]
+    matrix: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.lo) != self.num_vars or len(self.hi) != self.num_vars:
@@ -80,15 +93,27 @@ class LinearProgram:
         for idx, _ in self.objective:
             if not 0 <= idx < self.num_vars:
                 raise LpError(f"objective index {idx} out of range")
-        for row in self.rows:
-            for idx, _ in row.coeffs:
-                if not 0 <= idx < self.num_vars:
-                    raise LpError(f"row index {idx} out of range")
+        if self.matrix is None:
+            object.__setattr__(self, "matrix", _row_matrix(self.rows, self.num_vars))
+        elif self.matrix.shape != (len(self.rows), self.num_vars):
+            raise LpError("coefficient matrix does not match the rows")
 
     def with_rows(self, new_rows: Sequence[Row]) -> "LinearProgram":
-        return LinearProgram(
-            self.num_vars, self.objective, self.rows + tuple(new_rows), self.lo, self.hi
-        )
+        new_rows = tuple(new_rows)
+        matrix = np.vstack([self.matrix, _row_matrix(new_rows, self.num_vars)])
+        return replace(self, rows=self.rows + new_rows, matrix=matrix)
+
+
+def _row_matrix(rows: Sequence[Row], num_vars: int) -> np.ndarray:
+    """The rows' coefficients as a float64 array; raises on an index out of range."""
+    matrix = np.zeros((len(rows), num_vars))
+    for i, row in enumerate(rows):
+        cols = [idx for idx, _ in row.coeffs]
+        for idx in cols:
+            if not 0 <= idx < num_vars:
+                raise LpError(f"row index {idx} out of range")
+        np.add.at(matrix[i], cols, [float(coef) for _, coef in row.coeffs])
+    return matrix
 
 
 def make_lp(
@@ -143,7 +168,7 @@ def lp_fix_variable(lp: LinearProgram, var: int, value: Number) -> LinearProgram
     hi = list(lp.hi)
     lo[var] = value
     hi[var] = value
-    return LinearProgram(lp.num_vars, lp.objective, lp.rows, tuple(lo), tuple(hi))
+    return replace(lp, lo=tuple(lo), hi=tuple(hi))
 
 
 def lp_solve(
@@ -185,28 +210,22 @@ class _State:
 
 class _FloatSimplex:
     def __init__(self, lp: LinearProgram) -> None:
-        self.lp = lp
         n = lp.num_vars
         m = len(lp.rows)
         self.n = n
         self.m = m
-        num_slacks = sum(1 for r in lp.rows if r.rel != "=")
-        N = n + num_slacks
+        self.le = np.array([row.rel == "<=" for row in lp.rows], dtype=bool)
+        self.ge = np.array([row.rel == ">=" for row in lp.rows], dtype=bool)
+        slack_rows = np.flatnonzero(self.le | self.ge)
+        N = n + len(slack_rows)
         self.N = N
         A = np.zeros((m, N))
-        b = np.zeros(m)
+        A[:, :n] = lp.matrix
         self.slack_of_row = np.full(m, -1, dtype=int)
-        slack = n
-        for i, row in enumerate(lp.rows):
-            for idx, coef in row.coeffs:
-                A[i, idx] += float(coef)
-            b[i] = float(row.rhs)
-            if row.rel != "=":
-                A[i, slack] = 1.0 if row.rel == "<=" else -1.0
-                self.slack_of_row[i] = slack
-                slack += 1
+        self.slack_of_row[slack_rows] = n + np.arange(len(slack_rows))
+        A[slack_rows, self.slack_of_row[slack_rows]] = np.where(self.le[slack_rows], 1.0, -1.0)
         self.A = A
-        self.b = b
+        self.b = np.array([float(row.rhs) for row in lp.rows], dtype=float)
         lo = np.zeros(N)
         hi = np.full(N, np.inf)
         lo[:n] = [float(v) for v in lp.lo]
@@ -493,19 +512,19 @@ class _FloatSimplex:
                     pass
             x[basis] = state.xB
         primal = np.clip(x[: self.n], self.lo[: self.n], self.hi[: self.n])
-        activities = self.A[:, : self.n] @ primal if self.m else np.zeros(0)
-        for i, row in enumerate(self.lp.rows):
-            slack_part = 0.0
-            s = int(self.slack_of_row[i])
-            act = float(activities[i]) if self.m else 0.0
-            rhs = float(row.rhs)
-            scale = max(1.0, abs(rhs))
-            if row.rel == "<=" and act > rhs + 10 * FEAS_TOL * scale:
-                raise LpError(f"row {i} violated at optimum: {act} > {rhs}")
-            if row.rel == ">=" and act < rhs - 10 * FEAS_TOL * scale:
-                raise LpError(f"row {i} violated at optimum: {act} < {rhs}")
-            if row.rel == "=" and abs(act - rhs) > 10 * FEAS_TOL * scale:
-                raise LpError(f"row {i} violated at optimum: {act} != {rhs}")
+        activities = self.A[:, : self.n] @ primal
+        b = self.b
+        tol = 10 * FEAS_TOL * np.maximum(1.0, np.abs(b))
+        violated = np.where(
+            self.le,
+            activities > b + tol,
+            np.where(self.ge, activities < b - tol, np.abs(activities - b) > tol),
+        )
+        if violated.any():
+            i = int(np.argmax(violated))
+            act, rhs = float(activities[i]), float(b[i])
+            sign = ">" if self.le[i] else "<" if self.ge[i] else "!="
+            raise LpError(f"row {i} violated at optimum: {act} {sign} {rhs}")
         obj = float(self.cost[: self.n] @ primal)
         basis_out = Basis(
             tuple(int(j) if j < self.N else -1 for j in basis),
@@ -555,7 +574,7 @@ class _ExactSimplex:
     def solve(self, warm_basis: Optional[Basis]) -> LpResult:
         state = None
         if warm_basis is not None and self.m > 0:
-            state = self._warm_state(list(warm_basis.basic))
+            state = self._warm_state(warm_basis)
         warm_started = state is not None
         infeasible = False
         if state is None:
@@ -570,9 +589,9 @@ class _ExactSimplex:
 
     # state: [T, basis, xB, at_upper, num_art]
 
-    def _warm_state(self, warm: list[int]):
+    def _warm_state(self, warm: Basis):
         m, N = self.m, self.N
-        basis = list(warm[:m])
+        basis = list(warm.basic[:m])
         for i in range(len(basis), m):
             s = self.slack_of_row[i]
             if s < 0:
@@ -580,7 +599,7 @@ class _ExactSimplex:
             basis.append(s)
         if len(basis) != m or len(set(basis)) != m:
             return None
-        if any(not 0 <= j < N for j in basis):
+        if any(not 0 <= j < N for j in basis + list(warm.at_upper)):
             return None
         aug = []
         for i in range(m):
@@ -599,15 +618,17 @@ class _ExactSimplex:
                     aug[r] = [a - factor * p for a, p in zip(aug[r], aug[col])]
         T = [row[m : m + N] for row in aug]
         beta = [row[m + N] for row in aug]
-        at_upper = [False] * N
         basic = set(basis)
-        xB = []
-        for i in range(m):
-            acc = beta[i]
-            for j in range(N):
-                if j not in basic and self.lo[j] != 0:
-                    acc -= T[i][j] * self.lo[j]
-            xB.append(acc)
+        # nonbasic variables go back to the bound the basis records
+        at_upper = [
+            j in warm.at_upper and j not in basic and self.hi[j] is not None
+            for j in range(N)
+        ]
+        x_nonbasic = {
+            j: self.hi[j] if at_upper[j] else self.lo[j] for j in range(N) if j not in basic
+        }
+        nonzero = [(j, v) for j, v in x_nonbasic.items() if v]
+        xB = [beta[i] - sum((T[i][j] * v for j, v in nonzero), Fraction(0)) for i in range(m)]
         for i, j in enumerate(basis):
             if xB[i] < self.lo[j]:
                 return None

@@ -221,9 +221,17 @@ def _run_loop(
         warm_basis = result.basis
 
 
-def solve_relaxation(model: StabModel) -> RelaxationResult:
-    """Cutting-plane loop on the stabbing LP; returns the fractional optimum."""
-    return _run_loop(model, exact=False, warm_basis=None)
+def solve_relaxation(
+    model: StabModel, warm_basis: Optional[Basis] = None
+) -> RelaxationResult:
+    """Cutting-plane loop on the stabbing LP; returns the fractional optimum.
+
+    warm_basis is the k-objective basis of an earlier solve whose rows are a
+    prefix of model.lp's rows; the float LP then re-optimizes from it after
+    the fixings and cut rows added since (a rounding fixing, a branch-and-bound
+    node, the refinement retry) instead of starting cold.
+    """
+    return _run_loop(model, exact=False, warm_basis=warm_basis)
 
 
 def _set_objective(model: StabModel, objective, k_hi) -> None:
@@ -265,7 +273,7 @@ def lexicographic_refine(model: StabModel, result: RelaxationResult) -> Relaxati
                 refined = _run_loop(model, exact=False, warm_basis=warm)
             except InfeasibleRelaxationError:
                 _set_objective(model, k_objective, k_hi)
-                fresh = solve_relaxation(model)  # raises if fixings truly infeasible
+                fresh = solve_relaxation(model, warm)  # raises if fixings truly infeasible
                 k_frac = fresh.k_frac
                 warm = fresh.basis
                 iters_total += fresh.lp_iterations

@@ -21,7 +21,7 @@ from .geom import (
     stabbing_number,
 )
 from .instance import Instance, Method, Problem, Solution, UnionFind, structure_defect
-from .lp import OBJ_TOL, LinearProgram, make_lp, make_row
+from .lp import OBJ_TOL, Basis, LinearProgram, make_lp, make_row
 from .lp import lp_solve  # noqa: F401  perfbench/spans.py wraps this name
 from .models import (
     InfeasibleRelaxationError,
@@ -50,6 +50,7 @@ class BnbNode:
     fixed_zeros: frozenset[Segment]
     bound: float
     depth: int
+    warm: Basis  # the parent's k-objective basis; the node solve starts from it
 
 
 def _forms_cycle(edges: Sequence[Segment], n: int) -> bool:
@@ -83,7 +84,9 @@ def iterated_rounding(
     cycle-closing candidates are skipped rather than fixed to zero.
 
     root is model's solved relaxation, refined for the first fixing; the
-    fixings go on a fork of model.
+    fixings go on a fork of model. Each later relaxation re-solves warm from
+    the previous one's k-objective basis (not the length-refined one): the
+    program differs from it only by the new fixings and appended cut rows.
 
     on_iteration, when given, receives one record per LP round (refined
     weights, chosen edge) for instrumentation.
@@ -109,7 +112,7 @@ def iterated_rounding(
         _fix_dead_edges(work, inst, problem)
         if len(work.fixed_ones) >= target:
             break
-        relax = solve_relaxation(work)
+        relax = solve_relaxation(work, relax.basis)
     edges = tuple(sorted(work.fixed_ones))
     _assert_feasible(edges, inst, problem)
     k, _ = stabbing_number(edges, inst.points, family)
@@ -194,7 +197,9 @@ def branch_and_bound(
     """Best-first search over LP bounds; branch on the most fractional edge.
 
     model has no fixings and root, its solved relaxation, is the root node.
-    Other nodes solve forks of a pool copy of model that gathers their cuts.
+    Other nodes solve forks of a pool copy of model that gathers their cuts,
+    warm from their parent's k-objective basis: the pool's rows only grow, so
+    that basis covers a prefix of every later node's rows.
 
     incumbent is a feasible solution of the same problem and family, usually
     from iterated_rounding; the search only accepts strictly better ones.
@@ -222,7 +227,7 @@ def branch_and_bound(
     root_bound = float(root.k_frac)
     counter = 0
     heap: list[tuple[float, int, BnbNode]] = []
-    start = BnbNode(frozenset(), frozenset(), root_bound, 0)
+    start = BnbNode(frozenset(), frozenset(), root_bound, 0, root.basis)
     heapq.heappush(heap, (start.bound, counter, start))
     proven = True
 
@@ -243,7 +248,7 @@ def branch_and_bound(
             relax = root
         else:
             try:
-                relax = solve_relaxation(work)
+                relax = solve_relaxation(work, node.warm)
             except InfeasibleRelaxationError:
                 continue
             # cut rows hold at every node: hand the new ones to the pool
@@ -273,7 +278,9 @@ def branch_and_bound(
                 if len(touched) != len(set(touched)):
                     continue
             counter += 1
-            child = BnbNode(frozenset(ones), frozenset(zeros), k_frac, node.depth + 1)
+            child = BnbNode(
+                frozenset(ones), frozenset(zeros), k_frac, node.depth + 1, relax.basis
+            )
             heapq.heappush(heap, (child.bound, counter, child))
 
     return Solution(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -19,11 +20,14 @@ from minstab.lp import (
     LinearProgram,
     LpError,
     LpStatus,
+    _FloatSimplex,
+    _State,
     lp_fix_variable,
     lp_solve,
     make_lp,
     make_row,
 )
+from minstab.models import cut_row, fix_edge
 
 
 def k_example():
@@ -144,6 +148,24 @@ class TestExactMode:
         exact = lp_solve(lp, warm_basis=res.basis, exact=True)
         assert exact.status is LpStatus.OPTIMAL
         assert exact.objective_value == Fraction(1)
+
+    def test_warm_start_keeps_nonbasic_at_upper(self):
+        # x0 and x1 sit at their upper bound 1 at the float optimum; put back
+        # at their lower bound, x2 = 3/2 would break its bound and the exact
+        # warm start would fall back to phase 1
+        lp = make_lp(
+            3,
+            {0: -1, 1: -1, 2: -1},
+            [make_row({0: 1, 1: 1, 2: 2}, "<=", 3)],
+            [(0, 1)] * 3,
+        )
+        prior = lp_solve(lp)
+        assert {0, 1} <= prior.basis.at_upper
+        grown = lp.with_rows([make_row({0: 1, 2: 1}, "<=", 2)])
+        warm = lp_solve(grown, warm_basis=prior.basis, exact=True)
+        cold = lp_solve(grown, exact=True)
+        assert warm.warm_started and not cold.warm_started
+        assert warm.objective_value == cold.objective_value == Fraction(-5, 2)
 
 
 class TestAddRows:
@@ -377,3 +399,58 @@ class TestValidation:
     def test_bad_relation(self):
         with pytest.raises(LpError):
             make_row({0: 1}, "<", 0)
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_bad_index_in_appended_row(self, index):
+        with pytest.raises(LpError, match="out of range"):
+            k_example().with_rows([make_row({0: 1}, ">=", 0), make_row({index: 1}, "<=", 0)])
+        with pytest.raises(LpError, match="out of range"):
+            make_lp(3, {}, [make_row({index: 1}, "<=", 0)])
+
+
+class TestSharedMatrix:
+    def test_copies_keep_the_matrix_of_their_rows(self):
+        lp = k_example()
+        grown = lp.with_rows([make_row({0: 2, 2: 1}, ">=", 1)])
+        assert np.array_equal(grown.matrix[:2], lp.matrix)
+        assert lp_fix_variable(grown, 0, 0).matrix is grown.matrix
+        assert dataclasses.replace(grown, objective=((0, 1),)).matrix is grown.matrix
+
+    def test_tableau_equals_one_built_from_scratch(self):
+        # a cut row, a fixing and an objective swap, as rounding and
+        # refinement apply them, against the same program read row by row
+        model = build_matching_model(gen_random(8, 100, seed=3), LineFamily.AXIS_PARALLEL)
+        model.lp = model.lp.with_rows([cut_row(model, frozenset({0, 1, 2}))])
+        fix_edge(model, model.edges[4], 1)
+        lengths = tuple((i, float(i + 1)) for i in range(len(model.edges)))
+        lp = dataclasses.replace(model.lp, objective=lengths)
+        fresh = LinearProgram(lp.num_vars, lp.objective, lp.rows, lp.lo, lp.hi)
+        shared, scratch = _FloatSimplex(lp), _FloatSimplex(fresh)
+        for name in ("A", "b", "lo", "hi", "cost", "slack_of_row", "le", "ge"):
+            assert np.array_equal(getattr(shared, name), getattr(scratch, name)), name
+        reference = np.zeros((len(lp.rows), lp.num_vars))
+        for i, row in enumerate(lp.rows):
+            for idx, coef in row.coeffs:
+                reference[i, idx] += float(coef)
+        assert np.array_equal(shared.A[:, : lp.num_vars], reference)
+
+    def test_row_check_names_first_violated_row(self):
+        # x0 <= 1 by its bound; the basis puts x0 = 2, and once x0 is clipped
+        # to its bound rows 1 and 2 both fail
+        rows = [
+            make_row({0: 1}, "<=", 5),
+            make_row({0: 1}, ">=", 2),
+            make_row({0: 1}, ">=", 3),
+        ]
+        simplex = _FloatSimplex(make_lp(1, {0: 1}, rows, [(0, 1)]))
+        state = _State(
+            np.zeros((3, 4)),
+            np.array([1, 0, 3]),
+            np.zeros(3),
+            np.zeros(4, dtype=bool),
+            simplex.lo.copy(),
+            simplex.hi.copy(),
+            0,
+        )
+        with pytest.raises(LpError, match=r"^row 1 violated at optimum: 1\.0 < 2\.0$"):
+            simplex._finish(state, "optimal")

@@ -249,19 +249,23 @@ class TestLexicographicRefine:
 
     def _report_infeasible_once(self, monkeypatch, model):
         """Make the next solve of a program without k's objective come back
-        infeasible; returns the list of injected calls."""
+        infeasible; returns the injected calls, and the (warm_basis, result)
+        pairs of the k-program solves that follow them."""
         real = models.lp_solve
         k_objective = model.lp.objective
-        injected = []
+        injected, k_solves = [], []
 
         def spy(lp, warm_basis=None, **kwargs):
             if lp.objective != k_objective and not injected:
                 injected.append(lp)
                 return LpResult(LpStatus.INFEASIBLE, None, [], NO_BASIS)
-            return real(lp, warm_basis, **kwargs)
+            result = real(lp, warm_basis, **kwargs)
+            if injected and lp.objective == k_objective:
+                k_solves.append((warm_basis, result))
+            return result
 
         monkeypatch.setattr(models, "lp_solve", spy)
-        return injected
+        return injected, k_solves
 
     def _assert_k_program_kept(self, model, built, refined):
         # k's objective and bounds are back, the rows only grew, and every
@@ -287,9 +291,12 @@ class TestLexicographicRefine:
         # is re-solved on the k program before the length program runs again
         model = build_matching_model(inst, AXIS)
         root = solve_relaxation(model)
-        injected = self._report_infeasible_once(monkeypatch, model)
+        injected, k_solves = self._report_infeasible_once(monkeypatch, model)
         retried = lexicographic_refine(model, root)
         assert len(injected) == 1
+        # the retry re-solves the k program warm, from the basis it was given
+        assert k_solves and k_solves[0][0] is root.basis
+        assert all(result.warm_started for _, result in k_solves)
         self._assert_k_program_kept(model, built, retried)
         assert retried.k_frac == pytest.approx(root.k_frac)
         assert retried.x == pytest.approx(refined.x)

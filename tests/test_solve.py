@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import minstab.models
 import minstab.solve
 from minstab import (
     Instance,
@@ -176,9 +177,9 @@ class TestBranchAndBound:
         node_solves = []
         solve = minstab.solve.solve_relaxation
 
-        def counted(work):
+        def counted(work, *args):
             node_solves.append(work)
-            return solve(work)
+            return solve(work, *args)
 
         heuristic = iterated_rounding(model, root)
         monkeypatch.setattr(minstab.solve, "solve_relaxation", counted)
@@ -207,6 +208,31 @@ class TestBranchAndBound:
         b = rounded_bnb(inst, Problem.MATCHING, AXIS)
         assert a.k == b.k
         assert a.edges == b.edges
+
+
+class TestWarmResolves:
+    def test_every_solve_after_the_root_warm_starts(self, monkeypatch):
+        # gen_random(12, 100, 2) general tree: rounding fixes 11 edges and the
+        # search solves nodes, each from its parent's basis
+        solves = []
+        solve = minstab.models.lp_solve
+
+        def recorded(lp, warm_basis=None, **kwargs):
+            result = solve(lp, warm_basis, **kwargs)
+            solves.append((warm_basis, result))
+            return result
+
+        monkeypatch.setattr(minstab.models, "lp_solve", recorded)
+        model, root = relaxed(gen_random(12, 100, 2), Problem.SPANNING_TREE, GENERAL)
+        incumbent = iterated_rounding(model, root)
+        before_search = len(solves)
+        exact = branch_and_bound(model, root, incumbent)
+        assert exact.proven
+        assert len(solves) > before_search
+        assert not solves[0][1].warm_started
+        for warm, result in solves[1:]:
+            assert warm is not None
+            assert result.warm_started
 
 
 class TestMinLengthMatching:
