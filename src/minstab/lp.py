@@ -15,13 +15,16 @@ path warm-starts only from a primal feasible basis, with the nonbasic
 variables at the bounds the basis records.
 
 A program keeps its row coefficients as one float64 matrix, built and
-index-checked once per row set: appending rows converts only the new ones,
-and a copy with other bounds or another objective shares the matrix. The
-float simplex copies it into its tableau instead of re-reading the rows.
+index-checked once per row set: appending rows converts only the new ones (or
+stacks coefficients the caller built already), and a copy with other bounds
+or another objective shares the matrix. The float simplex copies it into its
+tableau instead of re-reading the rows. Such copies check only what they
+change; a program constructed directly checks every bound and row.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -72,7 +75,7 @@ class LinearProgram:
     matrix holds the row coefficients, one float64 row per Row. A program
     constructed without it builds it and checks every row's indices;
     with_rows converts and checks only the appended rows, and copies that
-    keep the rows (lp_fix_variable, dataclasses.replace) share it.
+    keep the rows (with_bound, with_objective, dataclasses.replace) share it.
     """
 
     num_vars: int
@@ -86,22 +89,64 @@ class LinearProgram:
         if len(self.lo) != self.num_vars or len(self.hi) != self.num_vars:
             raise LpError("bounds must cover every variable")
         for j, (l, h) in enumerate(zip(self.lo, self.hi)):
-            if not l <= h:
-                raise LpError(f"variable {j}: lo {l} > hi {h}")
-            if math.isinf(float(l)):
-                raise LpError(f"variable {j}: lower bound must be finite")
-        for idx, _ in self.objective:
-            if not 0 <= idx < self.num_vars:
-                raise LpError(f"objective index {idx} out of range")
+            _check_bound(j, l, h)
+        _check_objective(self.objective, self.num_vars)
         if self.matrix is None:
             object.__setattr__(self, "matrix", _row_matrix(self.rows, self.num_vars))
         elif self.matrix.shape != (len(self.rows), self.num_vars):
             raise LpError("coefficient matrix does not match the rows")
 
-    def with_rows(self, new_rows: Sequence[Row]) -> "LinearProgram":
+    def _copy(self, **changes) -> "LinearProgram":
+        """A copy with these fields replaced, without __post_init__'s checks
+        of the fields it keeps: the caller checks what it changes."""
+        lp = copy.copy(self)
+        for name, value in changes.items():
+            object.__setattr__(lp, name, value)
+        return lp
+
+    def with_rows(
+        self, new_rows: Sequence[Row], matrix: Optional[np.ndarray] = None
+    ) -> "LinearProgram":
+        """These rows appended. matrix, when given, holds their coefficients
+        as built before (a stabbing-row pool, another program's rows) and is
+        stacked as it is; otherwise the rows are converted and checked."""
         new_rows = tuple(new_rows)
-        matrix = np.vstack([self.matrix, _row_matrix(new_rows, self.num_vars)])
-        return replace(self, rows=self.rows + new_rows, matrix=matrix)
+        if matrix is None:
+            matrix = _row_matrix(new_rows, self.num_vars)
+        elif matrix.shape != (len(new_rows), self.num_vars):
+            raise LpError("coefficient matrix does not match the rows")
+        return self._copy(rows=self.rows + new_rows, matrix=np.vstack([self.matrix, matrix]))
+
+    def with_bound(self, var: int, lo: Number, hi: Number) -> "LinearProgram":
+        """A copy with var's bounds set to [lo, hi]; checks only that bound."""
+        if not 0 <= var < self.num_vars:
+            raise LpError(f"variable {var} out of range")
+        _check_bound(var, lo, hi)
+        return self._copy(
+            lo=self.lo[:var] + (lo,) + self.lo[var + 1 :],
+            hi=self.hi[:var] + (hi,) + self.hi[var + 1 :],
+        )
+
+    def with_objective(
+        self, objective: Iterable[tuple[int, Number]]
+    ) -> "LinearProgram":
+        """A copy minimizing objective; checks only its indices."""
+        objective = tuple(objective)
+        _check_objective(objective, self.num_vars)
+        return self._copy(objective=objective)
+
+
+def _check_bound(var: int, lo: Number, hi: Number) -> None:
+    if not lo <= hi:
+        raise LpError(f"variable {var}: lo {lo} > hi {hi}")
+    if math.isinf(float(lo)):
+        raise LpError(f"variable {var}: lower bound must be finite")
+
+
+def _check_objective(objective: Iterable[tuple[int, Number]], num_vars: int) -> None:
+    for idx, _ in objective:
+        if not 0 <= idx < num_vars:
+            raise LpError(f"objective index {idx} out of range")
 
 
 def _row_matrix(rows: Sequence[Row], num_vars: int) -> np.ndarray:
@@ -164,11 +209,7 @@ def lp_fix_variable(lp: LinearProgram, var: int, value: Number) -> LinearProgram
         raise LpError(
             f"fix value {value} outside bounds [{lp.lo[var]}, {lp.hi[var]}] of var {var}"
         )
-    lo = list(lp.lo)
-    hi = list(lp.hi)
-    lo[var] = value
-    hi[var] = value
-    return replace(lp, lo=tuple(lo), hi=tuple(hi))
+    return lp.with_bound(var, value, value)
 
 
 def lp_solve(
@@ -251,12 +292,17 @@ class _FloatSimplex:
 
     def _warm(self, warm: Basis) -> Optional[LpResult]:
         state = self._warm_state(warm)
-        if state is None or not self._dual_loop(state):
+        if state is None:
+            return None
+        factored_at = self.pivots
+        if not self._dual_loop(state):
             return None
         status = self._loop(state, phase1=False)
         if status == "cycled":
             return None
-        return self._finish(state, status)
+        # after zero pivots the basic values are still _warm_state's solve
+        # against this very basis, so a refresh would repeat it
+        return self._finish(state, status, refresh=self.pivots > factored_at)
 
     def _warm_state(self, warm: Basis) -> Optional[_State]:
         m, N = self.m, self.N
@@ -495,15 +541,14 @@ class _FloatSimplex:
             self._pivot(state, r, j)
             state.xB[r] = entering_value
 
-    def _finish(self, state: _State, status: str) -> LpResult:
+    def _finish(self, state: _State, status: str, refresh: bool = True) -> LpResult:
         if status == "unbounded":
             return LpResult(LpStatus.UNBOUNDED, None, [], NO_BASIS)
-        width = state.width
         x = np.where(state.at_upper, np.where(np.isfinite(state.hi), state.hi, 0.0), state.lo)
         basis = state.basis
         if len(basis):
             x[basis] = 0.0
-            if np.all(basis < self.N):
+            if refresh and np.all(basis < self.N):
                 # refresh basic values against the original system to kill drift
                 try:
                     xB = np.linalg.solve(self.A[:, basis], self.b - self.A @ x[: self.N])

@@ -1,6 +1,12 @@
 """Stabbing LPs for matchings and spanning trees, the cutting-plane loop, and
 the length-lexicographic refinement that steers fractional optima toward
-planar support."""
+planar support.
+
+A model's program starts with the degree rows (matching) or the total row
+(tree). Every representative line's stabbing row is built once, into a pool
+on the model, and the cutting-plane loop separates them lazily like blossom
+and connectivity cuts: each round appends the most violated pool rows, and
+separates cuts only once no stabbing row is violated."""
 
 from __future__ import annotations
 
@@ -8,6 +14,8 @@ import logging
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Union
+
+import numpy as np
 
 from .cuts import (
     SUPPORT_EPS,
@@ -40,6 +48,14 @@ logger = logging.getLogger(__name__)
 
 Cut = Union[OddSetCut, ConnCut]
 
+# Stabbing rows appended per round, most violated first. Fewer rounds of
+# larger batches grow the program with rows that are never tight; appending
+# every violated row at once made bound-general slower than no pool at all.
+STAB_BATCH = 20
+# A pool row counts as violated above this, well inside the 9 decimals that
+# k_frac is printed with.
+STAB_TOL = 1e-9
+
 
 class ModelError(RuntimeError):
     pass
@@ -62,7 +78,15 @@ class StabModel:
     """LP over edge variables plus the bound variable k.
 
     Owned by a single solve loop: the loop solves lp and appends every
-    violated cut row to it, and fixings replace it with tightened bounds.
+    violated stabbing row and cut row to it, and fixings replace it with
+    tightened bounds.
+
+    stab_pool holds every representative line's stabbing row, in line order,
+    as float coefficients over lp's variables (rhs 0: the stabbed edges minus
+    k). It is built once and never written; stab_distinct marks the rows that
+    equal no earlier line's row, the only ones the loop appends. cut_keys
+    names every row appended to lp: a cut by the canonical side of its vertex
+    set (cut_key), a stabbing row by its index in the pool.
     """
 
     problem: Problem
@@ -72,13 +96,15 @@ class StabModel:
     edge_index: dict[Segment, int]
     k_index: int
     lp: LinearProgram
+    stab_pool: np.ndarray
+    stab_distinct: np.ndarray
     fixed_ones: set[Segment] = field(default_factory=set)
     fixed_zeros: set[Segment] = field(default_factory=set)
-    cut_keys: set[frozenset[int]] = field(default_factory=set)
+    cut_keys: set[Union[frozenset[int], int]] = field(default_factory=set)
 
     def fork(self) -> StabModel:
-        """A copy with its own fixings and cut keys; the immutable lp is
-        shared until either side replaces it."""
+        """A copy with its own fixings and row keys; the immutable lp and the
+        pool are shared until either side replaces lp."""
         return replace(
             self,
             fixed_ones=set(self.fixed_ones),
@@ -91,7 +117,8 @@ class StabModel:
 class RelaxationResult:
     k_frac: Union[float, Fraction]
     x: dict[Segment, Union[float, Fraction]]
-    cuts_added: int
+    cuts_added: int  # blossom and connectivity cuts
+    stab_rows_added: int  # stabbing rows appended from the pool
     lp_iterations: int
     basis: Basis
 
@@ -115,14 +142,8 @@ def _build(inst: Instance, family: LineFamily, problem: Problem) -> StabModel:
         # pair even when a neighbor edge already carries weight one
         bounds = [(0, inf)] * num_edges + [(0, inf)]
         rows.append(make_row({i: 1 for i in range(num_edges)}, "=", n - 1))
-    for line in representative_lines(inst.points, family):
-        sides = [line.side(p) for p in inst.points]
-        coeffs = {
-            edge_index[e]: 1 for e in edges if sides[e.a] * sides[e.b] <= 0
-        }
-        coeffs[k_index] = -1
-        rows.append(make_row(coeffs, "<=", 0))
     lp = make_lp(num_edges + 1, {k_index: 1}, rows, bounds)
+    pool, distinct = _stab_pool(inst, family, edges)
     return StabModel(
         problem=problem,
         family=family,
@@ -131,7 +152,37 @@ def _build(inst: Instance, family: LineFamily, problem: Problem) -> StabModel:
         edge_index=edge_index,
         k_index=k_index,
         lp=lp,
+        stab_pool=pool,
+        stab_distinct=distinct,
     )
+
+
+def _stab_pool(inst: Instance, family: LineFamily, edges) -> tuple[np.ndarray, np.ndarray]:
+    """One stabbing row per representative line: 1 on each edge the line
+    meets (an endpoint on the line counts), -1 on k, the last variable; and
+    which rows equal no earlier line's row."""
+    lines = representative_lines(inst.points, family)
+    # Python ints: a*x + b*y - c can pass 2**63 within the coordinate range
+    a, b, c = (np.array(v, dtype=object) for v in zip(*((ln.a, ln.b, ln.c) for ln in lines)))
+    xs = np.array([p.x for p in inst.points], dtype=object)
+    ys = np.array([p.y for p in inst.points], dtype=object)
+    sides = np.sign(np.outer(a, xs) + np.outer(b, ys) - c[:, None]).astype(np.int8)
+    ends_a = np.array([e.a for e in edges])
+    ends_b = np.array([e.b for e in edges])
+    pool = np.empty((len(lines), len(edges) + 1))
+    pool[:, :-1] = sides[:, ends_a] * sides[:, ends_b] <= 0
+    pool[:, -1] = -1.0
+    _, first = np.unique(np.packbits(pool > 0, axis=1), axis=0, return_index=True)
+    distinct = np.zeros(len(lines), dtype=bool)
+    distinct[first] = True
+    return pool, distinct
+
+
+def stab_row(model: StabModel, index: int) -> Row:
+    """The pool's stabbing row at index, as a row of model.lp."""
+    coeffs = model.stab_pool[index]
+    support = np.flatnonzero(coeffs)
+    return Row(tuple(zip(support.tolist(), coeffs[support].astype(int).tolist())), "<=", 0)
 
 
 def build_matching_model(inst: Instance, family: LineFamily) -> StabModel:
@@ -181,17 +232,39 @@ def _separate(model: StabModel, x, *, exact: bool) -> list[Cut]:
     return separate_connectivity(x, model.inst.n, **kwargs)
 
 
+def _violated_stab_rows(model: StabModel, primal: list, *, exact: bool) -> list[int]:
+    """Indices of the distinct pool rows not in model.lp that primal violates,
+    at most STAB_BATCH of them, most violated first and ties to the lowest
+    index. The exact check sums Fractions and has no tolerance."""
+    if exact:
+        activity = model.stab_pool.astype(int).astype(object) @ np.array(primal, dtype=object)
+        violated = activity > 0
+    else:
+        activity = model.stab_pool @ np.asarray(primal)
+        violated = activity > STAB_TOL
+    found = [
+        i
+        for i in np.flatnonzero(violated & model.stab_distinct).tolist()
+        if i not in model.cut_keys
+    ]
+    found.sort(key=lambda i: (-activity[i], i))
+    return found[:STAB_BATCH]
+
+
 def _run_loop(
     model: StabModel, *, exact: bool, warm_basis: Optional[Basis]
 ) -> RelaxationResult:
-    """Solve model.lp, separate, append the violated cut rows to model.lp,
-    repeat until clean; k_frac is the value of model.lp's objective.
+    """Solve model.lp, append the violated stabbing rows of the pool, or once
+    none is violated the violated cut rows, to model.lp, and repeat until
+    clean; k_frac is the value of model.lp's objective.
 
-    Terminates because each distinct vertex set enters at most once.
+    Terminates because each pool row and each distinct vertex set enters at
+    most once.
     """
     n = model.inst.n
     iterations = 0
     cuts_added = 0
+    stab_rows_added = 0
     while True:
         result = lp_solve(model.lp, warm_basis=warm_basis, exact=exact)
         iterations += 1
@@ -201,6 +274,15 @@ def _run_loop(
             )
         if result.status is not LpStatus.OPTIMAL:
             raise ModelError(f"relaxation came back {result.status.value}")
+        warm_basis = result.basis
+        lines = _violated_stab_rows(model, result.primal, exact=exact)
+        if lines:
+            model.cut_keys.update(lines)
+            model.lp = model.lp.with_rows(
+                [stab_row(model, i) for i in lines], model.stab_pool[lines]
+            )
+            stab_rows_added += len(lines)
+            continue
         x = {e: result.primal[i] for i, e in enumerate(model.edges)}
         rows = []
         for c in _separate(model, x, exact=exact):
@@ -213,12 +295,12 @@ def _run_loop(
                 k_frac=result.objective_value,
                 x=x,
                 cuts_added=cuts_added,
+                stab_rows_added=stab_rows_added,
                 lp_iterations=iterations,
                 basis=result.basis,
             )
         model.lp = model.lp.with_rows(rows)
         cuts_added += len(rows)
-        warm_basis = result.basis
 
 
 def solve_relaxation(
@@ -228,17 +310,16 @@ def solve_relaxation(
 
     warm_basis is the k-objective basis of an earlier solve whose rows are a
     prefix of model.lp's rows; the float LP then re-optimizes from it after
-    the fixings and cut rows added since (a rounding fixing, a branch-and-bound
-    node, the refinement retry) instead of starting cold.
+    the fixings, stabbing rows and cut rows added since (a rounding fixing, a
+    branch-and-bound node, the refinement retry) instead of starting cold.
     """
     return _run_loop(model, exact=False, warm_basis=warm_basis)
 
 
 def _set_objective(model: StabModel, objective, k_hi) -> None:
     """Give model.lp this objective and this upper bound on k."""
-    hi = list(model.lp.hi)
-    hi[model.k_index] = k_hi
-    model.lp = replace(model.lp, objective=objective, hi=tuple(hi))
+    k = model.k_index
+    model.lp = model.lp.with_objective(objective).with_bound(k, model.lp.lo[k], k_hi)
 
 
 def lexicographic_refine(model: StabModel, result: RelaxationResult) -> RelaxationResult:
@@ -246,7 +327,7 @@ def lexicographic_refine(model: StabModel, result: RelaxationResult) -> Relaxati
     Euclidean edge length, re-running the separation loop.
 
     The cap is k's upper bound, so the length program has exactly model.lp's
-    rows and the cuts it finds stay in model.lp; its objective and k's bound
+    rows and the rows it appends stay in model.lp; its objective and k's bound
     are restored on return or raise.
 
     Shifting weight off a properly crossing pair onto the sides of its convex
@@ -265,6 +346,7 @@ def lexicographic_refine(model: StabModel, result: RelaxationResult) -> Relaxati
     k_frac = result.k_frac
     warm = result.basis
     cuts_total = 0
+    stab_total = 0
     iters_total = 0
     try:
         for _ in range(len(model.edges) * 4 + 64):
@@ -278,12 +360,14 @@ def lexicographic_refine(model: StabModel, result: RelaxationResult) -> Relaxati
                 warm = fresh.basis
                 iters_total += fresh.lp_iterations
                 cuts_total += fresh.cuts_added
+                stab_total += fresh.stab_rows_added
                 continue
             _log_support_quality(model, refined.x)
             return replace(
                 refined,
                 k_frac=k_frac,
                 cuts_added=cuts_total + refined.cuts_added,
+                stab_rows_added=stab_total + refined.stab_rows_added,
                 lp_iterations=iters_total + refined.lp_iterations,
             )
         raise ModelError("length refinement failed to stabilize")

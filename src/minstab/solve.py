@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .cuts import separate_blossom  # noqa: F401  perfbench/spans.py wraps this name
 from .geom import (
     LineFamily,
@@ -86,7 +88,7 @@ def iterated_rounding(
     root is model's solved relaxation, refined for the first fixing; the
     fixings go on a fork of model. Each later relaxation re-solves warm from
     the previous one's k-objective basis (not the length-refined one): the
-    program differs from it only by the new fixings and appended cut rows.
+    program differs from it only by the new fixings and appended rows.
 
     on_iteration, when given, receives one record per LP round (refined
     weights, chosen edge) for instrumentation.
@@ -197,9 +199,10 @@ def branch_and_bound(
     """Best-first search over LP bounds; branch on the most fractional edge.
 
     model has no fixings and root, its solved relaxation, is the root node.
-    Other nodes solve forks of a pool copy of model that gathers their cuts,
-    warm from their parent's k-objective basis: the pool's rows only grow, so
-    that basis covers a prefix of every later node's rows.
+    Other nodes solve forks of a pool copy of model that gathers the
+    stabbing and cut rows they append, warm from their parent's k-objective
+    basis: the pool's rows only grow, so that basis covers a prefix of every
+    later node's rows.
 
     incumbent is a feasible solution of the same problem and family, usually
     from iterated_rounding; the search only accepts strictly better ones.
@@ -251,8 +254,10 @@ def branch_and_bound(
                 relax = solve_relaxation(work, node.warm)
             except InfeasibleRelaxationError:
                 continue
-            # cut rows hold at every node: hand the new ones to the pool
-            pool.lp = pool.lp.with_rows(work.lp.rows[len(pool.lp.rows) :])
+            # stabbing and cut rows hold at every node: hand the new ones,
+            # with their coefficients, to the pool
+            m = len(pool.lp.rows)
+            pool.lp = pool.lp.with_rows(work.lp.rows[m:], work.lp.matrix[m:])
             pool.cut_keys = work.cut_keys
         k_frac = float(relax.k_frac)
         node_bound = math.ceil(k_frac - OBJ_TOL)
@@ -346,8 +351,8 @@ def min_length_matching(inst: Instance, metric: str = "euclidean") -> Solution:
     family = _metric_family(metric)
     edges = tuple(inst.all_edges())
     lengths = [_metric_length(e, inst, metric) for e in edges]
-    # the cutting-plane loop needs only edges, cut rows and cut keys: no
-    # stabbing rows and no k column
+    # the cutting-plane loop needs only edges, cut rows and cut keys: an
+    # empty stabbing pool and no k column
     model = StabModel(
         problem=Problem.MATCHING,
         family=family,
@@ -356,6 +361,8 @@ def min_length_matching(inst: Instance, metric: str = "euclidean") -> Solution:
         edge_index={e: i for i, e in enumerate(edges)},
         k_index=-1,
         lp=_matching_polytope_lp(inst, edges, lengths),
+        stab_pool=np.zeros((0, len(edges))),
+        stab_distinct=np.zeros(0, dtype=bool),
     )
 
     result = _run_loop(model, exact=False, warm_basis=None)

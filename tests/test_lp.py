@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import minstab.lp
 from minstab import (
     LineFamily,
     build_matching_model,
@@ -27,7 +28,7 @@ from minstab.lp import (
     make_lp,
     make_row,
 )
-from minstab.models import cut_row, fix_edge
+from minstab.models import cut_row, fix_edge, stab_row
 
 
 def k_example():
@@ -37,6 +38,13 @@ def k_example():
         {2: 1},
         [make_row({0: 1, 1: 1}, "=", 1), make_row({0: 1, 1: 1, 2: -1}, "<=", 0)],
     )
+
+
+def full_program(model):
+    """model.lp plus every stabbing row of the model's pool not yet in it: the
+    whole relaxation with the cuts found so far."""
+    rest = [i for i in range(len(model.stab_pool)) if i not in model.cut_keys]
+    return model.lp.with_rows([stab_row(model, i) for i in rest])
 
 
 def scipy_solve(lp):
@@ -382,7 +390,7 @@ class TestRatioTestStability:
         # tableau drifted until the row check at the optimum failed
         model = build(gen_random(24, 100, seed=6), LineFamily.GENERAL)
         res = solve_relaxation(model)
-        ref = scipy_solve(model.lp)
+        ref = scipy_solve(full_program(model))
         assert ref.status == 0
         assert res.k_frac == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
 
@@ -433,6 +441,54 @@ class TestSharedMatrix:
             for idx, coef in row.coeffs:
                 reference[i, idx] += float(coef)
         assert np.array_equal(shared.A[:, : lp.num_vars], reference)
+
+    def test_copies_check_only_what_they_change(self, monkeypatch):
+        checked = []
+        check = minstab.lp._check_bound
+
+        def recorded(var, lo, hi):
+            checked.append(var)
+            check(var, lo, hi)
+
+        monkeypatch.setattr(minstab.lp, "_check_bound", recorded)
+        lp = k_example()
+        assert checked == [0, 1, 2]  # a program constructed directly checks all
+        fixed = lp_fix_variable(lp, 0, 1)
+        capped = fixed.with_objective([(0, 1)]).with_bound(2, 0, 5)
+        assert checked == [0, 1, 2, 0, 2]
+        assert (capped.lo, capped.hi) == ((1, 0, 0), (1, math.inf, 5))
+        assert capped.objective == ((0, 1),) and capped.matrix is lp.matrix
+        with pytest.raises(LpError, match="must be finite"):
+            lp_fix_variable(lp, 2, math.inf)
+        with pytest.raises(LpError, match="lo 2 > hi 1"):
+            lp.with_bound(0, 2, 1)
+        with pytest.raises(LpError, match="out of range"):
+            lp.with_bound(3, 0, 1)
+        with pytest.raises(LpError, match="objective index 3"):
+            lp.with_objective([(3, 1)])
+
+    def test_warm_solve_without_pivots_factors_once(self, monkeypatch):
+        lp = k_example()
+        cold = lp_solve(lp)
+        factorizations = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            factorizations.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        warm = lp_solve(lp, cold.basis)
+        assert warm.warm_started and warm.pivots == 0
+        assert len(factorizations) == 1
+        assert warm.primal == cold.primal
+        # a pivot after the warm start still refreshes the basic values
+        assert cold.primal[1] == 0
+        cut = lp.with_rows([make_row({1: 1}, ">=", 0.75)])
+        moved = lp_solve(cut, cold.basis)
+        assert moved.warm_started and moved.pivots > 0
+        assert len(factorizations) == 3
+        assert moved.primal == pytest.approx([0.25, 0.75, 1])
 
     def test_row_check_names_first_violated_row(self):
         # x0 <= 1 by its bound; the basis puts x0 = 2, and once x0 is clipped

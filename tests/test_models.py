@@ -2,8 +2,9 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
-from test_lp import scipy_solve
+from test_lp import full_program, scipy_solve
 
 import minstab.models as models
 from minstab import (
@@ -20,7 +21,7 @@ from minstab import (
 )
 from minstab.cuts import SUPPORT_EPS
 from minstab.geom import StabLine, is_crossing_pair, representative_lines, stabs
-from minstab.lp import NO_BASIS, LpResult, LpStatus
+from minstab.lp import FEAS_TOL, NO_BASIS, LpResult, LpStatus, lp_solve
 from minstab.models import (
     InfeasibleRelaxationError,
     ModelError,
@@ -34,9 +35,9 @@ GENERAL = LineFamily.GENERAL
 
 def stab_row_of(model):
     """The model's stabbing rows, one per representative line, in line order;
-    they follow the degree rows (matching) or the total row (tree)."""
+    the pool holds them, and model.lp holds only those appended so far."""
     lines = representative_lines(model.inst.points, model.family)
-    rows = [r for r in model.lp.rows if r.rel == "<="]
+    rows = [models.stab_row(model, i) for i in range(len(model.stab_pool))]
     assert len(rows) == len(lines)
     return dict(zip(lines, rows))
 
@@ -55,10 +56,8 @@ class TestBuildMatchingModel:
         model = build_matching_model(unit_square, AXIS)
         assert model.lp.num_vars == 7  # 6 edges + k
         assert len(stab_row_of(model)) == 4
-        degree_rows = [r for r in model.lp.rows if r.rel == "="]
-        stab_rows = [r for r in model.lp.rows if r.rel == "<="]
-        assert len(degree_rows) == 4
-        assert len(stab_rows) == 4
+        # the program starts with the degree rows alone
+        assert [r.rel for r in model.lp.rows] == ["="] * 4
 
     def test_two_points(self):
         inst = Instance("pair", (Point(0, 0), Point(5, 3)))
@@ -79,6 +78,22 @@ class TestBuildMatchingModel:
                 }
                 assert support == expected
                 assert dict(row.coeffs)[model.k_index] == -1
+
+    def test_stab_rows_exact_near_the_coordinate_limit(self):
+        # a*x + b*y - c overflows 64-bit integers here; the pool must still
+        # agree with the exact predicate on every line and edge
+        big = 2**31 - 1
+        pts = (
+            Point(-big, -big), Point(big, big - 1), Point(big - 2, -big),
+            Point(-big + 3, big), Point(0, 1), Point(1, -big + 5),
+        )
+        inst = Instance("big", pts)
+        model = build_matching_model(inst, GENERAL)
+        for line, row in stab_row_of(model).items():
+            support = {idx for idx, _ in row.coeffs if idx != model.k_index}
+            assert support == {
+                i for i, e in enumerate(model.edges) if stabs(line, e, pts)
+            }
 
     def test_x0_row_support(self, unit_square):
         model = build_matching_model(unit_square, AXIS)
@@ -215,9 +230,57 @@ class TestWarmReoptimization:
         assert relax.lp_iterations == len(results) >= 2
         assert not results[0].warm_started
         assert all(r.warm_started for r in results[1:])
-        ref = scipy_solve(model.lp)
+        ref = scipy_solve(full_program(model))
         assert ref.status == 0
         assert relax.k_frac == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
+
+
+class TestLazyStabbingRows:
+    @pytest.mark.parametrize("seed", [1, 6])
+    @pytest.mark.parametrize("build", [build_matching_model, build_tree_model])
+    def test_optimum_satisfies_the_whole_pool(self, build, seed):
+        model = build(gen_random(24, 100, seed), GENERAL)
+        relax = solve_relaxation(model)
+        assert 0 < relax.stab_rows_added < len(model.stab_pool)
+        x = np.array([relax.x[e] for e in model.edges] + [relax.k_frac])
+        assert np.all(model.stab_pool @ x <= FEAS_TOL)
+        ref = scipy_solve(full_program(model))
+        assert ref.status == 0
+        assert relax.k_frac == pytest.approx(ref.fun, abs=1e-6)
+
+    @pytest.mark.parametrize("family", [AXIS, GENERAL])
+    @pytest.mark.parametrize("build", [build_matching_model, build_tree_model])
+    def test_certified_value_solves_the_full_program_exactly(self, build, family):
+        model = build(gen_random(10, 100, seed=3), family)
+        certified = certify_relaxation(model, solve_relaxation(model))
+        full = lp_solve(full_program(model), exact=True)
+        assert full.status is LpStatus.OPTIMAL
+        assert full.objective_value == certified
+
+    def test_counts_cuts_and_stabbing_rows_apart(self):
+        # this instance needs a blossom cut (see TestSolveRelaxation)
+        model = build_matching_model(gen_random(10, 100, seed=74), AXIS)
+        built = len(model.lp.rows)
+        relax = solve_relaxation(model)
+        cuts = [key for key in model.cut_keys if isinstance(key, frozenset)]
+        assert relax.cuts_added == len(cuts) > 0
+        assert relax.stab_rows_added == len(model.cut_keys) - len(cuts) > 0
+        assert len(model.lp.rows) == built + relax.cuts_added + relax.stab_rows_added
+
+    def test_rows_enter_once_and_duplicates_never(self):
+        # two general lines through the diagonals of a square stab every edge,
+        # so their pool rows are equal; only the first may enter
+        model = build_matching_model(
+            Instance("sq", (Point(0, 0), Point(4, 0), Point(0, 4), Point(4, 4))), GENERAL
+        )
+        rows = [models.stab_row(model, i) for i in range(len(model.stab_pool))]
+        first = {}
+        for i, row in enumerate(rows):
+            first.setdefault(row, i)
+        assert len(first) < len(rows)
+        assert list(model.stab_distinct) == [first[row] == i for i, row in enumerate(rows)]
+        solve_relaxation(model)
+        assert len(set(model.lp.rows)) == len(model.lp.rows)
 
 
 class TestLexicographicRefine:
@@ -285,7 +348,7 @@ class TestLexicographicRefine:
         before = len(model.lp.rows)
         refined = lexicographic_refine(model, root)
         self._assert_k_program_kept(model, built, refined)
-        assert len(model.lp.rows) == before + refined.cuts_added
+        assert len(model.lp.rows) == before + refined.cuts_added + refined.stab_rows_added
 
         # retry path: the first length solve reports infeasible, so phase 1
         # is re-solved on the k program before the length program runs again

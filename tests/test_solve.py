@@ -235,6 +235,31 @@ class TestWarmResolves:
             assert result.warm_started
 
 
+class TestSearchStabbingRows:
+    def test_nodes_add_rows_the_pool_keeps_without_duplicates(self, monkeypatch):
+        # gen_random(12, 100, 2) general tree: the search solves nodes whose
+        # fixings violate stabbing rows the root never needed
+        model, root = relaxed(gen_random(12, 100, 2), Problem.SPANNING_TREE, GENERAL)
+        incumbent = iterated_rounding(model, root)
+        nodes = []
+        solve = minstab.solve.solve_relaxation
+
+        def recorded(work, *args):
+            start = work.lp.rows
+            result = solve(work, *args)
+            nodes.append((start, work.lp.rows, result))
+            return result
+
+        monkeypatch.setattr(minstab.solve, "solve_relaxation", recorded)
+        assert branch_and_bound(model, root, incumbent).proven
+        assert any(result.stab_rows_added for _, _, result in nodes)
+        for _, rows, _ in nodes:
+            assert len(set(rows)) == len(rows)
+        # each node starts from the pool, which holds every row found before
+        for (_, before, _), (start, _, _) in zip(nodes, nodes[1:]):
+            assert start == before
+
+
 class TestMinLengthMatching:
     def test_four_collinear(self):
         inst = Instance(
