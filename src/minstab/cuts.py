@@ -81,8 +81,11 @@ def max_flow_min_cut(
 ) -> tuple[Weight, frozenset[int]]:
     """Max s-t flow on an undirected graph; returns (value, source side).
 
-    BFS augmenting paths with capacity scaling: augment along paths of
-    residual at least delta, halving delta down to eps.
+    Shortest augmenting paths (Edmonds-Karp): each BFS over the arcs whose
+    residual exceeds eps finds a path with the fewest arcs, and the flow is
+    augmented by its bottleneck until no path is left. The source side is
+    what s still reaches over such arcs, the minimal minimum cut; with exact
+    weights and eps = 0 it is the same for every maximum flow.
     """
     if s == t:
         raise CutError("source equals sink")
@@ -97,7 +100,7 @@ def max_flow_min_cut(
         to.append(u)
         res.append(w)
 
-    def bfs(delta: Weight) -> Optional[list[int]]:
+    def bfs() -> Optional[list[int]]:
         parent_arc = [-1] * n
         parent_arc[s] = -2
         queue = deque([s])
@@ -105,7 +108,7 @@ def max_flow_min_cut(
             u = queue.popleft()
             for arc in head[u]:
                 v = to[arc]
-                if parent_arc[v] == -1 and res[arc] >= delta and res[arc] > eps:
+                if parent_arc[v] == -1 and res[arc] > eps:
                     parent_arc[v] = arc
                     if v == t:
                         path = []
@@ -118,27 +121,12 @@ def max_flow_min_cut(
         return None
 
     total: Weight = 0
-    caps = [w for _, _, w in edges]
-    if caps:
-        delta = max(caps)
-        deltas = []
-        while delta > eps:
-            deltas.append(delta)
-            delta = delta / 2
-            if float(delta) < max(float(eps), 1e-12):
-                break
-        deltas.append(eps if eps else 0)
-        for delta in deltas:
-            floor = delta if delta else 0
-            while True:
-                path = bfs(floor)
-                if path is None:
-                    break
-                push = min(res[arc] for arc in path)
-                for arc in path:
-                    res[arc] -= push
-                    res[arc ^ 1] += push
-                total = total + push
+    while (path := bfs()) is not None:
+        push = min(res[arc] for arc in path)
+        for arc in path:
+            res[arc] -= push
+            res[arc ^ 1] += push
+        total = total + push
 
     seen = [False] * n
     seen[s] = True

@@ -14,6 +14,18 @@ two-phase solve, so only phase 1 declares a program infeasible. The exact
 path warm-starts only from a primal feasible basis, with the nonbasic
 variables at the bounds the basis records.
 
+A float solve's basis keeps its final tableau, B^-1 A and B^-1 b over the
+program's rows. A warm solve of a program whose first rows are those very
+Row objects extends it instead of factoring the basis again: each appended
+row a becomes a - a_B T, divided by its slack coefficient, and bound or
+objective changes only move the nonbasic values and the reduced costs. Any
+other basis is factored from scratch. The pivots update the reduced costs
+instead of pricing every column again. Every optimum with a structural basis
+is checked against the original matrix: the basic values are solved again
+from A_B, and the duals of A_B^T y = c_B must price no free nonbasic column
+in. A solve from a kept tableau that fails a check re-solves once from a
+freshly factored basis; any other solve raises.
+
 A program keeps its row coefficients as one float64 matrix, built and
 index-checked once per row set: appending rows converts only the new ones (or
 stacks coefficients the caller built already), and a copy with other bounds
@@ -26,6 +38,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -179,13 +192,30 @@ def make_lp(
 
 
 @dataclass(frozen=True)
+class KeptTableau:
+    """The final tableau of a float solve: rows are the program's rows, T is
+    B^-1 A over its variables and slacks and beta is B^-1 b. Both arrays are
+    read-only, so copies of a Basis share them."""
+
+    rows: tuple[Row, ...]
+    T: np.ndarray
+    beta: np.ndarray
+
+
+@dataclass(frozen=True)
 class Basis:
     """The basic variable of each row and the nonbasic variables held at their
     upper bound. Slacks are numbered after the program's variables in row
-    order; -1 marks a row whose artificial stayed basic."""
+    order; -1 marks a row whose artificial stayed basic.
+
+    tableau, set by a float solve whose basis has no artificial, is left out
+    of == and repr. A warm float solve extends it when the program's first
+    rows are its very Row objects (with_rows keeps them) and every appended
+    row has a slack; otherwise it factors the basis from scratch."""
 
     basic: tuple[int, ...]
     at_upper: frozenset[int] = frozenset()
+    tableau: Optional[KeptTableau] = field(default=None, compare=False, repr=False)
 
 
 NO_BASIS = Basis(())
@@ -199,6 +229,8 @@ class LpResult:
     basis: Basis
     warm_started: bool = False  # the prior basis was used, with or without dual pivots
     pivots: int = 0  # basis changes of every phase, a discarded warm attempt included
+    kept_tableau: bool = False  # the warm attempt extended the prior basis's tableau
+    refactored: bool = False  # that attempt failed the optimum's check and was re-solved
 
 
 def lp_fix_variable(lp: LinearProgram, var: int, value: Number) -> LinearProgram:
@@ -255,6 +287,7 @@ class _FloatSimplex:
         m = len(lp.rows)
         self.n = n
         self.m = m
+        self.rows = lp.rows
         self.le = np.array([row.rel == "<=" for row in lp.rows], dtype=bool)
         self.ge = np.array([row.rel == ">=" for row in lp.rows], dtype=bool)
         slack_rows = np.flatnonzero(self.le | self.ge)
@@ -283,28 +316,43 @@ class _FloatSimplex:
 
     def solve(self, warm_basis: Optional[Basis]) -> LpResult:
         result = None
+        kept = refactored = False
         if warm_basis is not None and self.m > 0:
-            result = self._warm(warm_basis)
+            state = self._kept_state(warm_basis)
+            kept = state is not None
+            if kept:
+                try:
+                    result = self._warm(state)
+                except LpError:
+                    # the optimum reached from the kept tableau failed a check
+                    # against the original matrix: drift or a damaged tableau
+                    refactored = True
+            if not kept or refactored:
+                state = self._factored_state(warm_basis)
+                if state is not None:
+                    result = self._warm(state)
         warm_started = result is not None
         if result is None:
             result = self._cold()
-        return replace(result, warm_started=warm_started, pivots=self.pivots)
+        return replace(
+            result,
+            warm_started=warm_started,
+            pivots=self.pivots,
+            kept_tableau=kept,
+            refactored=refactored,
+        )
 
-    def _warm(self, warm: Basis) -> Optional[LpResult]:
-        state = self._warm_state(warm)
-        if state is None:
-            return None
-        factored_at = self.pivots
+    def _warm(self, state: _State) -> Optional[LpResult]:
         if not self._dual_loop(state):
             return None
         status = self._loop(state, phase1=False)
         if status == "cycled":
             return None
-        # after zero pivots the basic values are still _warm_state's solve
-        # against this very basis, so a refresh would repeat it
-        return self._finish(state, status, refresh=self.pivots > factored_at)
+        return self._finish(state, status)
 
-    def _warm_state(self, warm: Basis) -> Optional[_State]:
+    def _basis_columns(self, warm: Basis) -> Optional[np.ndarray]:
+        """warm's basic columns, each appended row's slack after them; None
+        when they do not form a basis of this program."""
         m, N = self.m, self.N
         basis = list(warm.basic[:m])
         for i in range(len(basis), m):
@@ -316,22 +364,66 @@ class _FloatSimplex:
             return None
         if any(not 0 <= j < N for j in basis + list(warm.at_upper)):
             return None
-        basis_arr = np.array(basis, dtype=int)
+        return np.array(basis, dtype=int)
+
+    def _kept_state(self, warm: Basis) -> Optional[_State]:
+        """warm's kept tableau extended by the appended rows, in O(k m N)
+        for k rows; None unless this program's first rows are the tableau's
+        very rows and every appended row has a slack."""
+        kept = warm.tableau
+        if kept is None:
+            return None
+        m0 = len(kept.rows)
+        new_slacks = self.slack_of_row[m0:]
+        if (
+            m0 > self.m
+            or len(warm.basic) != m0
+            or kept.T.shape[1] != self.N - len(new_slacks)
+            or np.any(new_slacks < 0)
+            or not all(map(operator.is_, kept.rows, self.rows))
+        ):
+            return None
+        basis = self._basis_columns(warm)
+        if basis is None:
+            return None
+        T = np.zeros((self.m, self.N))
+        T[:m0, : kept.T.shape[1]] = kept.T
+        beta = np.empty(self.m)
+        beta[:m0] = kept.beta
+        if m0 < self.m:
+            # a new row a, with slack coefficient s, reads (a - a_B T) / s in
+            # the old basis extended by its slack
+            A_new = self.A[m0:]
+            a_B = A_new[:, basis[:m0]]
+            coef = A_new[np.arange(len(new_slacks)), new_slacks]
+            T[m0:] = (A_new - a_B @ T[:m0]) / coef[:, None]
+            beta[m0:] = (self.b[m0:] - a_B @ kept.beta) / coef
+        return self._start(warm, basis, T, beta)
+
+    def _factored_state(self, warm: Basis) -> Optional[_State]:
+        """warm's basis factored from scratch: B^-1 [A | b] in O(m^2 N)."""
+        basis = self._basis_columns(warm)
+        if basis is None:
+            return None
         try:
-            T = np.linalg.solve(self.A[:, basis_arr], np.column_stack([self.A, self.b]))
+            T = np.linalg.solve(self.A[:, basis], np.column_stack([self.A, self.b]))
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(T)):
             return None
-        at_upper = np.zeros(N, dtype=bool)
+        return self._start(warm, basis, np.ascontiguousarray(T[:, : self.N]), T[:, self.N])
+
+    def _start(self, warm: Basis, basis: np.ndarray, T: np.ndarray, beta: np.ndarray) -> _State:
+        """The state on tableau T = B^-1 A with the nonbasic variables at the
+        bounds warm records and x_B = B^-1 b - T x_N."""
+        at_upper = np.zeros(self.N, dtype=bool)
         at_upper[list(warm.at_upper)] = True
         at_upper &= np.isfinite(self.hi)
-        at_upper[basis_arr] = False
+        at_upper[basis] = False
         xN = np.where(at_upper, self.hi, self.lo)
-        xN[basis_arr] = 0.0
-        xB = T[:, N] - T[:, :N] @ xN
-        T = np.ascontiguousarray(T[:, :N])
-        return _State(T, basis_arr, xB, at_upper, self.lo.copy(), self.hi.copy(), 0)
+        xN[basis] = 0.0
+        xB = beta - T @ xN
+        return _State(T, basis, xB, at_upper, self.lo.copy(), self.hi.copy(), 0)
 
     def _dual_loop(self, state: _State) -> bool:
         """Bounded dual simplex until every basic value fits its bounds.
@@ -345,6 +437,7 @@ class _FloatSimplex:
         """
         lo, hi = state.lo, state.hi
         movable = (hi - lo) > 0
+        z = self.cost - self.cost[state.basis] @ state.T
         for it in range(self.dantzig_limit):
             basis = state.basis
             T = state.T
@@ -354,7 +447,6 @@ class _FloatSimplex:
             r = int(np.argmax(viol))
             if viol[r] <= FEAS_TOL:
                 return True
-            z = self.cost - self.cost[basis] @ T
             free = movable.copy()
             free[basis] = False
             # dual slack: how far each reduced cost is from pricing its column in
@@ -380,6 +472,7 @@ class _FloatSimplex:
             leaving = int(basis[r])
             state.at_upper[leaving] = not below[r] > 0
             self._pivot(state, r, q)
+            z -= z[q] * T[r]
             state.xB[r] = entering_value
         return False
 
@@ -485,6 +578,8 @@ class _FloatSimplex:
         never_enter = np.zeros(width, dtype=bool)
         never_enter[self.N :] = True  # artificials never re-enter
         movable = (hi - lo) > 0
+        # priced once; each pivot updates the row with the new pivot row
+        z = cost - cost[state.basis] @ state.T
 
         iters = 0
         while True:
@@ -493,10 +588,8 @@ class _FloatSimplex:
                 return "cycled"
             basis = state.basis
             T = state.T
-            z = cost - cost[basis] @ T
             basic_mask = np.zeros(width, dtype=bool)
             basic_mask[basis] = True
-            z[basic_mask] = 0.0
             free = ~basic_mask & ~never_enter & movable
             lower_elig = free & ~state.at_upper & (z < -PIVOT_TOL)
             upper_elig = free & state.at_upper & (z > PIVOT_TOL)
@@ -539,20 +632,27 @@ class _FloatSimplex:
             leaving = int(state.basis[r])
             state.at_upper[leaving] = bool(delta[r] > 0) and np.isfinite(hi[leaving])
             self._pivot(state, r, j)
+            z -= z[j] * T[r]
             state.xB[r] = entering_value
 
-    def _finish(self, state: _State, status: str, refresh: bool = True) -> LpResult:
+    def _finish(self, state: _State, status: str) -> LpResult:
+        """The optimum's result, checked against the original matrix: with a
+        structural basis the basic values are solved again from A_B, and the
+        duals of A_B^T y = c_B must price no free nonbasic column in."""
         if status == "unbounded":
             return LpResult(LpStatus.UNBOUNDED, None, [], NO_BASIS)
+        N = self.N
         x = np.where(state.at_upper, np.where(np.isfinite(state.hi), state.hi, 0.0), state.lo)
         basis = state.basis
+        structural = len(basis) > 0 and bool(np.all(basis < N))
+        y = None
         if len(basis):
             x[basis] = 0.0
-            if refresh and np.all(basis < self.N):
-                # refresh basic values against the original system to kill drift
+            if structural:
+                A_B = self.A[:, basis]
                 try:
-                    xB = np.linalg.solve(self.A[:, basis], self.b - self.A @ x[: self.N])
-                    state.xB = xB
+                    state.xB = np.linalg.solve(A_B, self.b - self.A @ x[:N])
+                    y = np.linalg.solve(A_B.T, self.cost[basis])
                 except np.linalg.LinAlgError:
                     pass
             x[basis] = state.xB
@@ -570,12 +670,28 @@ class _FloatSimplex:
             act, rhs = float(activities[i]), float(b[i])
             sign = ">" if self.le[i] else "<" if self.ge[i] else "!="
             raise LpError(f"row {i} violated at optimum: {act} {sign} {rhs}")
+        if y is not None:
+            d = self.cost - y @ self.A
+            free = self.hi > self.lo
+            free[basis] = False
+            priced_in = free & np.where(state.at_upper[:N], d > FEAS_TOL, d < -FEAS_TOL)
+            if priced_in.any():
+                j = int(np.argmax(priced_in))
+                raise LpError(f"column {j} prices in at optimum: reduced cost {float(d[j])}")
         obj = float(self.cost[: self.n] @ primal)
+        tableau = None
+        if structural:
+            T = state.T[:, :N]
+            beta = T @ x[:N]  # x_B + T_N x_N, as T_B is the identity
+            T.flags.writeable = False
+            beta.flags.writeable = False
+            tableau = KeptTableau(self.rows, T, beta)
         basis_out = Basis(
-            tuple(int(j) if j < self.N else -1 for j in basis),
-            frozenset(int(j) for j in np.flatnonzero(state.at_upper[: self.N])),
+            tuple(int(j) if j < N else -1 for j in basis),
+            frozenset(np.flatnonzero(state.at_upper[:N]).tolist()),
+            tableau,
         )
-        return LpResult(LpStatus.OPTIMAL, obj, [float(v) for v in primal], basis_out)
+        return LpResult(LpStatus.OPTIMAL, obj, primal.tolist(), basis_out)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ it. ``__init__.py`` re-exports by design, and a line marked ``# noqa: F401``
 keeps a name other code looks up on that module."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +65,17 @@ def test_checker_flags_unused_and_honours_noqa():
         "    return os.sep\n"
     )
     assert unused_imports(source) == ["Optional (line 2)"]
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test-only dependency; importing it would more than double
+    # the command-line tool's start-up time
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import minstab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

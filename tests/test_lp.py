@@ -250,7 +250,26 @@ class TestDualReoptimize:
             again = lp_solve(lp, warm_basis=cold.basis, exact=exact)
             assert again.warm_started and again.pivots == 0
 
-    def test_fuzz_rows_and_fixings_against_cold_and_scipy(self):
+    def test_fuzz_rows_and_fixings_against_cold_and_scipy(self, monkeypatch):
+        # the dual pivots update the reduced costs; kept dual feasible, the
+        # basis is optimal once primal feasible, and the primal simplex that
+        # follows a successful dual loop makes no pivot
+        primal_after_dual = []
+        dual_loop, loop = _FloatSimplex._dual_loop, _FloatSimplex._loop
+
+        def recorded_dual_loop(self, state):
+            self.dual_done = dual_loop(self, state)
+            return self.dual_done
+
+        def recorded_loop(self, state, phase1):
+            before = self.pivots
+            status = loop(self, state, phase1)
+            if getattr(self, "dual_done", False):
+                primal_after_dual.append(self.pivots - before)
+            return status
+
+        monkeypatch.setattr(_FloatSimplex, "_dual_loop", recorded_dual_loop)
+        monkeypatch.setattr(_FloatSimplex, "_loop", recorded_loop)
         rng = random.Random(2005)
         warm_optimal = optimal = 0
         for _ in range(200):
@@ -290,6 +309,8 @@ class TestDualReoptimize:
             ref = scipy_solve(changed)
             expected = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE}[ref.status]
             assert warm.status is cold.status is expected
+            # every appended row has a slack, so the prior tableau is extended
+            assert warm.kept_tableau and not warm.refactored
             if expected is LpStatus.OPTIMAL:
                 optimal += 1
                 warm_optimal += warm.warm_started
@@ -299,6 +320,7 @@ class TestDualReoptimize:
         # so no feasible case may fall back to a cold solve
         assert optimal > 50
         assert warm_optimal == optimal
+        assert len(primal_after_dual) >= optimal and not any(primal_after_dual)
 
 
 class TestFixVariable:
@@ -468,27 +490,78 @@ class TestSharedMatrix:
             lp.with_objective([(3, 1)])
 
     def test_warm_solve_without_pivots_factors_once(self, monkeypatch):
+        # a warm solve from a kept tableau factors no m x (N+1) system: its
+        # only solves are the optimum's checks, each with a vector right-hand side
         lp = k_example()
         cold = lp_solve(lp)
-        factorizations = []
+        right_hand_sides = []
         solve = np.linalg.solve
 
-        def counted(a, b):
-            factorizations.append(a.shape)
+        def recorded(a, b):
+            right_hand_sides.append(np.shape(b))
             return solve(a, b)
 
-        monkeypatch.setattr(np.linalg, "solve", counted)
+        monkeypatch.setattr(np.linalg, "solve", recorded)
         warm = lp_solve(lp, cold.basis)
-        assert warm.warm_started and warm.pivots == 0
-        assert len(factorizations) == 1
+        assert warm.warm_started and warm.kept_tableau and not warm.refactored
+        assert warm.pivots == 0
         assert warm.primal == cold.primal
-        # a pivot after the warm start still refreshes the basic values
         assert cold.primal[1] == 0
         cut = lp.with_rows([make_row({1: 1}, ">=", 0.75)])
         moved = lp_solve(cut, cold.basis)
-        assert moved.warm_started and moved.pivots > 0
-        assert len(factorizations) == 3
+        assert moved.warm_started and moved.kept_tableau and moved.pivots > 0
         assert moved.primal == pytest.approx([0.25, 0.75, 1])
+        assert right_hand_sides and all(len(shape) == 1 for shape in right_hand_sides)
+        # without a kept tableau the basis is factored against [A | b]
+        right_hand_sides.clear()
+        bare = dataclasses.replace(cold.basis, tableau=None)
+        factored = lp_solve(cut, bare)
+        assert factored.warm_started and not factored.kept_tableau
+        assert right_hand_sides[0] == (3, 6)  # 3 rows; 3 variables, 2 slacks and b
+        assert factored.primal == pytest.approx(moved.primal)
+
+    def test_tableau_of_other_rows_is_not_reused(self):
+        lp = k_example()
+        cold = lp_solve(lp)
+        # the same shape with equal rows, and with other coefficients
+        shifted = make_lp(
+            3,
+            {2: 1},
+            [make_row({0: 1, 1: 2}, "=", 1), make_row({0: 2, 1: 1, 2: -1}, "<=", 0)],
+        )
+        for other in (k_example(), shifted):
+            tableau = lp_solve(other).basis.tableau
+            assert tableau.T.shape == cold.basis.tableau.T.shape
+            res = lp_solve(lp, dataclasses.replace(cold.basis, tableau=tableau))
+            assert res.warm_started and not res.kept_tableau and not res.refactored
+            assert res.primal == pytest.approx(cold.primal)
+            assert res.objective_value == pytest.approx(cold.objective_value)
+
+    def test_damaged_tableau_is_caught_and_refactored(self):
+        # min -x0 s.t. x0 + x1 <= 2 ends with x0 basic and T = [1, 1, 1]; under
+        # -x0 - 2 x1 the entry T[0, 1] = 3 makes the kept basis look optimal
+        lp = make_lp(2, {0: -1}, [make_row({0: 1, 1: 1}, "<=", 2)])
+        prior = lp_solve(lp)
+        kept = prior.basis.tableau
+        assert prior.basis.basic == (0,)
+        assert np.array_equal(kept.T, [[1, 1, 1]])
+        assert not kept.T.flags.writeable and not kept.beta.flags.writeable
+        damaged_T = kept.T.copy()
+        damaged_T[0, 1] = 3
+        damaged = dataclasses.replace(
+            prior.basis, tableau=dataclasses.replace(kept, T=damaged_T)
+        )
+        swapped = lp.with_objective([(0, -1), (1, -2)])
+        res = lp_solve(swapped, damaged)
+        assert res.kept_tableau and res.refactored and res.warm_started
+        cold = lp_solve(swapped)
+        assert res.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+        assert res.objective_value == pytest.approx(scipy_solve(swapped).fun, abs=1e-9)
+        assert res.primal == pytest.approx([0, 2])
+        # the intact tableau reaches the same optimum without a fallback
+        intact = lp_solve(swapped, prior.basis)
+        assert intact.kept_tableau and not intact.refactored
+        assert intact.primal == pytest.approx([0, 2])
 
     def test_row_check_names_first_violated_row(self):
         # x0 <= 1 by its bound; the basis puts x0 = 2, and once x0 is clipped
@@ -509,4 +582,20 @@ class TestSharedMatrix:
             0,
         )
         with pytest.raises(LpError, match=r"^row 1 violated at optimum: 1\.0 < 2\.0$"):
+            simplex._finish(state, "optimal")
+
+    def test_dual_check_names_a_column_that_prices_in(self):
+        # x0 basic is feasible for min -x0 - 2 x1 s.t. x0 + x1 <= 2, but the
+        # duals of A_B^T y = c_B leave x1 a reduced cost of -1
+        simplex = _FloatSimplex(make_lp(2, {0: -1, 1: -2}, [make_row({0: 1, 1: 1}, "<=", 2)]))
+        state = _State(
+            np.array([[1.0, 1.0, 1.0]]),
+            np.array([0]),
+            np.array([2.0]),
+            np.zeros(3, dtype=bool),
+            simplex.lo.copy(),
+            simplex.hi.copy(),
+            0,
+        )
+        with pytest.raises(LpError, match=r"^column 1 prices in at optimum: reduced cost -1\.0$"):
             simplex._finish(state, "optimal")
