@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 import time
@@ -92,7 +93,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged
+    and no option has a mutable default."""
     parser = argparse.ArgumentParser(
         prog="minstab",
         description="Minimum stabbing number matchings and spanning trees",

@@ -17,8 +17,11 @@ class GeometryError(ValueError):
     """Invalid geometric input (empty instance, bad indices, degenerate data)."""
 
 
-# Coordinates are kept inside the 32-bit signed range so that every 3-point
-# orientation determinant fits comfortably in 64-bit signed arithmetic.
+# Coordinates are kept inside the 32-bit signed range. A coordinate difference
+# then reaches 2^32 - 2 and a 3-point orientation determinant about 2^65, more
+# than 64-bit signed arithmetic holds: the predicates are exact only because
+# they compute in Python ints (models._stab_pool uses object arrays for the
+# same reason).
 COORD_LIMIT = 2**31
 
 

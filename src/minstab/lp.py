@@ -1,11 +1,15 @@
 """Bounded-variable simplex with warm re-optimization after added rows.
 
-Two independent solver paths share one contract: a numpy float64 tableau
+Two independent solver paths share one contract: a numpy float64 revised
 simplex (Dantzig pricing first, Bland afterwards, with a cycling guard) and a
-pure-Fraction Bland simplex used to certify float results exactly. Both are
-two-phase with artificial variables and accept the basis of a prior solve.
+pure-Fraction Bland tableau simplex used to certify float results exactly.
+Both are two-phase with artificial variables and accept the basis of a prior
+solve.
 
-The float path re-optimizes from that basis after rows are added or bounds
+The float path keeps the explicit basis inverse B^-1, m x m, beside the
+program's matrix A, never the m x N tableau B^-1 A: a pivot reads tableau row
+r as B^-1_r A and the entering column as B^-1 A_j, and updates only the
+inverse. It re-optimizes from a prior basis after rows are added or bounds
 fixed: nonbasic variables return to the bound they held, a bounded dual
 simplex restores primal feasibility while the reduced costs stay dual
 feasible, and the primal simplex finishes. A basis that is not dual feasible,
@@ -14,24 +18,26 @@ two-phase solve, so only phase 1 declares a program infeasible. The exact
 path warm-starts only from a primal feasible basis, with the nonbasic
 variables at the bounds the basis records.
 
-A float solve's basis keeps its final tableau, B^-1 A and B^-1 b over the
-program's rows. A warm solve of a program whose first rows are those very
-Row objects extends it instead of factoring the basis again: each appended
-row a becomes a - a_B T, divided by its slack coefficient, and bound or
-objective changes only move the nonbasic values and the reduced costs. Any
-other basis is factored from scratch. The pivots update the reduced costs
-instead of pricing every column again. Every optimum with a structural basis
-is checked against the original matrix: the basic values are solved again
-from A_B, and the duals of A_B^T y = c_B must price no free nonbasic column
-in. A solve from a kept tableau that fails a check re-solves once from a
-freshly factored basis; any other solve raises.
+A float solve's basis keeps its final inverse over the program's rows. A
+warm solve of a program whose first rows are those very Row objects extends
+it instead of inverting the basis again: k appended rows a with slack
+coefficients s add the rows [-diag(1/s) a_B B^-1, diag(1/s)], in O(k m^2),
+and bound or objective changes only move the nonbasic values and the
+reduced costs. Any other basis is inverted from scratch. The pivots update
+the reduced costs instead of pricing every column again. Every optimum with
+a structural basis is checked against the original matrix, never through
+the inverse: the basic values are solved again from A_B, and the duals of
+A_B^T y = c_B must price no free nonbasic column in. A solve from a kept
+inverse that fails a check re-solves once from a freshly inverted basis; any
+other solve raises.
 
 A program keeps its row coefficients as one float64 matrix, built and
 index-checked once per row set: appending rows converts only the new ones (or
 stacks coefficients the caller built already), and a copy with other bounds
 or another objective shares the matrix. The float simplex copies it into its
-tableau instead of re-reading the rows. Such copies check only what they
-change; a program constructed directly checks every bound and row.
+constraint matrix, beside the slack columns, instead of re-reading the rows.
+Such copies check only what they change; a program constructed directly
+checks every bound and row.
 """
 
 from __future__ import annotations
@@ -192,14 +198,13 @@ def make_lp(
 
 
 @dataclass(frozen=True)
-class KeptTableau:
-    """The final tableau of a float solve: rows are the program's rows, T is
-    B^-1 A over its variables and slacks and beta is B^-1 b. Both arrays are
-    read-only, so copies of a Basis share them."""
+class KeptInverse:
+    """The final basis inverse of a float solve: rows are the program's rows
+    and Binv is B^-1, m x m, for the basic columns of its variables and
+    slacks in row order. Binv is read-only, so copies of a Basis share it."""
 
     rows: tuple[Row, ...]
-    T: np.ndarray
-    beta: np.ndarray
+    Binv: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -208,14 +213,14 @@ class Basis:
     upper bound. Slacks are numbered after the program's variables in row
     order; -1 marks a row whose artificial stayed basic.
 
-    tableau, set by a float solve whose basis has no artificial, is left out
+    inverse, set by a float solve whose basis has no artificial, is left out
     of == and repr. A warm float solve extends it when the program's first
     rows are its very Row objects (with_rows keeps them) and every appended
-    row has a slack; otherwise it factors the basis from scratch."""
+    row has a slack; otherwise it inverts the basis from scratch."""
 
     basic: tuple[int, ...]
     at_upper: frozenset[int] = frozenset()
-    tableau: Optional[KeptTableau] = field(default=None, compare=False, repr=False)
+    inverse: Optional[KeptInverse] = field(default=None, compare=False, repr=False)
 
 
 NO_BASIS = Basis(())
@@ -229,7 +234,7 @@ class LpResult:
     basis: Basis
     warm_started: bool = False  # the prior basis was used, with or without dual pivots
     pivots: int = 0  # basis changes of every phase, a discarded warm attempt included
-    kept_tableau: bool = False  # the warm attempt extended the prior basis's tableau
+    kept_inverse: bool = False  # the warm attempt extended the prior basis's inverse
     refactored: bool = False  # that attempt failed the optimum's check and was re-solved
 
 
@@ -268,17 +273,29 @@ def lp_solve(
 
 @dataclass
 class _State:
-    T: np.ndarray          # m x width current tableau
+    Binv: np.ndarray       # m x m inverse of the basis columns of A
+    A: np.ndarray          # m x width constraint matrix, artificial columns included
     basis: np.ndarray      # m basic variable indices
     xB: np.ndarray         # m basic values
     at_upper: np.ndarray   # width nonbasic-at-upper flags
     lo: np.ndarray         # width lower bounds
     hi: np.ndarray         # width upper bounds (inf allowed)
-    num_art: int
 
     @property
     def width(self) -> int:
-        return self.T.shape[1]
+        return self.A.shape[1]
+
+    def row(self, r: int) -> np.ndarray:
+        """Row r of the tableau B^-1 A."""
+        return self.Binv[r] @ self.A
+
+    def column(self, j: int) -> np.ndarray:
+        """Column j of the tableau B^-1 A."""
+        return self.Binv @ self.A[:, j]
+
+    def reduced_costs(self, cost: np.ndarray) -> np.ndarray:
+        """cost - y A for the duals y = c_B B^-1."""
+        return cost - (cost[self.basis] @ self.Binv) @ self.A
 
 
 class _FloatSimplex:
@@ -324,8 +341,8 @@ class _FloatSimplex:
                 try:
                     result = self._warm(state)
                 except LpError:
-                    # the optimum reached from the kept tableau failed a check
-                    # against the original matrix: drift or a damaged tableau
+                    # the optimum reached from the kept inverse failed a check
+                    # against the original matrix: drift or a damaged inverse
                     refactored = True
             if not kept or refactored:
                 state = self._factored_state(warm_basis)
@@ -338,7 +355,7 @@ class _FloatSimplex:
             result,
             warm_started=warm_started,
             pivots=self.pivots,
-            kept_tableau=kept,
+            kept_inverse=kept,
             refactored=refactored,
         )
 
@@ -367,10 +384,10 @@ class _FloatSimplex:
         return np.array(basis, dtype=int)
 
     def _kept_state(self, warm: Basis) -> Optional[_State]:
-        """warm's kept tableau extended by the appended rows, in O(k m N)
-        for k rows; None unless this program's first rows are the tableau's
+        """warm's kept inverse extended by the appended rows, in O(k m^2)
+        for k rows; None unless this program's first rows are the inverse's
         very rows and every appended row has a slack."""
-        kept = warm.tableau
+        kept = warm.inverse
         if kept is None:
             return None
         m0 = len(kept.rows)
@@ -378,7 +395,7 @@ class _FloatSimplex:
         if (
             m0 > self.m
             or len(warm.basic) != m0
-            or kept.T.shape[1] != self.N - len(new_slacks)
+            or kept.Binv.shape != (m0, m0)
             or np.any(new_slacks < 0)
             or not all(map(operator.is_, kept.rows, self.rows))
         ):
@@ -386,44 +403,42 @@ class _FloatSimplex:
         basis = self._basis_columns(warm)
         if basis is None:
             return None
-        T = np.zeros((self.m, self.N))
-        T[:m0, : kept.T.shape[1]] = kept.T
-        beta = np.empty(self.m)
-        beta[:m0] = kept.beta
+        Binv = np.zeros((self.m, self.m))
+        Binv[:m0, :m0] = kept.Binv
         if m0 < self.m:
-            # a new row a, with slack coefficient s, reads (a - a_B T) / s in
-            # the old basis extended by its slack
+            # the basis gains each new row's slack: B = [[B0, 0], [a_B, S]]
+            # with S the slack coefficients, so its inverse has the rows
+            # [-S^-1 a_B B0^-1, S^-1] below B0^-1
             A_new = self.A[m0:]
-            a_B = A_new[:, basis[:m0]]
             coef = A_new[np.arange(len(new_slacks)), new_slacks]
-            T[m0:] = (A_new - a_B @ T[:m0]) / coef[:, None]
-            beta[m0:] = (self.b[m0:] - a_B @ kept.beta) / coef
-        return self._start(warm, basis, T, beta)
+            Binv[m0:, :m0] = -(A_new[:, basis[:m0]] @ kept.Binv) / coef[:, None]
+            Binv[m0:, m0:] = np.diag(1.0 / coef)
+        return self._start(warm, basis, Binv)
 
     def _factored_state(self, warm: Basis) -> Optional[_State]:
-        """warm's basis factored from scratch: B^-1 [A | b] in O(m^2 N)."""
+        """warm's basis factored from scratch: A_B inverted in O(m^3)."""
         basis = self._basis_columns(warm)
         if basis is None:
             return None
         try:
-            T = np.linalg.solve(self.A[:, basis], np.column_stack([self.A, self.b]))
+            Binv = np.linalg.inv(self.A[:, basis])
         except np.linalg.LinAlgError:
             return None
-        if not np.all(np.isfinite(T)):
+        if not np.all(np.isfinite(Binv)):
             return None
-        return self._start(warm, basis, np.ascontiguousarray(T[:, : self.N]), T[:, self.N])
+        return self._start(warm, basis, Binv)
 
-    def _start(self, warm: Basis, basis: np.ndarray, T: np.ndarray, beta: np.ndarray) -> _State:
-        """The state on tableau T = B^-1 A with the nonbasic variables at the
-        bounds warm records and x_B = B^-1 b - T x_N."""
+    def _start(self, warm: Basis, basis: np.ndarray, Binv: np.ndarray) -> _State:
+        """The state on basis inverse Binv with the nonbasic variables at the
+        bounds warm records and x_B = B^-1 (b - A x_N)."""
         at_upper = np.zeros(self.N, dtype=bool)
         at_upper[list(warm.at_upper)] = True
         at_upper &= np.isfinite(self.hi)
         at_upper[basis] = False
         xN = np.where(at_upper, self.hi, self.lo)
         xN[basis] = 0.0
-        xB = beta - T @ xN
-        return _State(T, basis, xB, at_upper, self.lo.copy(), self.hi.copy(), 0)
+        xB = Binv @ (self.b - self.A @ xN)
+        return _State(Binv, self.A, basis, xB, at_upper, self.lo.copy(), self.hi.copy())
 
     def _dual_loop(self, state: _State) -> bool:
         """Bounded dual simplex until every basic value fits its bounds.
@@ -437,42 +452,44 @@ class _FloatSimplex:
         """
         lo, hi = state.lo, state.hi
         movable = (hi - lo) > 0
-        z = self.cost - self.cost[state.basis] @ state.T
+        free = movable.copy()  # nonbasic and movable; each pivot swaps two entries
+        free[state.basis] = False
+        z = state.reduced_costs(self.cost)
         for it in range(self.dantzig_limit):
             basis = state.basis
-            T = state.T
             below = lo[basis] - state.xB
             above = state.xB - hi[basis]
             viol = np.maximum(below, above)
             r = int(np.argmax(viol))
             if viol[r] <= FEAS_TOL:
                 return True
-            free = movable.copy()
-            free[basis] = False
             # dual slack: how far each reduced cost is from pricing its column in
             slack = np.where(state.at_upper, -z, z)
             if it == 0 and np.any(free & (slack < -FEAS_TOL)):
                 return False
-            alpha = T[r]
+            alpha = state.row(r)
             # the leaving value rises when below its bound; column j moves it by
             # -alpha_rj per unit, up from a lower bound or down from an upper one
             toward = alpha if below[r] > 0 else -alpha
-            elig = free & np.where(state.at_upper, toward > PIVOT_TOL, toward < -PIVOT_TOL)
-            if not elig.any():
+            elig = np.flatnonzero(
+                free & np.where(state.at_upper, toward > PIVOT_TOL, toward < -PIVOT_TOL)
+            )
+            if not len(elig):
                 return False
-            ratios = np.full(len(z), np.inf)
-            ratios[elig] = np.maximum(slack[elig], 0.0) / np.abs(alpha[elig])
+            ratios = np.maximum(slack[elig], 0.0) / np.abs(alpha[elig])
             best = float(ratios.min())
-            tied = np.flatnonzero(ratios <= best + 1e-12 + 1e-9 * best)
+            tied = elig[ratios <= best + 1e-12 + 1e-9 * best]
             q = int(tied[np.argmax(np.abs(alpha[tied]))])
             target = lo[basis[r]] if below[r] > 0 else hi[basis[r]]
             step = (state.xB[r] - target) / alpha[q]
             entering_value = (hi[q] if state.at_upper[q] else lo[q]) + step
-            state.xB -= step * T[:, q]
+            d = state.column(q)
+            state.xB -= step * d
             leaving = int(basis[r])
             state.at_upper[leaving] = not below[r] > 0
-            self._pivot(state, r, q)
-            z -= z[q] * T[r]
+            free[leaving], free[q] = movable[leaving], False
+            self._pivot(state, r, q, d)
+            z -= (z[q] / alpha[q]) * alpha
             state.xB[r] = entering_value
         return False
 
@@ -489,30 +506,20 @@ class _FloatSimplex:
                 art_rows.append(i)
         num_art = len(art_rows)
 
-        A_ext = np.hstack([self.A, np.zeros((m, num_art))]) if num_art else self.A.copy()
+        A_ext = np.hstack([self.A, np.zeros((m, num_art))]) if num_art else self.A
         for t, i in enumerate(art_rows):
             A_ext[i, N + t] = 1.0 if resid[i] >= 0 else -1.0
             basis[i] = N + t
 
-        T = A_ext.copy()
+        # every basic column is a slack or an artificial, +-1 in its own row
+        Binv = np.diag(1.0 / A_ext[np.arange(m), basis])
         xB = np.zeros(m)
         for i in range(m):
-            coef = A_ext[i, basis[i]]
-            if coef < 0:
-                T[i] = -T[i]
             xB[i] = abs(resid[i]) if basis[i] >= N else resid[i] * self.A[i, basis[i]]
 
         lo_ext = np.concatenate([self.lo, np.zeros(num_art)])
         hi_ext = np.concatenate([self.hi, np.full(num_art, np.inf)])
-        state = _State(
-            T,
-            basis,
-            xB,
-            np.zeros(N + num_art, dtype=bool),
-            lo_ext,
-            hi_ext,
-            num_art,
-        )
+        state = _State(Binv, A_ext, basis, xB, np.zeros(N + num_art, dtype=bool), lo_ext, hi_ext)
 
         if num_art:
             status = self._loop(state, phase1=True)
@@ -537,7 +544,7 @@ class _FloatSimplex:
         for r in range(self.m):
             if state.basis[r] < N:
                 continue
-            row = state.T[r, :N]
+            row = state.row(r)[:N]
             pivot_col = -1
             for j in np.flatnonzero(np.abs(row) > PIVOT_TOL):
                 if int(j) not in basic:
@@ -549,20 +556,20 @@ class _FloatSimplex:
             entering_value = (
                 state.hi[pivot_col] if state.at_upper[pivot_col] else state.lo[pivot_col]
             )
-            self._pivot(state, r, pivot_col)
+            self._pivot(state, r, pivot_col, state.column(pivot_col))
             state.xB[r] = entering_value
             basic.add(pivot_col)
 
-    def _pivot(self, state: _State, r: int, j: int) -> None:
+    def _pivot(self, state: _State, r: int, j: int, d: np.ndarray) -> None:
+        """Column j enters in row r; d is its tableau column B^-1 A_j. Only
+        the inverse changes: row r is divided by d_r, and d times it is
+        subtracted from every other row."""
         self.pivots += 1
-        T = state.T
-        piv = T[r, j]
-        T[r] = T[r] / piv
-        col = T[:, j].copy()
-        col[r] = 0.0
-        T -= np.outer(col, T[r])
-        T[:, j] = 0.0
-        T[r, j] = 1.0
+        Binv = state.Binv
+        Binv[r] /= d[r]
+        d = d.copy()
+        d[r] = 0.0
+        Binv -= d[:, None] * Binv[r]
         state.basis[r] = j
         state.at_upper[j] = False
 
@@ -575,11 +582,14 @@ class _FloatSimplex:
             cost = np.zeros(width)
             cost[: self.N] = self.cost
         lo, hi = state.lo, state.hi
-        never_enter = np.zeros(width, dtype=bool)
-        never_enter[self.N :] = True  # artificials never re-enter
-        movable = (hi - lo) > 0
-        # priced once; each pivot updates the row with the new pivot row
-        z = cost - cost[state.basis] @ state.T
+        # nonbasic structural or slack columns that can move; artificials
+        # never re-enter, and each pivot swaps two entries
+        enterable = (hi - lo) > 0
+        enterable[self.N :] = False
+        free = enterable.copy()
+        free[state.basis] = False
+        # priced once; each pivot updates them with the pivot row
+        z = state.reduced_costs(cost)
 
         iters = 0
         while True:
@@ -587,10 +597,6 @@ class _FloatSimplex:
             if iters > self.iter_cap:
                 return "cycled"
             basis = state.basis
-            T = state.T
-            basic_mask = np.zeros(width, dtype=bool)
-            basic_mask[basis] = True
-            free = ~basic_mask & ~never_enter & movable
             lower_elig = free & ~state.at_upper & (z < -PIVOT_TOL)
             upper_elig = free & state.at_upper & (z > PIVOT_TOL)
             elig = lower_elig | upper_elig
@@ -603,7 +609,7 @@ class _FloatSimplex:
                 j = int(np.flatnonzero(elig)[0])
 
             sigma = -1.0 if state.at_upper[j] else 1.0
-            d = T[:, j]
+            d = state.column(j)
             delta = -sigma * d
             t_rows = np.full(len(basis), np.inf)
             up = delta > PIVOT_TOL
@@ -623,7 +629,7 @@ class _FloatSimplex:
                 continue
             close = np.flatnonzero(t_rows <= t_star + 1e-12 + 1e-9 * t_star)
             if iters <= self.dantzig_limit:
-                # largest pivot among tied rows keeps the tableau stable;
+                # largest pivot among tied rows keeps the basis well conditioned;
                 # Bland's lowest basis index below guarantees termination
                 r = int(min(close, key=lambda i: (-abs(delta[i]), state.basis[i])))
             else:
@@ -631,14 +637,17 @@ class _FloatSimplex:
             entering_value = (hi[j] if state.at_upper[j] else lo[j]) + sigma * t_star
             leaving = int(state.basis[r])
             state.at_upper[leaving] = bool(delta[r] > 0) and np.isfinite(hi[leaving])
-            self._pivot(state, r, j)
-            z -= z[j] * T[r]
+            free[leaving], free[j] = enterable[leaving], False
+            alpha = state.row(r)
+            self._pivot(state, r, j, d)
+            z -= (z[j] / alpha[j]) * alpha
             state.xB[r] = entering_value
 
     def _finish(self, state: _State, status: str) -> LpResult:
-        """The optimum's result, checked against the original matrix: with a
-        structural basis the basic values are solved again from A_B, and the
-        duals of A_B^T y = c_B must price no free nonbasic column in."""
+        """The optimum's result, checked against the original matrix and not
+        through B^-1: with a structural basis the basic values are solved
+        again from A_B, and the duals of A_B^T y = c_B must price no free
+        nonbasic column in. A structural basis keeps the inverse, read-only."""
         if status == "unbounded":
             return LpResult(LpStatus.UNBOUNDED, None, [], NO_BASIS)
         N = self.N
@@ -679,17 +688,14 @@ class _FloatSimplex:
                 j = int(np.argmax(priced_in))
                 raise LpError(f"column {j} prices in at optimum: reduced cost {float(d[j])}")
         obj = float(self.cost[: self.n] @ primal)
-        tableau = None
+        inverse = None
         if structural:
-            T = state.T[:, :N]
-            beta = T @ x[:N]  # x_B + T_N x_N, as T_B is the identity
-            T.flags.writeable = False
-            beta.flags.writeable = False
-            tableau = KeptTableau(self.rows, T, beta)
+            state.Binv.flags.writeable = False
+            inverse = KeptInverse(self.rows, state.Binv)
         basis_out = Basis(
             tuple(int(j) if j < N else -1 for j in basis),
             frozenset(np.flatnonzero(state.at_upper[:N]).tolist()),
-            tableau,
+            inverse,
         )
         return LpResult(LpStatus.OPTIMAL, obj, primal.tolist(), basis_out)
 

@@ -391,10 +391,28 @@ def _log_support_quality(model: StabModel, x) -> None:
     # planarity is a property of the residual problem: fixed edges are part
     # of the environment and the uncrossing shift cannot touch them
     free = [e for e in support if e not in model.fixed_ones]
+    points = model.inst.points
+    boxes = sorted(
+        (
+            min(points[e.a].x, points[e.b].x),
+            max(points[e.a].x, points[e.b].x),
+            min(points[e.a].y, points[e.b].y),
+            max(points[e.a].y, points[e.b].y),
+            e,
+        )
+        for e in free
+    )
+    # a proper crossing lies inside both segments' bounding boxes and at no
+    # shared endpoint, so only pairs whose boxes meet are tested: in order of
+    # the left edge x0, the scan for e stops at the first box right of e's
     crossings = 0
-    for i, e in enumerate(free):
-        for f in free[i + 1 :]:
-            if is_crossing_pair(e, f, model.inst.points):
+    for i, (_, x1, y0, y1, e) in enumerate(boxes):
+        for fx0, _, fy0, fy1, f in boxes[i + 1 :]:
+            if fx0 > x1:
+                break
+            if fy0 > y1 or fy1 < y0 or e.a in f or e.b in f:
+                continue
+            if is_crossing_pair(e, f, points):
                 crossings += 1
     if crossings:
         logger.warning(

@@ -134,6 +134,24 @@ class TestPipeline:
         )
         assert first == second
 
+    def test_calls_in_sequence_print_what_each_prints_alone(self, instance_file, capsys):
+        # the parser is built once per process; no option of one call may
+        # leak into the next
+        calls = [
+            ("bound", str(instance_file), "--problem", "matching", "--family", "axis", "--exact-check"),
+            ("bound", str(instance_file), "--problem", "matching", "--family", "axis"),
+            ("gen", "--random", "6", "--seed", "3"),
+        ]
+        alone = []
+        for args in calls:
+            minstab.cli._build_parser.cache_clear()
+            alone.append(run(capsys, *args)[:2])
+        minstab.cli._build_parser.cache_clear()
+        in_sequence = [run(capsys, *args)[:2] for args in calls]
+        assert minstab.cli._build_parser.cache_info().misses == 1
+        assert in_sequence == alone
+        assert "k_frac_exact=" in alone[0][1] and "k_frac_exact=" not in alone[1][1]
+
     @pytest.mark.parametrize("command", ["report", "exact"])
     def test_rounds_once(self, instance_file, capsys, monkeypatch, command):
         calls = []

@@ -17,6 +17,7 @@ from minstab import (
     stabs,
 )
 from minstab.geom import (
+    COORD_LIMIT,
     GeometryError,
     StabLine,
     collinear_segments,
@@ -42,6 +43,17 @@ class TestOrient:
 
     def test_clockwise(self):
         assert orient(Point(0, 0), Point(1, 1), Point(2, 0)) == -1
+
+    def test_exact_at_the_coordinate_limit(self):
+        lim = COORD_LIMIT - 1
+        p, q, r = Point(-lim, -lim), Point(lim, -lim), Point(-lim, lim)
+        # (2 lim)^2 overflows 64-bit signed arithmetic, whose wrapped value is negative
+        assert (2 * lim) ** 2 > 2**63
+        assert orient(p, q, r) == 1
+        assert orient(p, r, q) == -1
+        # collinear, with products 2 lim^2 > 2^63 that cancel
+        assert orient(Point(-lim, -lim), Point(0, 0), Point(lim, lim)) == 0
+        assert orient(Point(-lim, lim), Point(lim, -lim), Point(0, 0)) == 0
 
     def test_antisymmetric_in_last_two_args(self):
         rng = SplitMix64(5)

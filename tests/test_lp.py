@@ -47,6 +47,16 @@ def full_program(model):
     return model.lp.with_rows([stab_row(model, i) for i in rest])
 
 
+def inverse_error(lp, basis):
+    """max |B^-1 A_B - I| of basis's kept inverse on lp's basic columns,
+    slacks included; the inverse must be m x m."""
+    m = len(lp.rows)
+    Binv = basis.inverse.Binv
+    assert Binv.shape == (m, m)
+    A_B = _FloatSimplex(lp).A[:, list(basis.basic)]
+    return float(np.abs(Binv @ A_B - np.eye(m)).max())
+
+
 def scipy_solve(lp):
     """Reference solve of the same program with scipy's HiGHS."""
     n = lp.num_vars
@@ -296,6 +306,7 @@ class TestDualReoptimize:
             )
             prior = lp_solve(lp)
             assert prior.status is LpStatus.OPTIMAL
+            assert inverse_error(lp, prior.basis) < 1e-9
             changed = lp
             if rng.random() < 0.8:
                 changed = changed.with_rows(
@@ -309,10 +320,12 @@ class TestDualReoptimize:
             ref = scipy_solve(changed)
             expected = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE}[ref.status]
             assert warm.status is cold.status is expected
-            # every appended row has a slack, so the prior tableau is extended
-            assert warm.kept_tableau and not warm.refactored
+            # every appended row has a slack, so the prior inverse is extended
+            assert warm.kept_inverse and not warm.refactored
             if expected is LpStatus.OPTIMAL:
                 optimal += 1
+                assert inverse_error(changed, warm.basis) < 1e-9
+                assert inverse_error(changed, cold.basis) < 1e-9
                 warm_optimal += warm.warm_started
                 assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-6)
                 assert warm.objective_value == pytest.approx(ref.fun, abs=1e-6)
@@ -409,7 +422,7 @@ class TestRatioTestStability:
     def test_general_lines_n24(self, build):
         # many rows tie in the ratio test on this instance; taking the lowest
         # basis index among them picked pivots as small as 1e-8 and the
-        # tableau drifted until the row check at the optimum failed
+        # float state drifted until the row check at the optimum failed
         model = build(gen_random(24, 100, seed=6), LineFamily.GENERAL)
         res = solve_relaxation(model)
         ref = scipy_solve(full_program(model))
@@ -490,34 +503,42 @@ class TestSharedMatrix:
             lp.with_objective([(3, 1)])
 
     def test_warm_solve_without_pivots_factors_once(self, monkeypatch):
-        # a warm solve from a kept tableau factors no m x (N+1) system: its
-        # only solves are the optimum's checks, each with a vector right-hand side
+        # a warm solve from a kept inverse inverts no basis: its only solves
+        # are the optimum's checks, each with a vector right-hand side
         lp = k_example()
         cold = lp_solve(lp)
         right_hand_sides = []
-        solve = np.linalg.solve
+        inverted = []
+        solve, inv = np.linalg.solve, np.linalg.inv
 
         def recorded(a, b):
             right_hand_sides.append(np.shape(b))
             return solve(a, b)
 
+        def recorded_inv(a):
+            inverted.append(np.shape(a))
+            return inv(a)
+
         monkeypatch.setattr(np.linalg, "solve", recorded)
+        monkeypatch.setattr(np.linalg, "inv", recorded_inv)
         warm = lp_solve(lp, cold.basis)
-        assert warm.warm_started and warm.kept_tableau and not warm.refactored
+        assert warm.warm_started and warm.kept_inverse and not warm.refactored
         assert warm.pivots == 0
         assert warm.primal == cold.primal
         assert cold.primal[1] == 0
         cut = lp.with_rows([make_row({1: 1}, ">=", 0.75)])
         moved = lp_solve(cut, cold.basis)
-        assert moved.warm_started and moved.kept_tableau and moved.pivots > 0
+        assert moved.warm_started and moved.kept_inverse and moved.pivots > 0
         assert moved.primal == pytest.approx([0.25, 0.75, 1])
         assert right_hand_sides and all(len(shape) == 1 for shape in right_hand_sides)
-        # without a kept tableau the basis is factored against [A | b]
+        assert not inverted
+        # without a kept inverse the basis is inverted once, as A_B is 3 x 3
         right_hand_sides.clear()
-        bare = dataclasses.replace(cold.basis, tableau=None)
+        bare = dataclasses.replace(cold.basis, inverse=None)
         factored = lp_solve(cut, bare)
-        assert factored.warm_started and not factored.kept_tableau
-        assert right_hand_sides[0] == (3, 6)  # 3 rows; 3 variables, 2 slacks and b
+        assert factored.warm_started and not factored.kept_inverse
+        assert inverted == [(3, 3)]
+        assert right_hand_sides and all(len(shape) == 1 for shape in right_hand_sides)
         assert factored.primal == pytest.approx(moved.primal)
 
     def test_tableau_of_other_rows_is_not_reused(self):
@@ -530,37 +551,38 @@ class TestSharedMatrix:
             [make_row({0: 1, 1: 2}, "=", 1), make_row({0: 2, 1: 1, 2: -1}, "<=", 0)],
         )
         for other in (k_example(), shifted):
-            tableau = lp_solve(other).basis.tableau
-            assert tableau.T.shape == cold.basis.tableau.T.shape
-            res = lp_solve(lp, dataclasses.replace(cold.basis, tableau=tableau))
-            assert res.warm_started and not res.kept_tableau and not res.refactored
+            inverse = lp_solve(other).basis.inverse
+            assert inverse.Binv.shape == cold.basis.inverse.Binv.shape
+            res = lp_solve(lp, dataclasses.replace(cold.basis, inverse=inverse))
+            assert res.warm_started and not res.kept_inverse and not res.refactored
             assert res.primal == pytest.approx(cold.primal)
             assert res.objective_value == pytest.approx(cold.objective_value)
 
     def test_damaged_tableau_is_caught_and_refactored(self):
-        # min -x0 s.t. x0 + x1 <= 2 ends with x0 basic and T = [1, 1, 1]; under
-        # -x0 - 2 x1 the entry T[0, 1] = 3 makes the kept basis look optimal
+        # min -x0 s.t. x0 + x1 <= 2 ends with x0 basic and B^-1 = [1]; under
+        # -x0 - 2 x1 the inverse [3] prices x1 at -2 + 3 = 1, so the kept
+        # basis looks optimal
         lp = make_lp(2, {0: -1}, [make_row({0: 1, 1: 1}, "<=", 2)])
         prior = lp_solve(lp)
-        kept = prior.basis.tableau
+        kept = prior.basis.inverse
         assert prior.basis.basic == (0,)
-        assert np.array_equal(kept.T, [[1, 1, 1]])
-        assert not kept.T.flags.writeable and not kept.beta.flags.writeable
-        damaged_T = kept.T.copy()
-        damaged_T[0, 1] = 3
+        assert np.array_equal(kept.Binv, [[1]])
+        assert not kept.Binv.flags.writeable
+        damaged_Binv = kept.Binv.copy()
+        damaged_Binv[0, 0] = 3
         damaged = dataclasses.replace(
-            prior.basis, tableau=dataclasses.replace(kept, T=damaged_T)
+            prior.basis, inverse=dataclasses.replace(kept, Binv=damaged_Binv)
         )
         swapped = lp.with_objective([(0, -1), (1, -2)])
         res = lp_solve(swapped, damaged)
-        assert res.kept_tableau and res.refactored and res.warm_started
+        assert res.kept_inverse and res.refactored and res.warm_started
         cold = lp_solve(swapped)
         assert res.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
         assert res.objective_value == pytest.approx(scipy_solve(swapped).fun, abs=1e-9)
         assert res.primal == pytest.approx([0, 2])
-        # the intact tableau reaches the same optimum without a fallback
+        # the intact inverse reaches the same optimum without a fallback
         intact = lp_solve(swapped, prior.basis)
-        assert intact.kept_tableau and not intact.refactored
+        assert intact.kept_inverse and not intact.refactored
         assert intact.primal == pytest.approx([0, 2])
 
     def test_row_check_names_first_violated_row(self):
@@ -573,13 +595,13 @@ class TestSharedMatrix:
         ]
         simplex = _FloatSimplex(make_lp(1, {0: 1}, rows, [(0, 1)]))
         state = _State(
-            np.zeros((3, 4)),
+            np.zeros((3, 3)),
+            simplex.A,
             np.array([1, 0, 3]),
             np.zeros(3),
             np.zeros(4, dtype=bool),
             simplex.lo.copy(),
             simplex.hi.copy(),
-            0,
         )
         with pytest.raises(LpError, match=r"^row 1 violated at optimum: 1\.0 < 2\.0$"):
             simplex._finish(state, "optimal")
@@ -589,13 +611,13 @@ class TestSharedMatrix:
         # duals of A_B^T y = c_B leave x1 a reduced cost of -1
         simplex = _FloatSimplex(make_lp(2, {0: -1, 1: -2}, [make_row({0: 1, 1: 1}, "<=", 2)]))
         state = _State(
-            np.array([[1.0, 1.0, 1.0]]),
+            np.array([[1.0]]),
+            simplex.A,
             np.array([0]),
             np.array([2.0]),
             np.zeros(3, dtype=bool),
             simplex.lo.copy(),
             simplex.hi.copy(),
-            0,
         )
         with pytest.raises(LpError, match=r"^column 1 prices in at optimum: reduced cost -1\.0$"):
             simplex._finish(state, "optimal")

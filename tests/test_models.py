@@ -385,6 +385,27 @@ class TestLexicographicRefine:
             assert max(rt.x.values()) >= 1 / 3 - 1e-6
 
 
+class TestSupportQuality:
+    def test_counts_only_proper_crossings(self, caplog):
+        pts = [(0, 0), (4, 4), (0, 4), (4, 0), (6, 0), (10, 0), (8, 0), (12, 0)]
+        model = build_matching_model(Instance("mix", tuple(Point(*p) for p in pts)), AXIS)
+        support = [
+            Segment(0, 1),  # crosses (2, 3) properly
+            Segment(2, 3),
+            Segment(0, 2),  # shares an endpoint with each diagonal
+            Segment(4, 5),  # collinear overlap with (6, 7)
+            Segment(6, 7),
+            Segment(4, 6),  # shares an endpoint with, and overlaps, (4, 5)
+        ]
+        pairs = [(e, f) for e, f in combinations(support, 2) if is_crossing_pair(e, f, model.inst.points)]
+        assert pairs == [(Segment(0, 1), Segment(2, 3))]
+        with caplog.at_level("WARNING", logger="minstab.models"):
+            models._log_support_quality(model, {e: 0.5 for e in support})
+        assert [r.getMessage() for r in caplog.records] == [
+            "refined matching free support contains 1 properly crossing pair(s)"
+        ]
+
+
 class TestCutKey:
     def test_complement_collapses(self):
         assert cut_key(frozenset({0, 1}), 6) == cut_key(frozenset({2, 3, 4, 5}), 6)
