@@ -12,11 +12,13 @@ r as B^-1_r A and the entering column as B^-1 A_j, and updates only the
 inverse. It re-optimizes from a prior basis after rows are added or bounds
 fixed: nonbasic variables return to the bound they held, a bounded dual
 simplex restores primal feasibility while the reduced costs stay dual
-feasible, and the primal simplex finishes. A basis that is not dual feasible,
-or a dual ratio test with no entering column, falls back to the cold
-two-phase solve, so only phase 1 declares a program infeasible. The exact
-path warm-starts only from a primal feasible basis, with the nonbasic
-variables at the bounds the basis records.
+feasible, and the primal simplex finishes. The dual simplex picks its leaving
+row by dual steepest edge, with the exact weights ||e_r^T B^-1||^2 read off
+the kept inverse. A basis that is not dual feasible, or a dual ratio test
+with no entering column, falls back to the cold two-phase solve, so only
+phase 1 declares a program infeasible. The exact path warm-starts only from a
+primal feasible basis, with the nonbasic variables at the bounds the basis
+records.
 
 A float solve's basis keeps its final inverse over the program's rows. A
 warm solve of a program whose first rows are those very Row objects extends
@@ -25,19 +27,22 @@ coefficients s add the rows [-diag(1/s) a_B B^-1, diag(1/s)], in O(k m^2),
 and bound or objective changes only move the nonbasic values and the
 reduced costs. Any other basis is inverted from scratch. The pivots update
 the reduced costs instead of pricing every column again. Every optimum with
-a structural basis is checked against the original matrix, never through
-the inverse: the basic values are solved again from A_B, and the duals of
-A_B^T y = c_B must price no free nonbasic column in. A solve from a kept
-inverse that fails a check re-solves once from a freshly inverted basis; any
-other solve raises.
+a structural basis is checked against the original matrix: its basic values
+x_B = B^-1 (b - A_N x_N) and duals y = c_B B^-1 are computed through the
+inverse in O(m^2), each refined once against A_B; the rows must hold,
+|c_B - y A_B| must stay within FEAS_TOL of the size of the terms it sums, and
+y must price no free nonbasic column in. A solve from a kept inverse that
+fails a check re-solves once from a freshly inverted basis; any other solve
+raises.
 
-A program keeps its row coefficients as one float64 matrix, built and
-index-checked once per row set: appending rows converts only the new ones (or
-stacks coefficients the caller built already), and a copy with other bounds
-or another objective shares the matrix. The float simplex copies it into its
-constraint matrix, beside the slack columns, instead of re-reading the rows.
-Such copies check only what they change; a program constructed directly
-checks every bound and row.
+A program keeps its row coefficients as one float64 matrix, and both simplex
+paths read only it. The matrix is built and checked once per row set:
+appending rows converts only the new ones (or stacks coefficients the caller
+built already, such as a stabbing-row pool, whose rows carry none), and a
+copy with other bounds or another objective shares the matrix. The exact
+path converts each entry to its exact rational, so make_row rejects a
+coefficient that float64 cannot hold exactly. Such copies check only what
+they change; a program constructed directly checks every bound and row.
 """
 
 from __future__ import annotations
@@ -69,32 +74,42 @@ class LpStatus(Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Row:
-    coeffs: tuple[tuple[int, Number], ...]
+    """A constraint's relation, right-hand side and, when make_row built it,
+    coeffs: sorted (index, float64) pairs, a repeated index summed in exact
+    rationals. A coefficient that float64 cannot hold exactly raises, because
+    the exact simplex reads the program's float matrix back. A program builds
+    its matrix from coeffs; a row without them (a stabbing-pool row) enters a
+    program only with its matrix row. Rows compare by identity: a kept basis
+    inverse belongs to the very rows it was computed for."""
+
     rel: str  # "<=", "=" or ">="
     rhs: Number
+    coeffs: Optional[tuple[tuple[int, float], ...]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.rel not in ("<=", "=", ">="):
             raise LpError(f"bad relation {self.rel!r}")
+        if self.coeffs is not None:
+            object.__setattr__(self, "coeffs", _exact_coeffs(self.coeffs))
 
 
 def make_row(
     coeffs: Mapping[int, Number] | Iterable[tuple[int, Number]], rel: str, rhs: Number
 ) -> Row:
-    items = tuple(sorted(coeffs.items() if isinstance(coeffs, Mapping) else coeffs))
-    return Row(items, rel, rhs)
+    return Row(rel, rhs, tuple(coeffs.items() if isinstance(coeffs, Mapping) else coeffs))
 
 
 @dataclass(frozen=True)
 class LinearProgram:
     """Minimization LP over bounded variables; treated as immutable.
 
-    matrix holds the row coefficients, one float64 row per Row. A program
-    constructed without it builds it and checks every row's indices;
-    with_rows converts and checks only the appended rows, and copies that
-    keep the rows (with_bound, with_objective, dataclasses.replace) share it.
+    matrix holds the row coefficients, one float64 row per Row; both simplex
+    paths read only it. A program constructed without it builds it from the
+    rows' coeffs and checks every row's indices; with_rows does so for the
+    appended rows only, and copies that keep the rows (with_bound,
+    with_objective, dataclasses.replace) share it.
     """
 
     num_vars: int
@@ -110,10 +125,7 @@ class LinearProgram:
         for j, (l, h) in enumerate(zip(self.lo, self.hi)):
             _check_bound(j, l, h)
         _check_objective(self.objective, self.num_vars)
-        if self.matrix is None:
-            object.__setattr__(self, "matrix", _row_matrix(self.rows, self.num_vars))
-        elif self.matrix.shape != (len(self.rows), self.num_vars):
-            raise LpError("coefficient matrix does not match the rows")
+        object.__setattr__(self, "matrix", _row_matrix(self.rows, self.num_vars, self.matrix))
 
     def _copy(self, **changes) -> "LinearProgram":
         """A copy with these fields replaced, without __post_init__'s checks
@@ -128,12 +140,10 @@ class LinearProgram:
     ) -> "LinearProgram":
         """These rows appended. matrix, when given, holds their coefficients
         as built before (a stabbing-row pool, another program's rows) and is
-        stacked as it is; otherwise the rows are converted and checked."""
+        stacked as it is; otherwise the rows' coeffs are converted and
+        checked."""
         new_rows = tuple(new_rows)
-        if matrix is None:
-            matrix = _row_matrix(new_rows, self.num_vars)
-        elif matrix.shape != (len(new_rows), self.num_vars):
-            raise LpError("coefficient matrix does not match the rows")
+        matrix = _row_matrix(new_rows, self.num_vars, matrix)
         return self._copy(rows=self.rows + new_rows, matrix=np.vstack([self.matrix, matrix]))
 
     def with_bound(self, var: int, lo: Number, hi: Number) -> "LinearProgram":
@@ -168,15 +178,50 @@ def _check_objective(objective: Iterable[tuple[int, Number]], num_vars: int) -> 
             raise LpError(f"objective index {idx} out of range")
 
 
-def _row_matrix(rows: Sequence[Row], num_vars: int) -> np.ndarray:
-    """The rows' coefficients as a float64 array; raises on an index out of range."""
+def _exact_float(coef: Number) -> float:
+    """coef as a float64; raises unless float64 holds it exactly."""
+    try:
+        value = float(coef)
+    except OverflowError:
+        value = math.inf
+    # int, Fraction and float compare with a float exactly
+    if not math.isfinite(value) or value != coef:
+        raise LpError(f"coefficient {coef} has no exact float64 value")
+    return value
+
+
+def _exact_coeffs(items: Iterable[tuple[int, Number]]) -> tuple[tuple[int, float], ...]:
+    """The coefficients as sorted (index, float64) pairs, a repeated index
+    summed in exact rationals; raises unless float64 holds each exactly."""
+    merged: dict[int, Number] = {}
+    for idx, coef in items:
+        merged[idx] = _frac(merged[idx]) + _frac(coef) if idx in merged else coef
+    return tuple(sorted((idx, _exact_float(coef)) for idx, coef in merged.items()))
+
+
+def _row_matrix(
+    rows: Sequence[Row], num_vars: int, matrix: Optional[np.ndarray]
+) -> np.ndarray:
+    """The rows' coefficient matrix. A given one must match the rows and be
+    finite; otherwise it is built from the rows' coeffs, checking their
+    indices, and a row without coeffs raises."""
+    if matrix is not None:
+        if matrix.shape != (len(rows), num_vars):
+            raise LpError("coefficient matrix does not match the rows")
+        if not np.all(np.isfinite(matrix)):
+            raise LpError("coefficient matrix is not finite")
+        return matrix
     matrix = np.zeros((len(rows), num_vars))
     for i, row in enumerate(rows):
-        cols = [idx for idx, _ in row.coeffs]
-        for idx in cols:
-            if not 0 <= idx < num_vars:
-                raise LpError(f"row index {idx} out of range")
-        np.add.at(matrix[i], cols, [float(coef) for _, coef in row.coeffs])
+        if row.coeffs is None:
+            raise LpError(f"row {i} has no coefficients and no matrix row")
+        if row.coeffs:
+            cols, coefs = zip(*row.coeffs)
+            # a Row's indices are sorted and distinct
+            for idx in (cols[0], cols[-1]):
+                if not 0 <= idx < num_vars:
+                    raise LpError(f"row index {idx} out of range")
+            matrix[i, list(cols)] = coefs
     return matrix
 
 
@@ -443,12 +488,12 @@ class _FloatSimplex:
     def _dual_loop(self, state: _State) -> bool:
         """Bounded dual simplex until every basic value fits its bounds.
 
-        The row with the largest bound violation leaves; the entering column
-        minimizes |d_j| / |alpha_rj| over the nonbasic columns that move the
-        leaving value toward its bound, ties to the largest |alpha_rj| and then
-        the lowest index. Returns False when the basis is not dual feasible,
-        no column can enter or the iteration cap trips; the caller then
-        solves cold.
+        The leaving row is chosen by dual steepest edge (_leaving_row); the
+        entering column minimizes |d_j| / |alpha_rj| over the nonbasic
+        columns that move the leaving value toward its bound, ties to the
+        largest |alpha_rj| and then the lowest index. Returns False when the
+        basis is not dual feasible, no column can enter or the iteration cap
+        trips; the caller then solves cold.
         """
         lo, hi = state.lo, state.hi
         movable = (hi - lo) > 0
@@ -456,21 +501,19 @@ class _FloatSimplex:
         free[state.basis] = False
         z = state.reduced_costs(self.cost)
         for it in range(self.dantzig_limit):
-            basis = state.basis
-            below = lo[basis] - state.xB
-            above = state.xB - hi[basis]
-            viol = np.maximum(below, above)
-            r = int(np.argmax(viol))
-            if viol[r] <= FEAS_TOL:
+            r = self._leaving_row(state)
+            if r < 0:
                 return True
+            basis = state.basis
             # dual slack: how far each reduced cost is from pricing its column in
             slack = np.where(state.at_upper, -z, z)
             if it == 0 and np.any(free & (slack < -FEAS_TOL)):
                 return False
+            rises = bool(state.xB[r] < lo[basis[r]])
             alpha = state.row(r)
             # the leaving value rises when below its bound; column j moves it by
             # -alpha_rj per unit, up from a lower bound or down from an upper one
-            toward = alpha if below[r] > 0 else -alpha
+            toward = alpha if rises else -alpha
             elig = np.flatnonzero(
                 free & np.where(state.at_upper, toward > PIVOT_TOL, toward < -PIVOT_TOL)
             )
@@ -480,18 +523,33 @@ class _FloatSimplex:
             best = float(ratios.min())
             tied = elig[ratios <= best + 1e-12 + 1e-9 * best]
             q = int(tied[np.argmax(np.abs(alpha[tied]))])
-            target = lo[basis[r]] if below[r] > 0 else hi[basis[r]]
+            target = lo[basis[r]] if rises else hi[basis[r]]
             step = (state.xB[r] - target) / alpha[q]
             entering_value = (hi[q] if state.at_upper[q] else lo[q]) + step
             d = state.column(q)
             state.xB -= step * d
             leaving = int(basis[r])
-            state.at_upper[leaving] = not below[r] > 0
+            state.at_upper[leaving] = not rises
             free[leaving], free[q] = movable[leaving], False
             self._pivot(state, r, q, d)
             z -= (z[q] / alpha[q]) * alpha
             state.xB[r] = entering_value
         return False
+
+    @staticmethod
+    def _leaving_row(state: _State) -> int:
+        """The dual steepest-edge row: among the rows whose basic value
+        breaks a bound by more than FEAS_TOL, the one with the largest
+        violation^2 / ||e_r^T B^-1||^2, ties to the lowest row; -1 when no row
+        does. The weights are exact norms of rows of the kept inverse, O(m^2)."""
+        xB, basis = state.xB, state.basis
+        viol = np.maximum(state.lo[basis] - xB, xB - state.hi[basis])
+        rows = np.flatnonzero(viol > FEAS_TOL)
+        if not len(rows):
+            return -1
+        Binv = state.Binv[rows]
+        weights = np.einsum("ij,ij->i", Binv, Binv)
+        return int(rows[np.argmax(viol[rows] ** 2 / weights)])
 
     def _cold(self) -> LpResult:
         m, N = self.m, self.N
@@ -644,10 +702,13 @@ class _FloatSimplex:
             state.xB[r] = entering_value
 
     def _finish(self, state: _State, status: str) -> LpResult:
-        """The optimum's result, checked against the original matrix and not
-        through B^-1: with a structural basis the basic values are solved
-        again from A_B, and the duals of A_B^T y = c_B must price no free
-        nonbasic column in. A structural basis keeps the inverse, read-only."""
+        """The optimum's result, checked against the original matrix. With a
+        structural basis the basic values x_B = B^-1 (b - A_N x_N) and the
+        duals y = c_B B^-1 are computed through the kept inverse, each with
+        one step of iterative refinement against A_B; the rows must hold at
+        the optimum, |c_B - y A_B| must stay within FEAS_TOL times
+        max(1, |c_B| + |y| |A_B|), and y must price no free nonbasic column
+        in. A structural basis keeps the inverse, read-only."""
         if status == "unbounded":
             return LpResult(LpStatus.UNBOUNDED, None, [], NO_BASIS)
         N = self.N
@@ -658,12 +719,12 @@ class _FloatSimplex:
         if len(basis):
             x[basis] = 0.0
             if structural:
-                A_B = self.A[:, basis]
-                try:
-                    state.xB = np.linalg.solve(A_B, self.b - self.A @ x[:N])
-                    y = np.linalg.solve(A_B.T, self.cost[basis])
-                except np.linalg.LinAlgError:
-                    pass
+                Binv, A_B, c_B = state.Binv, self.A[:, basis], self.cost[basis]
+                rhs = self.b - self.A @ x[:N]
+                xB = Binv @ rhs
+                state.xB = xB + Binv @ (rhs - A_B @ xB)
+                y = c_B @ Binv
+                y += (c_B - y @ A_B) @ Binv
             x[basis] = state.xB
         primal = np.clip(x[: self.n], self.lo[: self.n], self.hi[: self.n])
         activities = self.A[:, : self.n] @ primal
@@ -681,6 +742,11 @@ class _FloatSimplex:
             raise LpError(f"row {i} violated at optimum: {act} {sign} {rhs}")
         if y is not None:
             d = self.cost - y @ self.A
+            # c_B - y A_B, against the size of the terms its float sum adds
+            residual = np.abs(d[basis])
+            scale = np.abs(self.cost[basis]) + np.abs(y) @ np.abs(self.A[:, basis])
+            if not np.all(residual <= FEAS_TOL * np.maximum(1.0, scale)):
+                raise LpError(f"basis residual {float(residual.max())} at optimum")
             free = self.hi > self.lo
             free[basis] = False
             priced_in = free & np.where(state.at_upper[:N], d > FEAS_TOL, d < -FEAS_TOL)
@@ -717,12 +783,16 @@ class _ExactSimplex:
         N = n + num_slacks
         self.N = N
         self.A = [[Fraction(0)] * N for _ in range(m)]
+        # the program's float64 coefficients, each converted exactly
+        self.terms: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
+        rows_i, cols_j = np.nonzero(lp.matrix)
+        for i, j, coef in zip(rows_i.tolist(), cols_j.tolist(), lp.matrix[rows_i, cols_j].tolist()):
+            self.A[i][j] = Fraction(coef)
+            self.terms[i].append((j, self.A[i][j]))
         self.b = [Fraction(0)] * m
         self.slack_of_row = [-1] * m
         slack = n
         for i, row in enumerate(lp.rows):
-            for idx, coef in row.coeffs:
-                self.A[i][idx] += _frac(coef)
             self.b[i] = _frac(row.rhs)
             if row.rel != "=":
                 self.A[i][slack] = Fraction(1) if row.rel == "<=" else Fraction(-1)
@@ -986,9 +1056,9 @@ class _ExactSimplex:
             x[j] = xB[i]
         primal = x[: self.n]
         for i, row in enumerate(self.lp.rows):
-            acc = -_frac(row.rhs)
-            for idx, coef in row.coeffs:
-                acc += _frac(coef) * primal[idx]
+            acc = -self.b[i]
+            for idx, coef in self.terms[i]:
+                acc += coef * primal[idx]
             if row.rel == "<=" and acc > 0:
                 raise LpError(f"exact optimum violates row {i}")
             if row.rel == ">=" and acc < 0:

@@ -83,8 +83,10 @@ class StabModel:
 
     stab_pool holds every representative line's stabbing row, in line order,
     as float coefficients over lp's variables (rhs 0: the stabbed edges minus
-    k). It is built once and never written; stab_distinct marks the rows that
-    equal no earlier line's row, the only ones the loop appends. cut_keys
+    k). It is built once and never written; the loop appends a pool row by
+    stacking its matrix row onto lp's, with a Row("<=", 0) of its own and no
+    coefficient tuple. stab_distinct marks the rows that equal no earlier
+    line's row, the only ones the loop appends. cut_keys
     names every row appended to lp: a cut by the canonical side of its vertex
     set (cut_key), a stabbing row by its index in the pool.
     """
@@ -176,13 +178,6 @@ def _stab_pool(inst: Instance, family: LineFamily, edges) -> tuple[np.ndarray, n
     distinct = np.zeros(len(lines), dtype=bool)
     distinct[first] = True
     return pool, distinct
-
-
-def stab_row(model: StabModel, index: int) -> Row:
-    """The pool's stabbing row at index, as a row of model.lp."""
-    coeffs = model.stab_pool[index]
-    support = np.flatnonzero(coeffs)
-    return Row(tuple(zip(support.tolist(), coeffs[support].astype(int).tolist())), "<=", 0)
 
 
 def build_matching_model(inst: Instance, family: LineFamily) -> StabModel:
@@ -278,9 +273,8 @@ def _run_loop(
         lines = _violated_stab_rows(model, result.primal, exact=exact)
         if lines:
             model.cut_keys.update(lines)
-            model.lp = model.lp.with_rows(
-                [stab_row(model, i) for i in lines], model.stab_pool[lines]
-            )
+            # the pool's matrix rows are the coefficients; each row is its own Row
+            model.lp = model.lp.with_rows([Row("<=", 0) for _ in lines], model.stab_pool[lines])
             stab_rows_added += len(lines)
             continue
         x = {e: result.primal[i] for i, e in enumerate(model.edges)}

@@ -21,6 +21,7 @@ from minstab.lp import (
     LinearProgram,
     LpError,
     LpStatus,
+    Row,
     _FloatSimplex,
     _State,
     lp_fix_variable,
@@ -28,7 +29,7 @@ from minstab.lp import (
     make_lp,
     make_row,
 )
-from minstab.models import cut_row, fix_edge, stab_row
+from minstab.models import cut_row, fix_edge
 
 
 def k_example():
@@ -44,7 +45,7 @@ def full_program(model):
     """model.lp plus every stabbing row of the model's pool not yet in it: the
     whole relaxation with the cuts found so far."""
     rest = [i for i in range(len(model.stab_pool)) if i not in model.cut_keys]
-    return model.lp.with_rows([stab_row(model, i) for i in rest])
+    return model.lp.with_rows([Row("<=", 0) for _ in rest], model.stab_pool[rest])
 
 
 def inverse_error(lp, basis):
@@ -64,10 +65,7 @@ def scipy_solve(lp):
     for j, v in lp.objective:
         c[j] = v
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for r in lp.rows:
-        arr = np.zeros(n)
-        for j, v in r.coeffs:
-            arr[j] = v
+    for r, arr in zip(lp.rows, lp.matrix):
         if r.rel == "<=":
             a_ub.append(arr)
             b_ub.append(r.rhs)
@@ -225,6 +223,32 @@ class TestDualReoptimize:
         assert warm.objective_value == pytest.approx(scipy_solve(cut).fun, abs=1e-9)
         assert warm.objective_value == pytest.approx(3)
 
+    def test_steepest_edge_row_leaves_first(self, monkeypatch):
+        # min -x0 - x1 s.t. x0 <= 4, x1 <= 4 ends at (4, 4) with B^-1 = I.
+        # Appended, 3 x0 <= 9 is violated by 3 and x1 <= 2 by 2; their rows
+        # of the extended inverse are [-3, 0, 1] and [0, -1, 1], so dual
+        # steepest edge scores them 9 / 10 and 4 / 2: the second row leaves
+        # first, not the one with the largest violation
+        lp = make_lp(2, {0: -1, 1: -1}, [make_row({0: 1}, "<=", 4), make_row({1: 1}, "<=", 4)])
+        prior = lp_solve(lp)
+        assert prior.primal == [4, 4]
+        cut = lp.with_rows([make_row({0: 3}, "<=", 9), make_row({1: 1}, "<=", 2)])
+        leaving = []
+        pivot = _FloatSimplex._pivot
+
+        def recorded(self, state, r, j, d):
+            leaving.append(r)
+            pivot(self, state, r, j, d)
+
+        monkeypatch.setattr(_FloatSimplex, "_pivot", recorded)
+        warm = lp_solve(cut, prior.basis)
+        assert warm.warm_started and warm.kept_inverse and not warm.refactored
+        assert leaving[0] == 3
+        cold = lp_solve(cut)
+        assert warm.primal == pytest.approx(cold.primal) == [3, 2]
+        assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+        assert warm.objective_value == pytest.approx(scipy_solve(cut).fun, abs=1e-9)
+
     def test_nonbasic_at_upper_bound_is_restored(self):
         # x0 and x1 sit at their upper bound 1 at the optimum; put back at their
         # lower bound their reduced costs are dual infeasible and the warm start
@@ -278,8 +302,28 @@ class TestDualReoptimize:
                 primal_after_dual.append(self.pivots - before)
             return status
 
+        # every leaving row of the dual loop is the dual steepest-edge row:
+        # the largest violation^2 / ||e_r^T B^-1||^2 among the violated rows
+        choices = []
+        leaving_row = _FloatSimplex._leaving_row
+
+        def recorded_leaving_row(state):
+            r = leaving_row(state)
+            lo, hi = state.lo[state.basis], state.hi[state.basis]
+            viol = np.maximum(lo - state.xB, state.xB - hi)
+            violated = np.flatnonzero(viol > FEAS_TOL)
+            if not len(violated):
+                assert r == -1
+                return r
+            assert r in violated
+            scores = {i: viol[i] ** 2 / np.sum(state.Binv[i] ** 2) for i in violated.tolist()}
+            assert scores[r] >= (1 - 1e-9) * max(scores.values())
+            choices.append(r != violated[np.argmax(viol[violated])])
+            return r
+
         monkeypatch.setattr(_FloatSimplex, "_dual_loop", recorded_dual_loop)
         monkeypatch.setattr(_FloatSimplex, "_loop", recorded_loop)
+        monkeypatch.setattr(_FloatSimplex, "_leaving_row", staticmethod(recorded_leaving_row))
         rng = random.Random(2005)
         warm_optimal = optimal = 0
         for _ in range(200):
@@ -334,6 +378,8 @@ class TestDualReoptimize:
         assert optimal > 50
         assert warm_optimal == optimal
         assert len(primal_after_dual) >= optimal and not any(primal_after_dual)
+        # some leaving rows are not the most violated ones
+        assert len(choices) > 100 and any(choices)
 
 
 class TestFixVariable:
@@ -450,6 +496,43 @@ class TestValidation:
         with pytest.raises(LpError, match="out of range"):
             make_lp(3, {}, [make_row({index: 1}, "<=", 0)])
 
+    @pytest.mark.parametrize("coef", [Fraction(1, 3), 2**53 + 1, 10**400, math.inf])
+    def test_coefficient_float64_cannot_hold_is_rejected(self, coef):
+        # both simplex paths read the float matrix, and the exact path
+        # converts it back: a coefficient must survive float64 unchanged
+        with pytest.raises(LpError, match="no exact float64 value"):
+            make_row({0: coef}, "<=", 1)
+        # a repeated index is summed exactly before the check
+        with pytest.raises(LpError, match="no exact float64 value"):
+            make_row([(0, 2**53), (1, 1), (0, 1)], "<=", 1)
+        # a Row checks its coefficients when built, so none reaches a program
+        with pytest.raises(LpError, match="no exact float64 value"):
+            make_lp(3, {}, [Row("<=", 1, ((0, coef),))])
+        with pytest.raises(LpError, match="no exact float64 value"):
+            k_example().with_rows([Row("<=", 1, ((0, coef),))])
+        # an exactly held coefficient passes, and the exact path reads it back
+        half = make_lp(1, {0: 1}, [make_row({0: Fraction(1, 2)}, ">=", 1)])
+        assert lp_solve(half, exact=True).objective_value == 2
+
+    def test_rows_without_coefficients_need_their_matrix(self):
+        # a pool row carries no coeffs: it enters a program only with its
+        # matrix row, and a program rebuilt from such rows alone raises
+        row = make_row({1: 1, 0: 1}, "=", 1)
+        assert row.coeffs == ((0, 1.0), (1, 1.0))
+        lp = make_lp(3, {2: 1}, [row])
+        assert lp.rows == (row,)
+        grown = lp.with_rows([Row("<=", 0)], np.array([[1.0, 1.0, -1.0]]))
+        assert np.array_equal(grown.matrix, [[1, 1, 0], [1, 1, -1]])
+        assert grown.rows[0] is row
+        with pytest.raises(LpError, match="row 0 has no coefficients"):
+            lp.with_rows([Row("<=", 0)])
+        with pytest.raises(LpError, match="row 1 has no coefficients"):
+            LinearProgram(3, grown.objective, grown.rows, grown.lo, grown.hi)
+        rebuilt = LinearProgram(3, lp.objective, lp.rows, lp.lo, lp.hi)
+        assert np.array_equal(rebuilt.matrix, lp.matrix)
+        with pytest.raises(LpError, match="not finite"):
+            lp.with_rows([Row("<=", 0)], np.array([[np.nan, 1.0, 0.0]]))
+
 
 class TestSharedMatrix:
     def test_copies_keep_the_matrix_of_their_rows(self):
@@ -503,8 +586,8 @@ class TestSharedMatrix:
             lp.with_objective([(3, 1)])
 
     def test_warm_solve_without_pivots_factors_once(self, monkeypatch):
-        # a warm solve from a kept inverse inverts no basis: its only solves
-        # are the optimum's checks, each with a vector right-hand side
+        # a warm solve from a kept inverse inverts no basis, and the optimum's
+        # checks read x_B and y through that inverse: no linear solve runs
         lp = k_example()
         cold = lp_solve(lp)
         right_hand_sides = []
@@ -530,15 +613,13 @@ class TestSharedMatrix:
         moved = lp_solve(cut, cold.basis)
         assert moved.warm_started and moved.kept_inverse and moved.pivots > 0
         assert moved.primal == pytest.approx([0.25, 0.75, 1])
-        assert right_hand_sides and all(len(shape) == 1 for shape in right_hand_sides)
-        assert not inverted
+        assert not right_hand_sides and not inverted
         # without a kept inverse the basis is inverted once, as A_B is 3 x 3
-        right_hand_sides.clear()
         bare = dataclasses.replace(cold.basis, inverse=None)
         factored = lp_solve(cut, bare)
         assert factored.warm_started and not factored.kept_inverse
         assert inverted == [(3, 3)]
-        assert right_hand_sides and all(len(shape) == 1 for shape in right_hand_sides)
+        assert not right_hand_sides
         assert factored.primal == pytest.approx(moved.primal)
 
     def test_tableau_of_other_rows_is_not_reused(self):
@@ -585,6 +666,44 @@ class TestSharedMatrix:
         assert intact.kept_inverse and not intact.refactored
         assert intact.primal == pytest.approx([0, 2])
 
+    def test_residual_check_catches_a_damaged_inverse(self, monkeypatch):
+        # min -3 x0 - x1 s.t. x0 - x1 <= 0, x0 + x1 <= 4 ends at x = (2, 2)
+        # with B^-1 = [[.5, .5], [-.5, .5]]. Moving B^-1[0, 0] by 1e-3 leaves
+        # x_B exact (row 0's rhs is 0) and every reduced cost of the right
+        # sign, so no pivot runs and the row and pricing checks pass; only
+        # |c_B - y A_B| of the refined duals, about 3e-6, exceeds FEAS_TOL
+        lp = make_lp(
+            2, {0: -3, 1: -1}, [make_row({0: 1, 1: -1}, "<=", 0), make_row({0: 1, 1: 1}, "<=", 4)]
+        )
+        prior = lp_solve(lp)
+        kept = prior.basis.inverse
+        assert prior.basis.basic == (0, 1)
+        assert np.allclose(kept.Binv, [[0.5, 0.5], [-0.5, 0.5]])
+        damaged_Binv = kept.Binv.copy()
+        damaged_Binv[0, 0] += 1e-3
+        damaged = dataclasses.replace(
+            prior.basis, inverse=dataclasses.replace(kept, Binv=damaged_Binv)
+        )
+        failures = []
+        finish = _FloatSimplex._finish
+
+        def recorded(self, state, status):
+            try:
+                return finish(self, state, status)
+            except LpError as exc:
+                failures.append(str(exc))
+                raise
+
+        monkeypatch.setattr(_FloatSimplex, "_finish", recorded)
+        res = lp_solve(lp, damaged)
+        assert res.kept_inverse and res.refactored and res.warm_started
+        assert res.pivots == 0
+        assert len(failures) == 1 and failures[0].startswith("basis residual ")
+        cold = lp_solve(lp)
+        assert res.primal == pytest.approx(cold.primal) == [2, 2]
+        assert res.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+        assert np.abs(res.basis.inverse.Binv - kept.Binv).max() < 1e-12
+
     def test_row_check_names_first_violated_row(self):
         # x0 <= 1 by its bound; the basis puts x0 = 2, and once x0 is clipped
         # to its bound rows 1 and 2 both fail
@@ -594,10 +713,11 @@ class TestSharedMatrix:
             make_row({0: 1}, ">=", 3),
         ]
         simplex = _FloatSimplex(make_lp(1, {0: 1}, rows, [(0, 1)]))
+        basis = np.array([1, 0, 3])
         state = _State(
-            np.zeros((3, 3)),
+            np.linalg.inv(simplex.A[:, basis]),
             simplex.A,
-            np.array([1, 0, 3]),
+            basis,
             np.zeros(3),
             np.zeros(4, dtype=bool),
             simplex.lo.copy(),

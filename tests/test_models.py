@@ -34,12 +34,12 @@ GENERAL = LineFamily.GENERAL
 
 
 def stab_row_of(model):
-    """The model's stabbing rows, one per representative line, in line order;
-    the pool holds them, and model.lp holds only those appended so far."""
+    """The model's stabbing rows' coefficients, one per representative line,
+    in line order; the pool holds them, and model.lp holds only those
+    appended so far."""
     lines = representative_lines(model.inst.points, model.family)
-    rows = [models.stab_row(model, i) for i in range(len(model.stab_pool))]
-    assert len(rows) == len(lines)
-    return dict(zip(lines, rows))
+    assert len(model.stab_pool) == len(lines)
+    return dict(zip(lines, model.stab_pool))
 
 
 def min_odd_cut(x, n):
@@ -70,14 +70,15 @@ class TestBuildMatchingModel:
         for family in (AXIS, GENERAL):
             model = build_matching_model(unit_square, family)
             for line, row in stab_row_of(model).items():
-                support = {idx for idx, coef in row.coeffs if coef == 1}
+                support = set(np.flatnonzero(row == 1).tolist())
                 expected = {
                     i
                     for i, e in enumerate(model.edges)
                     if stabs(line, e, unit_square.points)
                 }
                 assert support == expected
-                assert dict(row.coeffs)[model.k_index] == -1
+                assert row[model.k_index] == -1
+                assert np.count_nonzero(row) == len(expected) + 1
 
     def test_stab_rows_exact_near_the_coordinate_limit(self):
         # a*x + b*y - c overflows 64-bit integers here; the pool must still
@@ -90,7 +91,7 @@ class TestBuildMatchingModel:
         inst = Instance("big", pts)
         model = build_matching_model(inst, GENERAL)
         for line, row in stab_row_of(model).items():
-            support = {idx for idx, _ in row.coeffs if idx != model.k_index}
+            support = {idx for idx in np.flatnonzero(row).tolist() if idx != model.k_index}
             assert support == {
                 i for i, e in enumerate(model.edges) if stabs(line, e, pts)
             }
@@ -100,7 +101,7 @@ class TestBuildMatchingModel:
         line = StabLine.vertical(0)
         support = {
             model.edges[i]
-            for i, coef in stab_row_of(model)[line].coeffs
+            for i in np.flatnonzero(stab_row_of(model)[line]).tolist()
             if i != model.k_index
         }
         assert support == {
@@ -126,9 +127,9 @@ class TestBuildTreeModel:
 
     def test_unit_square_total(self, unit_square):
         model = build_tree_model(unit_square, AXIS)
-        total = [r for r in model.lp.rows if r.rel == "="][0]
-        assert total.rhs == 3
-        assert len([i for i, _ in total.coeffs]) == 6
+        [total] = [i for i, r in enumerate(model.lp.rows) if r.rel == "="]
+        assert model.lp.rows[total].rhs == 3
+        assert np.count_nonzero(model.lp.matrix[total]) == 6
 
     def test_single_point_rejected(self):
         inst = Instance("one", (Point(0, 0),))
@@ -273,14 +274,17 @@ class TestLazyStabbingRows:
         model = build_matching_model(
             Instance("sq", (Point(0, 0), Point(4, 0), Point(0, 4), Point(4, 4))), GENERAL
         )
-        rows = [models.stab_row(model, i) for i in range(len(model.stab_pool))]
+        rows = [row.tobytes() for row in model.stab_pool]
         first = {}
         for i, row in enumerate(rows):
             first.setdefault(row, i)
         assert len(first) < len(rows)
         assert list(model.stab_distinct) == [first[row] == i for i, row in enumerate(rows)]
         solve_relaxation(model)
-        assert len(set(model.lp.rows)) == len(model.lp.rows)
+        # no two rows of the program have the same coefficients, relation and rhs
+        lp = model.lp
+        keys = {(row.rel, row.rhs, lp.matrix[i].tobytes()) for i, row in enumerate(lp.rows)}
+        assert len(keys) == len(lp.rows)
 
 
 class TestLexicographicRefine:
@@ -309,6 +313,27 @@ class TestLexicographicRefine:
             for i, e in enumerate(support):
                 for f in support[i + 1 :]:
                     assert not is_crossing_pair(e, f, inst.points)
+
+    @pytest.mark.parametrize("build", [build_matching_model, build_tree_model])
+    def test_same_optimum_near_the_coordinate_limit(self, build):
+        # scaling by 2^24 and shifting by 2^30 keeps which edges each line
+        # stabs and scales every length alike, so k and the refined optimum
+        # stay; the length costs reach about 2^31, where one float64 step of
+        # y A_B is above FEAS_TOL
+        for seed in range(5):
+            small = gen_random(8, 50, seed=100 + seed)
+            big = Instance(
+                "big",
+                tuple(Point(2**30 + 2**24 * p.x, 2**30 + 2**24 * p.y) for p in small.points),
+            )
+            results = []
+            for inst in (small, big):
+                model = build(inst, GENERAL)
+                results.append(lexicographic_refine(model, solve_relaxation(model)))
+            want, got = results
+            assert got.k_frac == pytest.approx(want.k_frac, rel=1e-9)
+            for e, w in want.x.items():
+                assert got.x[e] == pytest.approx(w, abs=1e-5)
 
     def _report_infeasible_once(self, monkeypatch, model):
         """Make the next solve of a program without k's objective come back
@@ -353,6 +378,7 @@ class TestLexicographicRefine:
         # retry path: the first length solve reports infeasible, so phase 1
         # is re-solved on the k program before the length program runs again
         model = build_matching_model(inst, AXIS)
+        built = model.lp  # rows compare by identity: this model's own
         root = solve_relaxation(model)
         injected, k_solves = self._report_infeasible_once(monkeypatch, model)
         retried = lexicographic_refine(model, root)
