@@ -341,10 +341,9 @@ def stoer_wagner(
         conn = {v: w[a0][v] for v in active if v != a0}
         order = [a0]
         while conn:
-            nxt = -1
-            for v in sorted(conn):
-                if nxt < 0 or conn[v] > conn[nxt]:
-                    nxt = v
+            # conn lists active vertices in ascending order and only loses
+            # keys, so max takes the lowest index among ties
+            nxt = max(conn, key=conn.__getitem__)
             order.append(nxt)
             del conn[nxt]
             for v in conn:

@@ -55,6 +55,9 @@ STAB_BATCH = 20
 # A pool row counts as violated above this, well inside the 9 decimals that
 # k_frac is printed with.
 STAB_TOL = 1e-9
+# Side signs are summed in int64 when |a|*|x| + |b|*|y| + |c|, over the largest
+# coefficients and coordinates, stays below this; otherwise in Python ints.
+SIDE_INT64_LIMIT = 2**62
 
 
 class ModelError(RuntimeError):
@@ -89,6 +92,9 @@ class StabModel:
     line's row, the only ones the loop appends. cut_keys
     names every row appended to lp: a cut by the canonical side of its vertex
     set (cut_key), a stabbing row by its index in the pool.
+
+    length_objective is the Euclidean length objective of lexicographic
+    refinement, built by its first call and shared by later forks.
     """
 
     problem: Problem
@@ -103,6 +109,7 @@ class StabModel:
     fixed_ones: set[Segment] = field(default_factory=set)
     fixed_zeros: set[Segment] = field(default_factory=set)
     cut_keys: set[Union[frozenset[int], int]] = field(default_factory=set)
+    length_objective: Optional[tuple[tuple[int, float], ...]] = None
 
     def fork(self) -> StabModel:
         """A copy with its own fixings and row keys; the immutable lp and the
@@ -164,10 +171,13 @@ def _stab_pool(inst: Instance, family: LineFamily, edges) -> tuple[np.ndarray, n
     meets (an endpoint on the line counts), -1 on k, the last variable; and
     which rows equal no earlier line's row."""
     lines = representative_lines(inst.points, family)
-    # Python ints: a*x + b*y - c can pass 2**63 within the coordinate range
-    a, b, c = (np.array(v, dtype=object) for v in zip(*((ln.a, ln.b, ln.c) for ln in lines)))
-    xs = np.array([p.x for p in inst.points], dtype=object)
-    ys = np.array([p.y for p in inst.points], dtype=object)
+    a, b, c = zip(*((ln.a, ln.b, ln.c) for ln in lines))
+    xs = [p.x for p in inst.points]
+    ys = [p.y for p in inst.points]
+    # a*x + b*y - c can pass 2**63 near the coordinate limit: Python ints then
+    size = max(map(abs, a)) * max(map(abs, xs)) + max(map(abs, b)) * max(map(abs, ys))
+    dtype = np.int64 if size + max(map(abs, c)) < SIDE_INT64_LIMIT else object
+    a, b, c, xs, ys = (np.array(v, dtype=dtype) for v in (a, b, c, xs, ys))
     sides = np.sign(np.outer(a, xs) + np.outer(b, ys) - c[:, None]).astype(np.int8)
     ends_a = np.array([e.a for e in edges])
     ends_b = np.array([e.b for e in edges])
@@ -192,6 +202,13 @@ def build_tree_model(inst: Instance, family: LineFamily) -> StabModel:
     if inst.n < 2:
         raise ModelError("tree model needs n >= 2")
     return _build(inst, family, Problem.SPANNING_TREE)
+
+
+def pool_stabbing_number(model: StabModel, edges) -> int:
+    """The stabbing number of these edges, read off the model's exact pool:
+    the most of them one representative line meets."""
+    cols = [model.edge_index[e] for e in edges]
+    return int(model.stab_pool[:, cols].sum(axis=1).max())
 
 
 def fix_edge(model: StabModel, seg: Segment, value: int) -> None:
@@ -316,7 +333,9 @@ def _set_objective(model: StabModel, objective, k_hi) -> None:
     model.lp = model.lp.with_objective(objective).with_bound(k, model.lp.lo[k], k_hi)
 
 
-def lexicographic_refine(model: StabModel, result: RelaxationResult) -> RelaxationResult:
+def lexicographic_refine(
+    model: StabModel, result: RelaxationResult, length_basis: Optional[Basis] = None
+) -> RelaxationResult:
     """Phase 2: cap k at its optimum (within tolerance) and minimize total
     Euclidean edge length, re-running the separation loop.
 
@@ -324,34 +343,42 @@ def lexicographic_refine(model: StabModel, result: RelaxationResult) -> Relaxati
     rows and the rows it appends stay in model.lp; its objective and k's bound
     are restored on return or raise.
 
+    length_basis, when given, is the basis of an earlier refinement of this
+    model (iterated rounding passes the previous one's): its rows are a prefix
+    of model.lp's and it is dual feasible for the length objective, so the
+    length program re-optimizes from it with dual pivots. Otherwise it starts
+    from result's k-objective basis.
+
     Shifting weight off a properly crossing pair onto the sides of its convex
     quadrilateral strictly shortens the solution, so length-optimal supports
     are planar; this is checked and logged, never silently accepted.
 
     Cuts discovered while minimizing length can raise the true relaxation
     value past the cap; when that happens phase 1 is re-solved with the
-    enlarged cut set and phase 2 retried, which terminates because every
-    retry consumes at least one fresh cut.
+    enlarged cut set and phase 2 retried from the new k-objective basis,
+    which terminates because every retry consumes at least one fresh cut.
     """
-    lengths = tuple(
-        (i, euclidean_length(e, model.inst.points)) for i, e in enumerate(model.edges)
-    )
+    if model.length_objective is None:
+        model.length_objective = tuple(
+            (i, euclidean_length(e, model.inst.points)) for i, e in enumerate(model.edges)
+        )
     k_objective, k_hi = model.lp.objective, model.lp.hi[model.k_index]
     k_frac = result.k_frac
     warm = result.basis
+    length_warm = warm if length_basis is None else length_basis
     cuts_total = 0
     stab_total = 0
     iters_total = 0
     try:
         for _ in range(len(model.edges) * 4 + 64):
-            _set_objective(model, lengths, float(k_frac) + OBJ_TOL)
+            _set_objective(model, model.length_objective, float(k_frac) + OBJ_TOL)
             try:
-                refined = _run_loop(model, exact=False, warm_basis=warm)
+                refined = _run_loop(model, exact=False, warm_basis=length_warm)
             except InfeasibleRelaxationError:
                 _set_objective(model, k_objective, k_hi)
                 fresh = solve_relaxation(model, warm)  # raises if fixings truly infeasible
                 k_frac = fresh.k_frac
-                warm = fresh.basis
+                warm = length_warm = fresh.basis
                 iters_total += fresh.lp_iterations
                 cuts_total += fresh.cuts_added
                 stab_total += fresh.stab_rows_added

@@ -34,12 +34,16 @@ from .models import (
     build_tree_model,
     fix_edge,
     lexicographic_refine,
+    pool_stabbing_number,
     solve_relaxation,
 )
 
 logger = logging.getLogger(__name__)
 
 INT_TOL = 1e-6
+# min_length_matching scales lengths below 2**LENGTH_BITS: coordinates up to
+# 100 give such lengths, the range the solver's absolute tolerances are tested at
+LENGTH_BITS = 8
 
 
 class SolveError(RuntimeError):
@@ -86,9 +90,12 @@ def iterated_rounding(
     cycle-closing candidates are skipped rather than fixed to zero.
 
     root is model's solved relaxation, refined for the first fixing; the
-    fixings go on a fork of model. Each later relaxation re-solves warm from
-    the previous one's k-objective basis (not the length-refined one): the
-    program differs from it only by the new fixings and appended rows.
+    fixings go on a fork of model. Each later k re-solve starts warm from the
+    previous one's k-objective basis (not the length-refined one), and each
+    later refinement from the previous refinement's basis: either program
+    differs from its start only by the new fixings, a k cap no lower and
+    appended rows. The rounded edges' stabbing number is read off the
+    model's stabbing pool.
 
     on_iteration, when given, receives one record per LP round (refined
     weights, chosen edge) for instrumentation.
@@ -97,8 +104,10 @@ def iterated_rounding(
     work = model.fork()
     target = _structure_size(inst, problem)
     relax = root
+    length_basis = None
     while True:
-        refined = lexicographic_refine(work, relax)
+        refined = lexicographic_refine(work, relax, length_basis)
+        length_basis = refined.basis
         choice = _pick_edge(work, refined.x, inst, problem)
         if on_iteration is not None:
             on_iteration(
@@ -117,12 +126,11 @@ def iterated_rounding(
         relax = solve_relaxation(work, relax.basis)
     edges = tuple(sorted(work.fixed_ones))
     _assert_feasible(edges, inst, problem)
-    k, _ = stabbing_number(edges, inst.points, family)
     return Solution(
         problem=problem,
         family=family,
         edges=edges,
-        k=k,
+        k=pool_stabbing_number(model, edges),
         lower_bound=_rationalized(float(root.k_frac)),
         method=Method.ROUNDING,
     )
@@ -205,7 +213,9 @@ def branch_and_bound(
     later node's rows.
 
     incumbent is a feasible solution of the same problem and family, usually
-    from iterated_rounding; the search only accepts strictly better ones.
+    from iterated_rounding; its k is re-evaluated by geom.stabbing_number, and
+    the search only accepts strictly better ones. An integral node's stabbing
+    number is read off the model's stabbing pool.
     time_limit is in milliseconds and bounds the search, not the incumbent's
     construction; 0 means unlimited. On expiry the best incumbent is returned
     with proven=False instead of raising.
@@ -266,7 +276,7 @@ def branch_and_bound(
         integral = _integral(relax.x)
         if integral is not None:
             _assert_feasible(integral, inst, problem)
-            k_int, _ = stabbing_number(integral, inst.points, family)
+            k_int = pool_stabbing_number(model, integral)
             if k_int < best_k:
                 best_k = k_int
                 best_edges = tuple(integral)
@@ -351,6 +361,11 @@ def min_length_matching(inst: Instance, metric: str = "euclidean") -> Solution:
     family = _metric_family(metric)
     edges = tuple(inst.all_edges())
     lengths = [_metric_length(e, inst, metric) for e in edges]
+    # The solver's tolerances are absolute: lengths past 2**LENGTH_BITS are
+    # scaled below it by a power of two, which keeps each float exact
+    exponent = max(0, math.frexp(max(lengths))[1] - LENGTH_BITS)
+    if exponent:
+        lengths = [math.ldexp(length, -exponent) for length in lengths]
     # the cutting-plane loop needs only edges, cut rows and cut keys: an
     # empty stabbing pool and no k column
     model = StabModel(
@@ -374,15 +389,26 @@ def min_length_matching(inst: Instance, metric: str = "euclidean") -> Solution:
                 "matching LP stayed fractional after exact re-check; "
                 "blossom separation is incomplete"
             )
-    optimum = float(result.k_frac)  # the objective value: total length
+    optimum = float(result.k_frac)  # the objective value: total scaled length
 
-    # lexicographic selection among optimal matchings
-    budget = optimum + OBJ_TOL * max(1.0, abs(optimum))
-    model.lp = model.lp.with_rows([make_row(dict(enumerate(lengths)), "<=", budget)])
+    # lexicographic selection among optimal matchings, under a cap of
+    # OBJ_TOL * max(1, optimum) above the optimum in unscaled lengths
+    budget = optimum + OBJ_TOL * max(math.ldexp(1.0, -exponent), abs(optimum))
+    # No edge longer than the cap fits under it, and leaving such edges out
+    # of the cap row keeps its coefficients within its right-hand side; a cap
+    # below 1/2 is scaled up so that the row's tolerance stays relative to it
+    cap_exponent = min(0, math.frexp(budget)[1])
+    cap = {}
+    for i, (e, length) in enumerate(zip(edges, lengths)):
+        if length > budget:
+            fix_edge(model, e, 0)
+        else:
+            cap[i] = math.ldexp(length, -cap_exponent)
+    model.lp = model.lp.with_rows([make_row(cap, "<=", math.ldexp(budget, -cap_exponent))])
     matched: set[int] = set()
     warm = result.basis
     for e in edges:
-        if e.a in matched or e.b in matched:
+        if e.a in matched or e.b in matched or e in model.fixed_zeros:
             continue
         trial = model.fork()
         fix_edge(trial, e, 1)

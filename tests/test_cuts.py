@@ -276,3 +276,24 @@ class TestStoerWagner:
             value, side = stoer_wagner(n, x)
             assert value == pytest.approx(brute_min_cut(x, n))
             assert 0 < len(side) < n
+
+    @pytest.mark.parametrize("exact_type", [int, Fraction])
+    def test_exact_weights_with_ties_match_brute(self, exact_type):
+        # few distinct weights tie many vertices in each phase's ordering
+        rng = SplitMix64(56)
+        for trial in range(40):
+            n = 2 + rng.randrange(9)
+            x = {}
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.randrange(100) < 60:
+                        x[Segment(i, j)] = exact_type(rng.randrange(1, 4))
+            if exact_type is Fraction:
+                x = {e: w / 3 for e, w in x.items()}
+            for i in range(n - 1):
+                x.setdefault(Segment(i, i + 1), exact_type(1))
+            value, side = stoer_wagner(n, x)
+            assert value == brute_min_cut(x, n)
+            assert type(value) is exact_type
+            assert 0 < len(side) < n
+            assert value == sum(w for e, w in x.items() if (e.a in side) != (e.b in side))

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,7 +21,13 @@ from minstab import (
     solve_relaxation,
 )
 from minstab.cuts import SUPPORT_EPS
-from minstab.geom import StabLine, is_crossing_pair, representative_lines, stabs
+from minstab.geom import (
+    StabLine,
+    is_crossing_pair,
+    representative_lines,
+    stabbing_number,
+    stabs,
+)
 from minstab.lp import FEAS_TOL, NO_BASIS, LpResult, LpStatus, lp_solve
 from minstab.models import (
     InfeasibleRelaxationError,
@@ -40,6 +47,15 @@ def stab_row_of(model):
     lines = representative_lines(model.inst.points, model.family)
     assert len(model.stab_pool) == len(lines)
     return dict(zip(lines, model.stab_pool))
+
+
+def near_limit_instance():
+    big = 2**31 - 1
+    pts = (
+        Point(-big, -big), Point(big, big - 1), Point(big - 2, -big),
+        Point(-big + 3, big), Point(0, 1), Point(1, -big + 5),
+    )
+    return Instance("big", pts)
 
 
 def min_odd_cut(x, n):
@@ -80,21 +96,57 @@ class TestBuildMatchingModel:
                 assert row[model.k_index] == -1
                 assert np.count_nonzero(row) == len(expected) + 1
 
-    def test_stab_rows_exact_near_the_coordinate_limit(self):
+    def test_stab_rows_exact_near_the_coordinate_limit(self, monkeypatch):
         # a*x + b*y - c overflows 64-bit integers here; the pool must still
         # agree with the exact predicate on every line and edge
-        big = 2**31 - 1
-        pts = (
-            Point(-big, -big), Point(big, big - 1), Point(big - 2, -big),
-            Point(-big + 3, big), Point(0, 1), Point(1, -big + 5),
-        )
-        inst = Instance("big", pts)
+        inst = near_limit_instance()
+        pts = inst.points
+        dtypes = []
+        outer = np.outer
+
+        def recorded(a, b):
+            dtypes.append(a.dtype)
+            return outer(a, b)
+
+        monkeypatch.setattr(np, "outer", recorded)
         model = build_matching_model(inst, GENERAL)
+        monkeypatch.undo()
+        # the side signs are summed in Python ints, not int64
+        assert dtypes and all(dtype == object for dtype in dtypes)
         for line, row in stab_row_of(model).items():
             support = {idx for idx in np.flatnonzero(row).tolist() if idx != model.k_index}
             assert support == {
                 i for i, e in enumerate(model.edges) if stabs(line, e, pts)
             }
+
+    @pytest.mark.parametrize("family", [AXIS, GENERAL])
+    def test_int64_and_object_side_signs_agree(self, monkeypatch, family):
+        rng = random.Random(20)
+        for trial in range(5):
+            pts = tuple(
+                Point(rng.randint(-(2**20), 2**20), rng.randint(-(2**20), 2**20))
+                for _ in range(10)
+            )
+            inst = Instance(f"wide{trial}", pts)
+            pools = []
+            # inf forces int64 sums, 0 forces Python ints
+            for limit in (math.inf, 0):
+                monkeypatch.setattr(models, "SIDE_INT64_LIMIT", limit)
+                model = build_matching_model(inst, family)
+                pools.append((model.stab_pool, model.stab_distinct))
+            (pool64, distinct64), (pool_obj, distinct_obj) = pools
+            assert np.array_equal(pool64, pool_obj)
+            assert np.array_equal(distinct64, distinct_obj)
+
+    @pytest.mark.parametrize("family", [AXIS, GENERAL])
+    def test_pool_stabbing_number_matches_geometry(self, family):
+        rng = random.Random(21)
+        for inst in [gen_random(10, 100, seed) for seed in range(1, 5)] + [near_limit_instance()]:
+            model = build_matching_model(inst, family)
+            for size in (0, 1, 3, 5, len(model.edges)):
+                edges = rng.sample(model.edges, size)
+                k, _ = stabbing_number(edges, inst.points, family)
+                assert models.pool_stabbing_number(model, edges) == k
 
     def test_x0_row_support(self, unit_square):
         model = build_matching_model(unit_square, AXIS)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import pytest
 
@@ -235,6 +236,83 @@ class TestWarmResolves:
             assert result.warm_started
 
 
+def rounding_pivots(monkeypatch, inst, problem, family, *, warm_refinement):
+    """Float pivots of iterated rounding on inst and the rounded solution;
+    without warm_refinement every refinement starts from the k basis."""
+    pivots = []
+    solve = minstab.models.lp_solve
+    refine = minstab.solve.lexicographic_refine
+
+    def recorded(lp, warm_basis=None, **kwargs):
+        result = solve(lp, warm_basis, **kwargs)
+        pivots.append(result.pivots)
+        return result
+
+    def from_k_basis(model, result, length_basis=None):
+        return refine(model, result)
+
+    model, root = relaxed(inst, problem, family)
+    with monkeypatch.context() as patch:
+        patch.setattr(minstab.models, "lp_solve", recorded)
+        if not warm_refinement:
+            patch.setattr(minstab.solve, "lexicographic_refine", from_k_basis)
+        sol = iterated_rounding(model, root)
+    return sum(pivots), sol
+
+
+class TestWarmRefinement:
+    @pytest.mark.parametrize(
+        "n, seed, problem",
+        [(12, 2, Problem.SPANNING_TREE), (16, 1, Problem.MATCHING)],
+    )
+    def test_each_refinement_starts_from_the_previous_one(
+        self, monkeypatch, n, seed, problem
+    ):
+        solves = []
+        refinements = []  # (length_basis offered, its first solve, refined basis)
+        solve = minstab.models.lp_solve
+        refine = minstab.solve.lexicographic_refine
+
+        def recorded_solve(lp, warm_basis=None, **kwargs):
+            result = solve(lp, warm_basis, **kwargs)
+            solves.append((warm_basis, result))
+            return result
+
+        def recorded_refine(model, result, length_basis=None):
+            start = len(solves)
+            refined = refine(model, result, length_basis)
+            refinements.append((length_basis, solves[start], refined.basis))
+            return refined
+
+        monkeypatch.setattr(minstab.models, "lp_solve", recorded_solve)
+        monkeypatch.setattr(minstab.solve, "lexicographic_refine", recorded_refine)
+        iterated_rounding(*relaxed(gen_random(n, 100, seed), problem, GENERAL))
+        assert len(refinements) > 2
+        assert refinements[0][0] is None
+        for (_, _, previous), (offered, (warm, first), _) in zip(refinements, refinements[1:]):
+            assert offered is previous
+            assert warm is previous
+            assert first.warm_started
+            assert first.kept_inverse
+
+    @pytest.mark.parametrize("n", [12, 16])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_rounding_as_refining_from_the_k_basis(self, monkeypatch, n, seed):
+        inst = gen_random(n, 100, seed)
+        for problem in (Problem.MATCHING, Problem.SPANNING_TREE):
+            for family in (AXIS, GENERAL):
+                _, warm = rounding_pivots(monkeypatch, inst, problem, family, warm_refinement=True)
+                _, cold = rounding_pivots(monkeypatch, inst, problem, family, warm_refinement=False)
+                assert warm.edges == cold.edges
+                assert warm.k == cold.k
+
+    def test_warm_refinement_takes_fewer_pivots(self, monkeypatch):
+        inst = gen_random(16, 100, 1)
+        warm, _ = rounding_pivots(monkeypatch, inst, Problem.MATCHING, GENERAL, warm_refinement=True)
+        cold, _ = rounding_pivots(monkeypatch, inst, Problem.MATCHING, GENERAL, warm_refinement=False)
+        assert warm < cold
+
+
 class TestSearchStabbingRows:
     def test_nodes_add_rows_the_pool_keeps_without_duplicates(self, monkeypatch):
         # gen_random(12, 100, 2) general tree: the search solves nodes whose
@@ -298,6 +376,45 @@ class TestMinLengthMatching:
     def test_odd_rejected(self, collinear3):
         with pytest.raises(SolveError):
             min_length_matching(collinear3, "euclidean")
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_enumeration_at_large_coordinates(self, seed):
+        # lengths near 2**32 against the solver's absolute tolerances
+        rng = random.Random(seed)
+        lo, hi = (2**30, 2**31) if seed % 2 == 0 else (-(2**31) + 1, 2**31)
+        assert_shortest_matching(
+            tuple(Point(rng.randrange(lo, hi), rng.randrange(lo, hi)) for _ in range(8))
+        )
+
+    @pytest.mark.parametrize("far", [10**6, 2**31 - 1])
+    def test_matches_enumeration_with_a_far_pair(self, far):
+        # the optimum, 3, is far below the longest length: a cap slack in
+        # scaled units would admit {01, 23, 45}, 2*sqrt(2) + 1 long
+        assert_shortest_matching(
+            (Point(0, 0), Point(1, 1), Point(1, 0), Point(0, 1), Point(far, 0), Point(far, 1))
+        )
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_enumeration_for_clusters_far_apart(self, seed):
+        # two clusters of 4 points in a 4 x 4 box, 2**30 or more apart: edges
+        # a few units long decide the optimum against lengths near 2**31
+        rng = random.Random(seed)
+        centers = ((0, 0), (2**30, 0)) if seed % 2 == 0 else ((-(2**30), -(2**30)), (2**30, 2**30))
+        pts = []
+        for cx, cy in centers:
+            pts += rng.sample([Point(cx + dx, cy + dy) for dx in range(4) for dy in range(4)], 4)
+        assert_shortest_matching(tuple(pts))
+
+
+def assert_shortest_matching(pts):
+    """min_length_matching's total length is the least over every perfect
+    matching of pts, within 1e-12 relative."""
+    from minstab.geom import euclidean_total
+    from minstab.oracle import enum_perfect_matchings
+
+    sol = min_length_matching(Instance("pts", pts), "euclidean")
+    best = min(euclidean_total(m, pts) for m in enum_perfect_matchings(len(pts)))
+    assert euclidean_total(sol.edges, pts) == pytest.approx(best, rel=1e-12)
 
 
 class TestMinLengthTree:
