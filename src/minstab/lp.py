@@ -14,8 +14,11 @@ fixed: nonbasic variables return to the bound they held, a bounded dual
 simplex restores primal feasibility while the reduced costs stay dual
 feasible, and the primal simplex finishes. The dual simplex picks its leaving
 row by dual steepest edge, with the exact weights ||e_r^T B^-1||^2 read off
-the kept inverse. A basis that is not dual feasible, or a dual ratio test
-with no entering column, falls back to the cold two-phase solve, so only
+the kept inverse. The state keeps the basic variables' bounds, which each
+pivot updates in the entering row, and the dual ratio test keeps a +-1 sign
+per column for the bound it sits at, so no pivot gathers either again. A
+basis that is not dual feasible, or a dual ratio test with no entering
+column, falls back to the cold two-phase solve, so only
 phase 1 declares a program infeasible. The exact path warm-starts only from a
 primal feasible basis, with the nonbasic variables at the bounds the basis
 records.
@@ -325,6 +328,13 @@ class _State:
     at_upper: np.ndarray   # width nonbasic-at-upper flags
     lo: np.ndarray         # width lower bounds
     hi: np.ndarray         # width upper bounds (inf allowed)
+    # lo[basis] and hi[basis], gathered here and kept current by each pivot
+    lo_B: np.ndarray = field(init=False)
+    hi_B: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.lo_B = self.lo[self.basis]
+        self.hi_B = self.hi[self.basis]
 
     @property
     def width(self) -> int:
@@ -499,37 +509,37 @@ class _FloatSimplex:
         movable = (hi - lo) > 0
         free = movable.copy()  # nonbasic and movable; each pivot swaps two entries
         free[state.basis] = False
+        # -1 at upper, +1 otherwise: the direction a nonbasic column can move
+        sign = np.where(state.at_upper, -1.0, 1.0)
         z = state.reduced_costs(self.cost)
         for it in range(self.dantzig_limit):
             r = self._leaving_row(state)
             if r < 0:
                 return True
-            basis = state.basis
             # dual slack: how far each reduced cost is from pricing its column in
-            slack = np.where(state.at_upper, -z, z)
+            slack = sign * z
             if it == 0 and np.any(free & (slack < -FEAS_TOL)):
                 return False
-            rises = bool(state.xB[r] < lo[basis[r]])
+            rises = bool(state.xB[r] < state.lo_B[r])
             alpha = state.row(r)
             # the leaving value rises when below its bound; column j moves it by
             # -alpha_rj per unit, up from a lower bound or down from an upper one
-            toward = alpha if rises else -alpha
-            elig = np.flatnonzero(
-                free & np.where(state.at_upper, toward > PIVOT_TOL, toward < -PIVOT_TOL)
-            )
+            toward = sign if rises else -sign
+            elig = np.flatnonzero(free & (toward * alpha < -PIVOT_TOL))
             if not len(elig):
                 return False
             ratios = np.maximum(slack[elig], 0.0) / np.abs(alpha[elig])
             best = float(ratios.min())
             tied = elig[ratios <= best + 1e-12 + 1e-9 * best]
             q = int(tied[np.argmax(np.abs(alpha[tied]))])
-            target = lo[basis[r]] if rises else hi[basis[r]]
+            target = state.lo_B[r] if rises else state.hi_B[r]
             step = (state.xB[r] - target) / alpha[q]
             entering_value = (hi[q] if state.at_upper[q] else lo[q]) + step
             d = state.column(q)
             state.xB -= step * d
-            leaving = int(basis[r])
+            leaving = int(state.basis[r])
             state.at_upper[leaving] = not rises
+            sign[leaving], sign[q] = (1.0 if rises else -1.0), 1.0
             free[leaving], free[q] = movable[leaving], False
             self._pivot(state, r, q, d)
             z -= (z[q] / alpha[q]) * alpha
@@ -542,8 +552,8 @@ class _FloatSimplex:
         breaks a bound by more than FEAS_TOL, the one with the largest
         violation^2 / ||e_r^T B^-1||^2, ties to the lowest row; -1 when no row
         does. The weights are exact norms of rows of the kept inverse, O(m^2)."""
-        xB, basis = state.xB, state.basis
-        viol = np.maximum(state.lo[basis] - xB, xB - state.hi[basis])
+        xB = state.xB
+        viol = np.maximum(state.lo_B - xB, xB - state.hi_B)
         rows = np.flatnonzero(viol > FEAS_TOL)
         if not len(rows):
             return -1
@@ -590,6 +600,7 @@ class _FloatSimplex:
                 return LpResult(LpStatus.INFEASIBLE, None, [], NO_BASIS)
             self._drive_out_artificials(state)
             state.hi[N:] = 0.0
+            state.hi_B = state.hi[state.basis]
 
         status = self._loop(state, phase1=False)
         if status == "cycled":
@@ -619,9 +630,9 @@ class _FloatSimplex:
             basic.add(pivot_col)
 
     def _pivot(self, state: _State, r: int, j: int, d: np.ndarray) -> None:
-        """Column j enters in row r; d is its tableau column B^-1 A_j. Only
-        the inverse changes: row r is divided by d_r, and d times it is
-        subtracted from every other row."""
+        """Column j enters in row r; d is its tableau column B^-1 A_j. The
+        inverse is updated in place: row r is divided by d_r, and d times it
+        is subtracted from every other row. Row r's basic bounds become j's."""
         self.pivots += 1
         Binv = state.Binv
         Binv[r] /= d[r]
@@ -629,6 +640,8 @@ class _FloatSimplex:
         d[r] = 0.0
         Binv -= d[:, None] * Binv[r]
         state.basis[r] = j
+        state.lo_B[r] = state.lo[j]
+        state.hi_B[r] = state.hi[j]
         state.at_upper[j] = False
 
     def _loop(self, state: _State, phase1: bool) -> str:
@@ -654,7 +667,6 @@ class _FloatSimplex:
             iters += 1
             if iters > self.iter_cap:
                 return "cycled"
-            basis = state.basis
             lower_elig = free & ~state.at_upper & (z < -PIVOT_TOL)
             upper_elig = free & state.at_upper & (z > PIVOT_TOL)
             elig = lower_elig | upper_elig
@@ -669,12 +681,12 @@ class _FloatSimplex:
             sigma = -1.0 if state.at_upper[j] else 1.0
             d = state.column(j)
             delta = -sigma * d
-            t_rows = np.full(len(basis), np.inf)
+            t_rows = np.full(self.m, np.inf)
             up = delta > PIVOT_TOL
             dn = delta < -PIVOT_TOL
             with np.errstate(invalid="ignore"):
-                t_rows[up] = (hi[basis][up] - state.xB[up]) / delta[up]
-                t_rows[dn] = (state.xB[dn] - lo[basis][dn]) / (-delta[dn])
+                t_rows[up] = (state.hi_B[up] - state.xB[up]) / delta[up]
+                t_rows[dn] = (state.xB[dn] - state.lo_B[dn]) / (-delta[dn])
             t_rows = np.maximum(t_rows, 0.0)
             t_flip = hi[j] - lo[j]
             row_min = float(t_rows.min()) if len(t_rows) else np.inf

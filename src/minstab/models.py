@@ -3,14 +3,21 @@ the length-lexicographic refinement that steers fractional optima toward
 planar support.
 
 A model's program starts with the degree rows (matching) or the total row
-(tree). Every representative line's stabbing row is built once, into a pool
-on the model, and the cutting-plane loop separates them lazily like blossom
-and connectivity cuts: each round appends the most violated pool rows, and
-separates cuts only once no stabbing row is violated."""
+(tree) and one surrogate row. Every representative line's stabbing row is
+built once, into a pool on the model, and the cutting-plane loop separates
+them lazily like blossom and connectivity cuts: each round appends the most
+violated pool rows, and separates cuts only once no stabbing row is violated.
+
+The surrogate row is the sum of the pool's distinct rows, scaled by a power
+of two (Glover, "Surrogate constraints", Operations Research 16(4), 1968).
+The pool implies it, so it leaves the relaxation's value unchanged; it bounds
+k from the first solve, which otherwise has no stabbing row and k = 0, and
+so shortens the loop's vertex path."""
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Union
@@ -82,7 +89,11 @@ class StabModel:
 
     Owned by a single solve loop: the loop solves lp and appends every
     violated stabbing row and cut row to it, and fixings replace it with
-    tightened bounds.
+    tightened bounds. lp starts with the degree rows or the total row and,
+    when the pool has at least two distinct rows, the surrogate row
+    sum(c_e x_e) - L k <= 0 scaled by 2**-ceil(log2 L): L is the number of
+    distinct pool rows and c_e how many of them stab edge e. Every
+    coefficient is exact in float64 and at most 1 in magnitude.
 
     stab_pool holds every representative line's stabbing row, in line order,
     as float coefficients over lp's variables (rhs 0: the stabbed edges minus
@@ -151,8 +162,16 @@ def _build(inst: Instance, family: LineFamily, problem: Problem) -> StabModel:
         # pair even when a neighbor edge already carries weight one
         bounds = [(0, inf)] * num_edges + [(0, inf)]
         rows.append(make_row({i: 1 for i in range(num_edges)}, "=", n - 1))
-    lp = make_lp(num_edges + 1, {k_index: 1}, rows, bounds)
     pool, distinct = _stab_pool(inst, family, edges)
+    num_distinct = int(distinct.sum())
+    # the surrogate row (see StabModel); of a single distinct row it would be
+    # that very row, which the loop appends when it is violated
+    if num_distinct >= 2:
+        surrogate = distinct @ pool  # integer sums, exact; no copy of the pool rows
+        cols = np.flatnonzero(surrogate)
+        scale = math.ldexp(1.0, -(num_distinct - 1).bit_length())
+        rows.append(make_row(zip(cols.tolist(), (surrogate[cols] * scale).tolist()), "<=", 0))
+    lp = make_lp(num_edges + 1, {k_index: 1}, rows, bounds)
     return StabModel(
         problem=problem,
         family=family,

@@ -355,6 +355,11 @@ def min_length_matching(inst: Instance, metric: str = "euclidean") -> Solution:
     the exact rational solver before giving up. Ties between optimal
     matchings are broken toward the lexicographically smallest edge list by
     greedy fixing under an optimal-length cap.
+
+    The cap lies OBJ_TOL * max(1, optimum) above the optimum, so the result
+    is within OBJ_TOL (1e-6) relative of the minimum length, not always the
+    minimum itself: at large coordinates, matchings whose lengths differ by
+    less than that count as ties.
     """
     if inst.n % 2 != 0:
         raise SolveError(f"matching requires even n, got {inst.n}")

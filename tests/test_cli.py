@@ -264,6 +264,45 @@ class TestRenderCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestDegenerateInputs:
+    POINTS = {
+        "pair": "2\n0 0\n5 3\n",
+        "col3": "3\n0 0\n1 0\n2 0\n",
+        "col6": "6\n0 0\n1 1\n2 2\n3 3\n4 4\n5 5\n",
+    }
+
+    # report's k_frac, ceil_bound, k_rounding, k_exact, ratio and cuts_added,
+    # bound --exact-check's k_frac_exact, and the edges exact prints
+    @pytest.mark.parametrize(
+        "name, problem, family, values, edges",
+        [
+            ("pair", "matching", "axis", "1.000000000 1 1 1 1.000000 0 1/1", [[0, 1]]),
+            ("pair", "matching", "general", "1.000000000 1 1 1 1.000000 0 1/1", [[0, 1]]),
+            ("pair", "tree", "axis", "1.000000000 1 1 1 1.000000 0 1/1", [[0, 1]]),
+            ("pair", "tree", "general", "1.000000000 1 1 1 1.000000 0 1/1", [[0, 1]]),
+            ("col3", "tree", "axis", "2.000000000 2 2 2 1.000000 1 2/1", [[0, 1], [1, 2]]),
+            ("col3", "tree", "general", "2.000000000 2 2 2 1.000000 1 2/1", [[0, 1], [1, 2]]),
+            ("col6", "matching", "axis", "1.000000000 1 1 1 1.000000 0 1/1", [[0, 1], [2, 3], [4, 5]]),
+            ("col6", "matching", "general", "3.000000000 3 3 3 1.000000 0 3/1", [[0, 1], [2, 3], [4, 5]]),
+            ("col6", "tree", "axis", "2.000000000 2 2 2 1.000000 3 2/1", [[i, i + 1] for i in range(5)]),
+            ("col6", "tree", "general", "5.000000000 5 5 5 1.000000 5 5/1", [[i, i + 1] for i in range(5)]),
+        ],
+    )
+    def test_prints_known_values(self, tmp_path, capsys, name, problem, family, values, edges):
+        path = tmp_path / f"{name}.pts"
+        path.write_text(self.POINTS[name])
+        args = (str(path), "--problem", problem, "--family", family)
+        printed = {}
+        for command in (("report",), ("bound", "--exact-check"), ("exact",)):
+            code, stdout, _ = run(capsys, command[0], *args, *command[1:])
+            assert code == 0
+            printed.update(t.split("=") for t in stdout.split() if "=" in t)
+            if command == ("exact",):
+                assert json.loads(stdout.splitlines()[0])["edges"] == edges
+        keys = ("k_frac", "ceil_bound", "k_rounding", "k_exact", "ratio", "cuts_added", "k_frac_exact")
+        assert " ".join(printed[k] for k in keys) == values
+
+
 class TestDropLast:
     def test_odd_matching_fails_without_flag(self, tmp_path, capsys):
         path = tmp_path / "odd.pts"

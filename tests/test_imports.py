@@ -56,6 +56,38 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def environment_reads(source: str) -> list[str]:
+    """Reads of os.environ or os.getenv, however os or the name is imported."""
+    names = ("environ", "environb", "getenv")
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, a.name) for a in node.names if a.name in names]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    # the library's behaviour is set by its arguments alone: no environment
+    # variable may switch a tuning knob on or off
+    assert environment_reads(path.read_text()) == []
+
+
+def test_environment_check_flags_each_form():
+    source = (
+        "import os\n"
+        "from os import getenv\n"
+        "a = os.environ.get('X')\n"
+        "b = os.getenv('Y')\n"
+        "c = getenv('Z')\n"
+    )
+    assert environment_reads(source) == [
+        "getenv (line 2)", "environ (line 3)", "getenv (line 4)"
+    ]
+
+
 def test_checker_flags_unused_and_honours_noqa():
     source = (
         "import os\n"

@@ -321,9 +321,20 @@ class TestDualReoptimize:
             choices.append(r != violated[np.argmax(viol[violated])])
             return r
 
+        # every pivot keeps the basic variables' bounds current
+        pivot = _FloatSimplex._pivot
+        pivots_checked = []
+
+        def checked_pivot(self, state, r, j, d):
+            pivot(self, state, r, j, d)
+            assert np.array_equal(state.lo_B, state.lo[state.basis])
+            assert np.array_equal(state.hi_B, state.hi[state.basis])
+            pivots_checked.append(r)
+
         monkeypatch.setattr(_FloatSimplex, "_dual_loop", recorded_dual_loop)
         monkeypatch.setattr(_FloatSimplex, "_loop", recorded_loop)
         monkeypatch.setattr(_FloatSimplex, "_leaving_row", staticmethod(recorded_leaving_row))
+        monkeypatch.setattr(_FloatSimplex, "_pivot", checked_pivot)
         rng = random.Random(2005)
         warm_optimal = optimal = 0
         for _ in range(200):
@@ -378,6 +389,7 @@ class TestDualReoptimize:
         assert optimal > 50
         assert warm_optimal == optimal
         assert len(primal_after_dual) >= optimal and not any(primal_after_dual)
+        assert len(pivots_checked) > 200
         # some leaving rows are not the most violated ones
         assert len(choices) > 100 and any(choices)
 

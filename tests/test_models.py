@@ -28,7 +28,7 @@ from minstab.geom import (
     stabbing_number,
     stabs,
 )
-from minstab.lp import FEAS_TOL, NO_BASIS, LpResult, LpStatus, lp_solve
+from minstab.lp import FEAS_TOL, NO_BASIS, LinearProgram, LpResult, LpStatus, lp_solve
 from minstab.models import (
     InfeasibleRelaxationError,
     ModelError,
@@ -72,8 +72,12 @@ class TestBuildMatchingModel:
         model = build_matching_model(unit_square, AXIS)
         assert model.lp.num_vars == 7  # 6 edges + k
         assert len(stab_row_of(model)) == 4
-        # the program starts with the degree rows alone
-        assert [r.rel for r in model.lp.rows] == ["="] * 4
+        # the program starts with the degree rows and the surrogate row: the
+        # 4 distinct pool rows summed and scaled by 2**-2, so that edges
+        # 01, 02, 13, 23 count 3 stabs and the diagonals 4, against 4 k
+        assert [r.rel for r in model.lp.rows] == ["="] * 4 + ["<="]
+        assert model.lp.rows[4].rhs == 0
+        assert model.lp.matrix[4].tolist() == [0.75, 0.75, 1.0, 1.0, 0.75, 0.75, -1.0]
 
     def test_two_points(self):
         inst = Instance("pair", (Point(0, 0), Point(5, 3)))
@@ -288,6 +292,87 @@ class TestWarmReoptimization:
         assert relax.k_frac == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
 
 
+def without_surrogate(model):
+    """model with its program's surrogate row dropped: at build time the
+    surrogate is the one row that is not an equation."""
+    lp = model.lp
+    keep = [i for i, row in enumerate(lp.rows) if row.rel == "="]
+    rows = tuple(lp.rows[i] for i in keep)
+    model.lp = LinearProgram(lp.num_vars, lp.objective, rows, lp.lo, lp.hi, lp.matrix[keep])
+    return model
+
+
+# the instances of the benchmark's bound-general workload
+BOUND_GENERAL = [
+    (build, n, seed)
+    for seed in range(1, 7)
+    for n in (24, 28)
+    for build in (build_matching_model, build_tree_model)
+]
+
+
+@pytest.fixture(scope="module")
+def bound_general_roots():
+    """For each bound-general instance, the root relaxation's k_frac and
+    float pivots with the surrogate row and without it."""
+    roots = []
+    real = models.lp_solve
+    for build, n, seed in BOUND_GENERAL:
+        row = {}
+        for label, prepare in (("with", lambda m: m), ("without", without_surrogate)):
+            pivots = []
+
+            def spy(lp, warm_basis=None, **kwargs):
+                result = real(lp, warm_basis, **kwargs)
+                pivots.append(result.pivots)
+                return result
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(models, "lp_solve", spy)
+                relax = solve_relaxation(prepare(build(gen_random(n, 100, seed), GENERAL)))
+            row[label] = (relax.k_frac, sum(pivots))
+        roots.append(row)
+    return roots
+
+
+class TestSurrogateRow:
+    @pytest.mark.parametrize("family", [AXIS, GENERAL])
+    @pytest.mark.parametrize("build", [build_matching_model, build_tree_model])
+    def test_is_the_scaled_sum_of_the_distinct_pool_rows(self, build, family):
+        for seed in (1, 2, 3):
+            model = build(gen_random(10, 100, seed), family)
+            first = 10 if build is build_matching_model else 1
+            assert [r.rel for r in model.lp.rows] == ["="] * first + ["<="]
+            assert model.lp.rows[first].rhs == 0
+            distinct = model.stab_pool[model.stab_distinct]
+            num_distinct = len(distinct)
+            assert num_distinct >= 2
+            p = math.ceil(math.log2(num_distinct))
+            surrogate = model.lp.matrix[first]
+            assert surrogate.tolist() == (distinct.sum(axis=0) / 2**p).tolist()
+            assert surrogate[model.k_index] == -num_distinct / 2**p
+            assert np.abs(surrogate).max() <= 1
+            # each coefficient is an integer over 2**p, exact in float64
+            assert np.array_equal(surrogate * 2**p, np.round(surrogate * 2**p))
+
+    @pytest.mark.parametrize("build", [build_matching_model, build_tree_model])
+    def test_absent_with_one_distinct_pool_row(self, build):
+        model = build(Instance("pair", (Point(0, 0), Point(5, 3))), GENERAL)
+        assert model.stab_distinct.sum() == 1
+        assert all(row.rel == "=" for row in model.lp.rows)
+        assert len(model.lp.rows) == (2 if build is build_matching_model else 1)
+
+    def test_leaves_k_frac_unchanged_on_bound_general(self, bound_general_roots):
+        for row in bound_general_roots:
+            assert abs(row["with"][0] - row["without"][0]) <= 1e-9
+
+    def test_takes_fewer_pivots_on_bound_general(self, bound_general_roots):
+        with_surrogate = sum(row["with"][1] for row in bound_general_roots)
+        without = sum(row["without"][1] for row in bound_general_roots)
+        # 5,598 against 6,803 on the 24 root loops, 1 BLAS thread
+        assert with_surrogate <= 5800 < without
+
+
 class TestLazyStabbingRows:
     @pytest.mark.parametrize("seed", [1, 6])
     @pytest.mark.parametrize("build", [build_matching_model, build_tree_model])
@@ -418,7 +503,7 @@ class TestLexicographicRefine:
 
     def test_keeps_k_program_and_its_cuts(self, monkeypatch):
         # at this seed the length program finds blossom cuts phase 1 missed
-        inst = gen_random(8, 100, seed=5)
+        inst = gen_random(8, 100, seed=6)
         model = build_matching_model(inst, AXIS)
         built = model.lp
         root = solve_relaxation(model)

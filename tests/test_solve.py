@@ -22,6 +22,7 @@ from minstab import (
     solve_relaxation,
     verify_solution,
 )
+from minstab.lp import OBJ_TOL, LpError
 from minstab.models import ModelError, fix_edge
 from minstab.oracle import Objective
 from minstab.solve import SolveError, build_model
@@ -338,6 +339,26 @@ class TestSearchStabbingRows:
             assert start == before
 
 
+def odd_clusters(seed):
+    """Two clusters of 3 or 5 points in a box 4 to 16 units wide, 2**20 to
+    2**30 apart."""
+    rng = random.Random(seed)
+    size = rng.choice((3, 5))
+    width = rng.randint(4, 16)
+    gap = 2 ** rng.randint(20, 30)
+    pts = []
+    for cx, cy in ((0, 0), (gap, rng.randrange(-gap, gap))):
+        cells = rng.sample(range(width * width), size)
+        pts += [Point(cx + v // width, cy + v % width) for v in cells]
+    return tuple(pts)
+
+
+# seeds of odd_clusters at which min_length_matching raises LpError ("row
+# ... violated at optimum"): after a failed warm attempt, the cold solve ends
+# with a degree or cap row outside its tolerance
+ODD_CLUSTERS_RAISING = {4, 22, 30, 31, 35, 38}
+
+
 class TestMinLengthMatching:
     def test_four_collinear(self):
         inst = Instance(
@@ -404,6 +425,29 @@ class TestMinLengthMatching:
         for cx, cy in centers:
             pts += rng.sample([Point(cx + dx, cy + dy) for dx in range(4) for dy in range(4)], 4)
         assert_shortest_matching(tuple(pts))
+
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            pytest.param(s, marks=pytest.mark.xfail(raises=LpError, strict=True))
+            if s in ODD_CLUSTERS_RAISING
+            else s
+            for s in range(40)
+        ],
+    )
+    def test_within_obj_tol_of_the_minimum_for_odd_clusters(self, seed):
+        # two clusters of an odd number of points force one long edge, and
+        # which pair it joins changes the total by a few units in 2**20 to
+        # 2**31: the lexicographic cap admits every matching within OBJ_TOL
+        # relative of the minimum
+        from minstab.geom import euclidean_total
+        from minstab.oracle import enum_perfect_matchings
+
+        pts = odd_clusters(seed)
+        sol = min_length_matching(Instance("pts", pts), "euclidean")
+        best = min(euclidean_total(m, pts) for m in enum_perfect_matchings(len(pts)))
+        length = euclidean_total(sol.edges, pts)
+        assert best * (1 - 1e-12) <= length <= best + OBJ_TOL * max(1.0, best) * (1 + 1e-12)
 
 
 def assert_shortest_matching(pts):
