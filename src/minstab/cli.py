@@ -40,7 +40,7 @@ from .instance import (
     solution_to_json,
     verify_solution,
 )
-from .lp import LpError
+from .lp import OBJ_TOL, LpError
 from .models import ModelError, certify_relaxation, lexicographic_refine, solve_relaxation
 # unused here, but perfbench/spans.py wraps these names on this module
 from .models import build_matching_model, build_tree_model  # noqa: F401
@@ -258,7 +258,7 @@ def _cmd_bound(args) -> int:
     k_frac = float(relax.k_frac)
     print(f"instance={inst.name} problem={args.problem} family={args.family}")
     print(f"k_frac={k_frac:.9f}")
-    print(f"ceil_bound={math.ceil(k_frac - 1e-6)}")
+    print(f"ceil_bound={math.ceil(k_frac - OBJ_TOL)}")
     print(f"cuts_added={relax.cuts_added}")
     if args.exact_check:
         exact = certify_relaxation(model, relax)
@@ -364,7 +364,7 @@ def _cmd_report(args) -> int:
     model, relax = _solve_root(inst, args)
     t_lp = time.perf_counter() - t0
     k_frac = float(relax.k_frac)
-    ceil_bound = math.ceil(k_frac - 1e-6)
+    ceil_bound = math.ceil(k_frac - OBJ_TOL)
 
     t0 = time.perf_counter()
     rounded = iterated_rounding(model, relax)

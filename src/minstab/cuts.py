@@ -237,7 +237,6 @@ def separate_blossom(
     *,
     support_eps: Weight = SUPPORT_EPS,
     violation_eps: Weight = VIOLATION_EPS,
-    max_cuts: int = MAX_CUTS_PER_ROUND,
 ) -> list[OddSetCut]:
     """All violated tree-induced odd-set cuts, most violated first.
 
@@ -266,7 +265,7 @@ def separate_blossom(
                     seen.add(side)
                     cuts.append(OddSetCut(side, val))
     cuts.sort(key=lambda c: (c.cut_value, c.sorted_members))
-    return cuts[:max_cuts]
+    return cuts[:MAX_CUTS_PER_ROUND]
 
 
 def separate_connectivity(
@@ -275,7 +274,6 @@ def separate_connectivity(
     *,
     support_eps: Weight = SUPPORT_EPS,
     violation_eps: Weight = VIOLATION_EPS,
-    max_cuts: int = MAX_CUTS_PER_ROUND,
 ) -> list[ConnCut]:
     """Global minimum cut if violated; per-component cuts when disconnected."""
     if n < 2:
@@ -287,7 +285,7 @@ def separate_connectivity(
             ConnCut(frozenset(c), _cut_weight(xt, frozenset(c))) for c in comps
         ]
         cuts.sort(key=lambda c: (c.cut_value, c.sorted_members))
-        return cuts[:max_cuts]
+        return cuts[:MAX_CUTS_PER_ROUND]
     value, side = stoer_wagner(n, xt)
     if value < 1 - violation_eps:
         return [ConnCut(side, value)]

@@ -23,20 +23,20 @@ phase 1 declares a program infeasible. The exact path warm-starts only from a
 primal feasible basis, with the nonbasic variables at the bounds the basis
 records.
 
-A float solve's basis keeps its final inverse over the program's rows. A
-warm solve of a program whose first rows are those very Row objects extends
-it instead of inverting the basis again: k appended rows a with slack
-coefficients s add the rows [-diag(1/s) a_B B^-1, diag(1/s)], in O(k m^2),
-and bound or objective changes only move the nonbasic values and the
-reduced costs. Any other basis is inverted from scratch. The pivots update
-the reduced costs instead of pricing every column again. Every optimum with
-a structural basis is checked against the original matrix: its basic values
+A float solve's basis keeps its final inverse over the program's rows, and
+a warm float solve starts only from it: for a program whose first rows are
+those very Row objects and whose appended rows all have slacks, k appended
+rows a with slack coefficients s add the rows [-diag(1/s) a_B B^-1,
+diag(1/s)], in O(k m^2), and bound or objective changes only move the
+nonbasic values and the reduced costs. The float path never inverts a
+basis from scratch: any other warm basis solves cold. The pivots update the
+reduced costs instead of pricing every column again. Every optimum with a
+structural basis is checked against the original matrix: its basic values
 x_B = B^-1 (b - A_N x_N) and duals y = c_B B^-1 are computed through the
 inverse in O(m^2), each refined once against A_B; the rows must hold,
 |c_B - y A_B| must stay within FEAS_TOL of the size of the terms it sums, and
-y must price no free nonbasic column in. A solve from a kept inverse that
-fails a check re-solves once from a freshly inverted basis; any other solve
-raises.
+y must price no free nonbasic column in. A warm solve that fails a check
+solves cold; a cold solve that fails one raises.
 
 A program keeps its row coefficients as one float64 matrix, and both simplex
 paths read only it. The matrix is built and checked once per row set:
@@ -264,7 +264,8 @@ class Basis:
     inverse, set by a float solve whose basis has no artificial, is left out
     of == and repr. A warm float solve extends it when the program's first
     rows are its very Row objects (with_rows keeps them) and every appended
-    row has a slack; otherwise it inverts the basis from scratch."""
+    row has a slack; otherwise, or without an inverse, the float solve starts
+    cold. The exact path reads only basic and at_upper."""
 
     basic: tuple[int, ...]
     at_upper: frozenset[int] = frozenset()
@@ -276,14 +277,18 @@ NO_BASIS = Basis(())
 
 @dataclass
 class LpResult:
+    """A solve's outcome. warm_started: the optimum was reached from the
+    prior basis (on the float path, from its kept inverse), with or without
+    dual pivots; a warm attempt that fell back to the cold solve leaves it
+    False. pivots counts the basis changes of every phase, a discarded warm
+    attempt included."""
+
     status: LpStatus
     objective_value: Optional[Number]
     primal: list
     basis: Basis
-    warm_started: bool = False  # the prior basis was used, with or without dual pivots
-    pivots: int = 0  # basis changes of every phase, a discarded warm attempt included
-    kept_inverse: bool = False  # the warm attempt extended the prior basis's inverse
-    refactored: bool = False  # that attempt failed the optimum's check and was re-solved
+    warm_started: bool = False
+    pivots: int = 0
 
 
 def lp_fix_variable(lp: LinearProgram, var: int, value: Number) -> LinearProgram:
@@ -388,31 +393,19 @@ class _FloatSimplex:
 
     def solve(self, warm_basis: Optional[Basis]) -> LpResult:
         result = None
-        kept = refactored = False
         if warm_basis is not None and self.m > 0:
             state = self._kept_state(warm_basis)
-            kept = state is not None
-            if kept:
+            if state is not None:
                 try:
                     result = self._warm(state)
                 except LpError:
                     # the optimum reached from the kept inverse failed a check
                     # against the original matrix: drift or a damaged inverse
-                    refactored = True
-            if not kept or refactored:
-                state = self._factored_state(warm_basis)
-                if state is not None:
-                    result = self._warm(state)
+                    pass
         warm_started = result is not None
         if result is None:
             result = self._cold()
-        return replace(
-            result,
-            warm_started=warm_started,
-            pivots=self.pivots,
-            kept_inverse=kept,
-            refactored=refactored,
-        )
+        return replace(result, warm_started=warm_started, pivots=self.pivots)
 
     def _warm(self, state: _State) -> Optional[LpResult]:
         if not self._dual_loop(state):
@@ -422,26 +415,11 @@ class _FloatSimplex:
             return None
         return self._finish(state, status)
 
-    def _basis_columns(self, warm: Basis) -> Optional[np.ndarray]:
-        """warm's basic columns, each appended row's slack after them; None
-        when they do not form a basis of this program."""
-        m, N = self.m, self.N
-        basis = list(warm.basic[:m])
-        for i in range(len(basis), m):
-            s = int(self.slack_of_row[i])
-            if s < 0:
-                return None
-            basis.append(s)
-        if len(basis) != m or len(set(basis)) != m:
-            return None
-        if any(not 0 <= j < N for j in basis + list(warm.at_upper)):
-            return None
-        return np.array(basis, dtype=int)
-
     def _kept_state(self, warm: Basis) -> Optional[_State]:
-        """warm's kept inverse extended by the appended rows, in O(k m^2)
-        for k rows; None unless this program's first rows are the inverse's
-        very rows and every appended row has a slack."""
+        """warm's kept inverse extended by the appended rows, each of whose
+        slacks joins the basis, in O(k m^2) for k rows; None unless this
+        program's first rows are the inverse's very rows, every appended row
+        has a slack and the columns form a basis of this program."""
         kept = warm.inverse
         if kept is None:
             return None
@@ -455,9 +433,12 @@ class _FloatSimplex:
             or not all(map(operator.is_, kept.rows, self.rows))
         ):
             return None
-        basis = self._basis_columns(warm)
-        if basis is None:
+        columns = list(warm.basic) + new_slacks.tolist()
+        if len(set(columns)) != self.m or any(
+            not 0 <= j < self.N for j in columns + list(warm.at_upper)
+        ):
             return None
+        basis = np.array(columns, dtype=int)
         Binv = np.zeros((self.m, self.m))
         Binv[:m0, :m0] = kept.Binv
         if m0 < self.m:
@@ -468,19 +449,6 @@ class _FloatSimplex:
             coef = A_new[np.arange(len(new_slacks)), new_slacks]
             Binv[m0:, :m0] = -(A_new[:, basis[:m0]] @ kept.Binv) / coef[:, None]
             Binv[m0:, m0:] = np.diag(1.0 / coef)
-        return self._start(warm, basis, Binv)
-
-    def _factored_state(self, warm: Basis) -> Optional[_State]:
-        """warm's basis factored from scratch: A_B inverted in O(m^3)."""
-        basis = self._basis_columns(warm)
-        if basis is None:
-            return None
-        try:
-            Binv = np.linalg.inv(self.A[:, basis])
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(Binv)):
-            return None
         return self._start(warm, basis, Binv)
 
     def _start(self, warm: Basis, basis: np.ndarray, Binv: np.ndarray) -> _State:

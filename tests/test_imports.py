@@ -99,6 +99,41 @@ def test_checker_flags_unused_and_honours_noqa():
     assert unused_imports(source) == ["Optional (line 2)"]
 
 
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """Private functions, methods and classes (one leading underscore) that
+    these sources define and never name anywhere else: no call, attribute,
+    import or other reference to the name."""
+    defined: dict[str, str] = {}
+    named: set[str] = set()
+    for label, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.setdefault(node.name, f"{node.name} ({label} line {node.lineno})")
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    return [where for name, where in defined.items() if name not in named]
+
+
+def test_no_orphaned_private_names():
+    # a private helper only its own module can call; once no caller is left
+    # it is dead code
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert orphaned_private_names(sources) == []
+
+
+def test_orphan_check_flags_a_helper_nothing_names():
+    sources = {
+        "a.py": "def _used():\n    pass\n\nclass _Orphan:\n    def _kept(self):\n        pass\n",
+        "b.py": "from a import _used\n\ndef run(obj):\n    _used()\n    obj._kept()\n",
+    }
+    assert orphaned_private_names(sources) == ["_Orphan (a.py line 4)"]
+
+
 def test_cli_import_leaves_scipy_out():
     # scipy is a test-only dependency; importing it would more than double
     # the command-line tool's start-up time

@@ -58,6 +58,28 @@ def inverse_error(lp, basis):
     return float(np.abs(Binv @ A_B - np.eye(m)).max())
 
 
+def with_inverse(basis, Binv):
+    """basis with Binv in place of its kept inverse, for the same rows."""
+    return dataclasses.replace(basis, inverse=dataclasses.replace(basis.inverse, Binv=Binv))
+
+
+@pytest.fixture
+def finish_failures(monkeypatch):
+    """The messages of the LpErrors that _FloatSimplex._finish raises, in order."""
+    failures = []
+    finish = _FloatSimplex._finish
+
+    def recorded(self, state, status):
+        try:
+            return finish(self, state, status)
+        except LpError as exc:
+            failures.append(str(exc))
+            raise
+
+    monkeypatch.setattr(_FloatSimplex, "_finish", recorded)
+    return failures
+
+
 def scipy_solve(lp):
     """Reference solve of the same program with scipy's HiGHS."""
     n = lp.num_vars
@@ -242,7 +264,7 @@ class TestDualReoptimize:
 
         monkeypatch.setattr(_FloatSimplex, "_pivot", recorded)
         warm = lp_solve(cut, prior.basis)
-        assert warm.warm_started and warm.kept_inverse and not warm.refactored
+        assert warm.warm_started
         assert leaving[0] == 3
         cold = lp_solve(cut)
         assert warm.primal == pytest.approx(cold.primal) == [3, 2]
@@ -331,6 +353,18 @@ class TestDualReoptimize:
             assert np.array_equal(state.hi_B, state.hi[state.basis])
             pivots_checked.append(r)
 
+        # every warm solve starts from the prior basis's kept inverse, and no
+        # optimum reached from it fails a check
+        warm_attempts = []
+        warm_path = _FloatSimplex._warm
+
+        def recorded_warm(self, state):
+            warm_attempts.append("raised")  # replaced unless a check raises
+            result = warm_path(self, state)
+            warm_attempts[-1] = result is not None
+            return result
+
+        monkeypatch.setattr(_FloatSimplex, "_warm", recorded_warm)
         monkeypatch.setattr(_FloatSimplex, "_dual_loop", recorded_dual_loop)
         monkeypatch.setattr(_FloatSimplex, "_loop", recorded_loop)
         monkeypatch.setattr(_FloatSimplex, "_leaving_row", staticmethod(recorded_leaving_row))
@@ -370,13 +404,14 @@ class TestDualReoptimize:
             if changed is lp or rng.random() < 0.5:
                 var = rng.randrange(n)
                 changed = lp_fix_variable(changed, var, rng.choice([0, hi[var]]))
+            attempts = len(warm_attempts)
             warm = lp_solve(changed, warm_basis=prior.basis)
             cold = lp_solve(changed)
             ref = scipy_solve(changed)
             expected = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE}[ref.status]
             assert warm.status is cold.status is expected
             # every appended row has a slack, so the prior inverse is extended
-            assert warm.kept_inverse and not warm.refactored
+            assert warm_attempts[attempts:] == [warm.warm_started]
             if expected is LpStatus.OPTIMAL:
                 optimal += 1
                 assert inverse_error(changed, warm.basis) < 1e-9
@@ -597,42 +632,48 @@ class TestSharedMatrix:
         with pytest.raises(LpError, match="objective index 3"):
             lp.with_objective([(3, 1)])
 
-    def test_warm_solve_without_pivots_factors_once(self, monkeypatch):
-        # a warm solve from a kept inverse inverts no basis, and the optimum's
-        # checks read x_B and y through that inverse: no linear solve runs
+    def test_warm_solve_without_pivots_factors_once(self, monkeypatch, finish_failures):
+        # the cold solve forms the only inverse: a warm solve extends it and
+        # the optimum's checks read x_B and y through it, while a basis
+        # without a usable inverse solves cold. No float solve, cold, warm,
+        # from a damaged inverse or without one, inverts a matrix or runs a
+        # linear solve
         lp = k_example()
-        cold = lp_solve(lp)
-        right_hand_sides = []
-        inverted = []
+        calls = []
         solve, inv = np.linalg.solve, np.linalg.inv
 
         def recorded(a, b):
-            right_hand_sides.append(np.shape(b))
+            calls.append(("solve", np.shape(a), np.shape(b)))
             return solve(a, b)
 
         def recorded_inv(a):
-            inverted.append(np.shape(a))
+            calls.append(("inv", np.shape(a)))
             return inv(a)
 
         monkeypatch.setattr(np.linalg, "solve", recorded)
         monkeypatch.setattr(np.linalg, "inv", recorded_inv)
+        cold = lp_solve(lp)
         warm = lp_solve(lp, cold.basis)
-        assert warm.warm_started and warm.kept_inverse and not warm.refactored
+        assert warm.warm_started
         assert warm.pivots == 0
         assert warm.primal == cold.primal
         assert cold.primal[1] == 0
         cut = lp.with_rows([make_row({1: 1}, ">=", 0.75)])
         moved = lp_solve(cut, cold.basis)
-        assert moved.warm_started and moved.kept_inverse and moved.pivots > 0
+        assert moved.warm_started and moved.pivots > 0
         assert moved.primal == pytest.approx([0.25, 0.75, 1])
-        assert not right_hand_sides and not inverted
-        # without a kept inverse the basis is inverted once, as A_B is 3 x 3
-        bare = dataclasses.replace(cold.basis, inverse=None)
-        factored = lp_solve(cut, bare)
-        assert factored.warm_started and not factored.kept_inverse
-        assert inverted == [(3, 3)]
-        assert not right_hand_sides
-        assert factored.primal == pytest.approx(moved.primal)
+        # without a kept inverse the basis solves cold
+        cut_cold = lp_solve(cut)
+        bare = lp_solve(cut, dataclasses.replace(cold.basis, inverse=None))
+        assert not bare.warm_started
+        assert bare == cut_cold
+        assert bare.primal == pytest.approx(moved.primal)
+        # an inverse scaled by 3 fails the optimum's checks and solves cold
+        damaged = lp_solve(cut, with_inverse(cold.basis, 3 * cold.basis.inverse.Binv))
+        assert finish_failures
+        assert not damaged.warm_started
+        assert damaged.primal == cut_cold.primal
+        assert not calls
 
     def test_tableau_of_other_rows_is_not_reused(self):
         lp = k_example()
@@ -647,11 +688,10 @@ class TestSharedMatrix:
             inverse = lp_solve(other).basis.inverse
             assert inverse.Binv.shape == cold.basis.inverse.Binv.shape
             res = lp_solve(lp, dataclasses.replace(cold.basis, inverse=inverse))
-            assert res.warm_started and not res.kept_inverse and not res.refactored
-            assert res.primal == pytest.approx(cold.primal)
-            assert res.objective_value == pytest.approx(cold.objective_value)
+            assert not res.warm_started
+            assert res == cold
 
-    def test_damaged_tableau_is_caught_and_refactored(self):
+    def test_damaged_tableau_is_caught_and_solved_cold(self, finish_failures):
         # min -x0 s.t. x0 + x1 <= 2 ends with x0 basic and B^-1 = [1]; under
         # -x0 - 2 x1 the inverse [3] prices x1 at -2 + 3 = 1, so the kept
         # basis looks optimal
@@ -663,22 +703,22 @@ class TestSharedMatrix:
         assert not kept.Binv.flags.writeable
         damaged_Binv = kept.Binv.copy()
         damaged_Binv[0, 0] = 3
-        damaged = dataclasses.replace(
-            prior.basis, inverse=dataclasses.replace(kept, Binv=damaged_Binv)
-        )
         swapped = lp.with_objective([(0, -1), (1, -2)])
-        res = lp_solve(swapped, damaged)
-        assert res.kept_inverse and res.refactored and res.warm_started
+        res = lp_solve(swapped, with_inverse(prior.basis, damaged_Binv))
+        # _finish catches the damaged inverse, and the cold solve follows
+        assert len(finish_failures) == 1 and finish_failures[0].startswith("basis residual ")
+        assert not res.warm_started
         cold = lp_solve(swapped)
-        assert res.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+        assert res == cold
         assert res.objective_value == pytest.approx(scipy_solve(swapped).fun, abs=1e-9)
         assert res.primal == pytest.approx([0, 2])
         # the intact inverse reaches the same optimum without a fallback
         intact = lp_solve(swapped, prior.basis)
-        assert intact.kept_inverse and not intact.refactored
+        assert intact.warm_started
         assert intact.primal == pytest.approx([0, 2])
+        assert len(finish_failures) == 1
 
-    def test_residual_check_catches_a_damaged_inverse(self, monkeypatch):
+    def test_residual_check_catches_a_damaged_inverse(self, finish_failures):
         # min -3 x0 - x1 s.t. x0 - x1 <= 0, x0 + x1 <= 4 ends at x = (2, 2)
         # with B^-1 = [[.5, .5], [-.5, .5]]. Moving B^-1[0, 0] by 1e-3 leaves
         # x_B exact (row 0's rhs is 0) and every reduced cost of the right
@@ -693,27 +733,13 @@ class TestSharedMatrix:
         assert np.allclose(kept.Binv, [[0.5, 0.5], [-0.5, 0.5]])
         damaged_Binv = kept.Binv.copy()
         damaged_Binv[0, 0] += 1e-3
-        damaged = dataclasses.replace(
-            prior.basis, inverse=dataclasses.replace(kept, Binv=damaged_Binv)
-        )
-        failures = []
-        finish = _FloatSimplex._finish
-
-        def recorded(self, state, status):
-            try:
-                return finish(self, state, status)
-            except LpError as exc:
-                failures.append(str(exc))
-                raise
-
-        monkeypatch.setattr(_FloatSimplex, "_finish", recorded)
-        res = lp_solve(lp, damaged)
-        assert res.kept_inverse and res.refactored and res.warm_started
-        assert res.pivots == 0
-        assert len(failures) == 1 and failures[0].startswith("basis residual ")
+        res = lp_solve(lp, with_inverse(prior.basis, damaged_Binv))
+        assert not res.warm_started
+        assert len(finish_failures) == 1 and finish_failures[0].startswith("basis residual ")
         cold = lp_solve(lp)
-        assert res.primal == pytest.approx(cold.primal) == [2, 2]
-        assert res.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+        assert res == cold
+        assert res.primal == pytest.approx([2, 2])
+        assert res.objective_value == pytest.approx(scipy_solve(lp).fun, abs=1e-9)
         assert np.abs(res.basis.inverse.Binv - kept.Binv).max() < 1e-12
 
     def test_row_check_names_first_violated_row(self):

@@ -294,7 +294,6 @@ class TestWarmRefinement:
             assert offered is previous
             assert warm is previous
             assert first.warm_started
-            assert first.kept_inverse
 
     @pytest.mark.parametrize("n", [12, 16])
     @pytest.mark.parametrize("seed", [1, 2, 3])
