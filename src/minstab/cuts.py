@@ -1,10 +1,26 @@
 """Separation oracles for the cutting-plane loop.
 
-Violated blossom inequalities come from minimum odd cuts read off a
-Gomory-Hu tree (with degree equalities every vertex is an odd terminal, so
-tree cuts suffice); violated connectivity cuts come from a global minimum
-cut. All routines work unchanged on float or Fraction weights, which is what
-lets the exact certification path reuse them.
+Both cut families come from one Gomory-Hu tree per call: blossom rows
+x(delta(S)) >= 1 for odd S (matchings) and connectivity rows x(delta(S)) >= 1
+for every proper S (trees). The tree is built on the support graph after
+every edge of weight >= 1 - violation_eps (>= 1 in exact mode) is
+contracted: a cut separating the ends of such an edge weighs at least that
+much and cannot be violated, so every violated cut survives contraction with
+its value (Padberg & Rinaldi 1990, "An efficient algorithm for the minimum
+capacity cut problem").
+
+The minimum cut is one of the tree's fundamental cuts. So is a minimum odd
+cut: label a contracted node odd when it holds an odd number of original
+vertices; some tree edge crossing a minimum odd cut has a fundamental cut
+that is odd too, and no heavier (Padberg & Rao 1982, "Odd minimum cut-sets
+and b-matchings"). Blossom separation keeps the odd fundamental cuts,
+connectivity separation keeps all of them.
+
+`separate_blossom` and `separate_connectivity` stay two names over the one
+routine, and `gomory_hu` looks `max_flow_min_cut` up as a module global, so
+each can be wrapped on its own where it is called. All routines work
+unchanged on float or Fraction weights, which is what lets the exact
+certification path reuse them.
 """
 
 from __future__ import annotations
@@ -14,6 +30,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from .geom import Segment
+from .instance import UnionFind
 
 SUPPORT_EPS = 1e-7
 VIOLATION_EPS = 1e-7
@@ -27,49 +44,15 @@ class CutError(ValueError):
 
 
 @dataclass(frozen=True)
-class WeightedSupportGraph:
-    """Edges carrying weight above the support threshold; simple graph."""
+class Cut:
+    """A vertex set S for the row x(delta(S)) >= 1, and x(delta(S))."""
 
-    n: int
-    edges: tuple[tuple[int, int, Weight], ...]
-
-
-@dataclass(frozen=True)
-class OddSetCut:
-    members: frozenset[int]
-    cut_value: Weight
-
-    def __post_init__(self) -> None:
-        if len(self.members) % 2 == 0 or not self.members:
-            raise CutError("odd-set cut needs a nonempty odd vertex set")
-
-    @property
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-
-@dataclass(frozen=True)
-class ConnCut:
     members: frozenset[int]
     cut_value: Weight
 
     def __post_init__(self) -> None:
         if not self.members:
-            raise CutError("connectivity cut needs a nonempty vertex set")
-
-    @property
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-
-def support_graph(
-    n: int, x: Mapping[Segment, Weight], eps: Weight = SUPPORT_EPS
-) -> WeightedSupportGraph:
-    """Drop edges at or below eps so float noise cannot fake connectivity."""
-    edges = tuple(
-        (e.a, e.b, w) for e, w in sorted(x.items()) if w > eps
-    )
-    return WeightedSupportGraph(n, edges)
+            raise CutError("a cut needs a nonempty vertex set")
 
 
 def max_flow_min_cut(
@@ -167,36 +150,17 @@ class GomoryHuTree:
             out.append((frozenset(side), self.value[i]))
         return out
 
-    def min_pair_value(self, u: int, v: int) -> Weight:
-        depth = [0] * self.n
-        for i in range(1, self.n):
-            j, d = i, 0
-            while j != 0:
-                j = self.parent[j]
-                d += 1
-            depth[i] = d
-        best: Optional[Weight] = None
-        a, b = u, v
-        while a != b:
-            if depth[a] < depth[b]:
-                a, b = b, a
-            if best is None or self.value[a] < best:
-                best = self.value[a]
-            a = self.parent[a]
-        if best is None:
-            raise CutError("min_pair_value needs two distinct vertices")
-        return best
 
-
-def gomory_hu(g: WeightedSupportGraph, eps: Weight = 0) -> GomoryHuTree:
+def gomory_hu(
+    n: int, edges: Sequence[tuple[int, int, Weight]], eps: Weight = 0
+) -> GomoryHuTree:
     """Gusfield's cut-tree construction: n-1 max-flow calls on the original
     graph.
 
     Every vertex hanging off the sink on the source side is re-parented, not
     only the later ones: re-parenting only j > i keeps the pairwise flow
-    values but loses the cut property that blossom separation relies on.
+    values but loses the cut property that separation relies on.
     """
-    n = g.n
     if n < 2:
         raise CutError("Gomory-Hu tree needs at least two vertices")
     parent = [0] * n
@@ -204,7 +168,7 @@ def gomory_hu(g: WeightedSupportGraph, eps: Weight = 0) -> GomoryHuTree:
     value: list[Weight] = [0] * n
     for i in range(1, n):
         target = parent[i]
-        flow, side = max_flow_min_cut(n, g.edges, i, target, eps=eps)
+        flow, side = max_flow_min_cut(n, edges, i, target, eps=eps)
         value[i] = flow
         for j in range(n):
             if j != i and parent[j] == target and j in side:
@@ -217,12 +181,6 @@ def gomory_hu(g: WeightedSupportGraph, eps: Weight = 0) -> GomoryHuTree:
     return GomoryHuTree(n, tuple(parent), tuple(value))
 
 
-def _thresholded(
-    x: Mapping[Segment, Weight], eps: Weight
-) -> dict[Segment, Weight]:
-    return {e: w for e, w in x.items() if w > eps}
-
-
 def _cut_weight(x: Mapping[Segment, Weight], members: frozenset[int]) -> Weight:
     total: Weight = 0
     for e, w in x.items():
@@ -231,41 +189,74 @@ def _cut_weight(x: Mapping[Segment, Weight], members: frozenset[int]) -> Weight:
     return total
 
 
+def _tree_cuts(
+    x: Mapping[Segment, Weight],
+    n: int,
+    support_eps: Weight,
+    violation_eps: Weight,
+    *,
+    odd: bool,
+) -> list[Cut]:
+    """Violated fundamental cuts of one Gomory-Hu tree on the contracted
+    support, both sides of each, most violated first; only the sides with an
+    odd number of vertices when odd is set."""
+    if n < 2:
+        raise CutError("separation needs n >= 2")
+    # edges at or below support_eps are dropped so float noise cannot fake
+    # connectivity; cut values are weighed in what is left
+    xt = {e: w for e, w in x.items() if w > support_eps}
+    uf = UnionFind(n)
+    for e, w in xt.items():
+        if w >= 1 - violation_eps:
+            uf.union(e.a, e.b)
+    by_root: dict[int, list[int]] = {}
+    for v in range(n):
+        by_root.setdefault(uf.find(v), []).append(v)
+    if len(by_root) == 1:
+        return []
+    groups = list(by_root.values())  # node i stands for groups[i]
+    node = {v: i for i, group in enumerate(groups) for v in group}
+    edges: dict[tuple[int, int], Weight] = {}
+    for e, w in sorted(xt.items()):
+        a, b = sorted((node[e.a], node[e.b]))
+        if a != b:
+            edges[a, b] = edges.get((a, b), 0) + w
+    tree = gomory_hu(
+        len(groups),
+        [(a, b, w) for (a, b), w in edges.items()],
+        eps=0 if support_eps == 0 else 1e-12,
+    )
+    cuts = []
+    everyone = frozenset(range(n))
+    for nodes, _ in tree.cut_candidates():
+        members = frozenset(v for i in nodes for v in groups[i])
+        if odd and len(members) % 2 == 0:
+            continue  # with n even the complement is even too
+        val = _cut_weight(xt, members)
+        if val < 1 - violation_eps:
+            # both sides of the tree edge are violated (same row); distinct
+            # tree edges split the vertices differently
+            cuts += [Cut(members, val), Cut(everyone - members, val)]
+    cuts.sort(key=lambda c: (c.cut_value, sorted(c.members)))
+    return cuts[:MAX_CUTS_PER_ROUND]
+
+
 def separate_blossom(
     x: Mapping[Segment, Weight],
     n: int,
     *,
     support_eps: Weight = SUPPORT_EPS,
     violation_eps: Weight = VIOLATION_EPS,
-) -> list[OddSetCut]:
+) -> list[Cut]:
     """All violated tree-induced odd-set cuts, most violated first.
 
     Assumes x satisfies the degree equalities, which makes every vertex an
-    odd terminal: the minimum odd cut is then realized by a Gomory-Hu tree
-    edge whose lighter side has odd cardinality. An empty list certifies
-    that no blossom inequality is violated.
+    odd terminal. An empty list certifies that no blossom inequality is
+    violated.
     """
     if n % 2 != 0:
         raise CutError("matching requires even n")
-    if n < 2:
-        raise CutError("separation needs n >= 2")
-    xt = _thresholded(x, support_eps)
-    tree = gomory_hu(support_graph(n, x, support_eps), eps=0 if support_eps == 0 else 1e-12)
-    cuts = []
-    seen = set()
-    everyone = frozenset(range(n))
-    for members, _ in tree.cut_candidates():
-        if len(members) % 2 == 0:
-            continue  # with n even the complement is even too
-        val = _cut_weight(xt, members)
-        if val < 1 - violation_eps:
-            # both sides of the tree edge are violated odd sets (same row)
-            for side in (members, everyone - members):
-                if side not in seen and 0 < len(side) < n:
-                    seen.add(side)
-                    cuts.append(OddSetCut(side, val))
-    cuts.sort(key=lambda c: (c.cut_value, c.sorted_members))
-    return cuts[:MAX_CUTS_PER_ROUND]
+    return _tree_cuts(x, n, support_eps, violation_eps, odd=True)
 
 
 def separate_connectivity(
@@ -274,94 +265,7 @@ def separate_connectivity(
     *,
     support_eps: Weight = SUPPORT_EPS,
     violation_eps: Weight = VIOLATION_EPS,
-) -> list[ConnCut]:
-    """Global minimum cut if violated; per-component cuts when disconnected."""
-    if n < 2:
-        raise CutError("separation needs n >= 2")
-    xt = _thresholded(x, support_eps)
-    comps = _components(n, xt)
-    if len(comps) > 1:
-        cuts = [
-            ConnCut(frozenset(c), _cut_weight(xt, frozenset(c))) for c in comps
-        ]
-        cuts.sort(key=lambda c: (c.cut_value, c.sorted_members))
-        return cuts[:MAX_CUTS_PER_ROUND]
-    value, side = stoer_wagner(n, xt)
-    if value < 1 - violation_eps:
-        return [ConnCut(side, value)]
-    return []
-
-
-def _components(n: int, x: Mapping[Segment, Weight]) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for e in x:
-        adj[e.a].append(e.b)
-        adj[e.b].append(e.a)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        comps.append(sorted(comp))
-    return comps
-
-
-def stoer_wagner(
-    n: int, x: Mapping[Segment, Weight]
-) -> tuple[Weight, frozenset[int]]:
-    """Global minimum cut of the weighted support graph (graph connected).
-
-    Classic minimum-cut-phase algorithm; ties broken by lowest vertex index
-    so results are deterministic.
-    """
-    if n < 2:
-        raise CutError("global minimum cut needs n >= 2")
-    w = [[0] * n for _ in range(n)]
-    for e, wt in x.items():
-        w[e.a][e.b] = w[e.a][e.b] + wt
-        w[e.b][e.a] = w[e.b][e.a] + wt
-    groups: list[list[int]] = [[i] for i in range(n)]
-    active = list(range(n))
-    best_value: Optional[Weight] = None
-    best_side: Optional[frozenset[int]] = None
-    while len(active) > 1:
-        a0 = active[0]
-        conn = {v: w[a0][v] for v in active if v != a0}
-        order = [a0]
-        while conn:
-            # conn lists active vertices in ascending order and only loses
-            # keys, so max takes the lowest index among ties
-            nxt = max(conn, key=conn.__getitem__)
-            order.append(nxt)
-            del conn[nxt]
-            for v in conn:
-                conn[v] = conn[v] + w[nxt][v]
-        t = order[-1]
-        s = order[-2]
-        cut_of_phase: Weight = 0
-        for v in active:
-            if v != t:
-                cut_of_phase = cut_of_phase + w[t][v]
-        side = frozenset(groups[t])
-        if best_value is None or cut_of_phase < best_value:
-            best_value = cut_of_phase
-            best_side = side
-        # merge t into s
-        groups[s] = groups[s] + groups[t]
-        for v in active:
-            if v != s and v != t:
-                w[s][v] = w[s][v] + w[t][v]
-                w[v][s] = w[v][s] + w[t][v]
-        active.remove(t)
-    assert best_value is not None and best_side is not None
-    return best_value, best_side
+) -> list[Cut]:
+    """All violated tree-induced cuts, most violated first; an empty list
+    certifies that every cut carries at least 1."""
+    return _tree_cuts(x, n, support_eps, violation_eps, odd=False)

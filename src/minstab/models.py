@@ -24,13 +24,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .cuts import (
-    SUPPORT_EPS,
-    ConnCut,
-    OddSetCut,
-    separate_blossom,
-    separate_connectivity,
-)
+from .cuts import SUPPORT_EPS, Cut, separate_blossom, separate_connectivity
 from .geom import (
     LineFamily,
     Segment,
@@ -52,8 +46,6 @@ from .lp import (
 )
 
 logger = logging.getLogger(__name__)
-
-Cut = Union[OddSetCut, ConnCut]
 
 # Stabbing rows appended per round, most violated first. Fewer rounds of
 # larger batches grow the program with rows that are never tight; appending

@@ -284,8 +284,8 @@ class TestDegenerateInputs:
             ("col3", "tree", "general", "2.000000000 2 2 2 1.000000 1 2/1", [[0, 1], [1, 2]]),
             ("col6", "matching", "axis", "1.000000000 1 1 1 1.000000 0 1/1", [[0, 1], [2, 3], [4, 5]]),
             ("col6", "matching", "general", "3.000000000 3 3 3 1.000000 0 3/1", [[0, 1], [2, 3], [4, 5]]),
-            ("col6", "tree", "axis", "2.000000000 2 2 2 1.000000 3 2/1", [[i, i + 1] for i in range(5)]),
-            ("col6", "tree", "general", "5.000000000 5 5 5 1.000000 5 5/1", [[i, i + 1] for i in range(5)]),
+            ("col6", "tree", "axis", "2.000000000 2 2 2 1.000000 2 2/1", [[i, i + 1] for i in range(5)]),
+            ("col6", "tree", "general", "5.000000000 5 5 5 1.000000 4 5/1", [[i, i + 1] for i in range(5)]),
         ],
     )
     def test_prints_known_values(self, tmp_path, capsys, name, problem, family, values, edges):

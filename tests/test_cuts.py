@@ -5,15 +5,13 @@ import pytest
 
 from minstab import Segment
 from minstab.cuts import (
+    SUPPORT_EPS,
+    VIOLATION_EPS,
     CutError,
-    GomoryHuTree,
-    WeightedSupportGraph,
     gomory_hu,
     max_flow_min_cut,
     separate_blossom,
     separate_connectivity,
-    stoer_wagner,
-    support_graph,
 )
 from minstab.instance import SplitMix64
 from minstab.oracle import enum_perfect_matchings, enum_spanning_trees
@@ -32,12 +30,15 @@ def brute_min_st_cut(n, edges, s, t):
     return best
 
 
+def weight(x, members):
+    return sum(w for e, w in x.items() if (e.a in members) != (e.b in members))
+
+
 def brute_min_odd_cut(x, n):
     best = None
     for size in range(1, n, 2):
         for s_set in combinations(range(n), size):
-            members = set(s_set)
-            val = sum(w for e, w in x.items() if (e.a in members) != (e.b in members))
+            val = weight(x, set(s_set))
             if best is None or val < best:
                 best = val
     return best
@@ -49,8 +50,7 @@ def brute_min_cut(x, n):
         for s_set in combinations(range(n), size):
             if 0 not in s_set:
                 continue
-            members = set(s_set)
-            val = sum(w for e, w in x.items() if (e.a in members) != (e.b in members))
+            val = weight(x, set(s_set))
             if best is None or val < best:
                 best = val
     return best
@@ -97,23 +97,31 @@ class TestMaxFlow:
         assert value == Fraction(1, 2)  # min cut isolates vertex 2
 
 
+def assert_tree_edges_are_flows(tree, edges):
+    """Each tree edge's value is the maximum flow between its two ends."""
+    for i in range(1, tree.n):
+        direct, _ = max_flow_min_cut(tree.n, edges, i, tree.parent[i])
+        assert tree.value[i] == pytest.approx(direct), (i, tree.parent[i])
+
+
 class TestGomoryHu:
     def test_path_graph(self):
-        g = WeightedSupportGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
-        tree = gomory_hu(g)
-        assert tree.min_pair_value(0, 1) == pytest.approx(1)
-        assert tree.min_pair_value(1, 2) == pytest.approx(1)
+        edges = ((0, 1, 1.0), (1, 2, 1.0))
+        tree = gomory_hu(3, edges)
+        assert tree.value[1:] == pytest.approx((1, 1))
+        assert_tree_edges_are_flows(tree, edges)
 
     def test_disconnected_zero_edge(self):
-        g = WeightedSupportGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
-        tree = gomory_hu(g)
-        assert tree.min_pair_value(0, 2) == 0
+        edges = ((0, 1, 1.0), (2, 3, 1.0))
+        tree = gomory_hu(4, edges)
+        assert sorted(tree.value[1:]) == [0, 1, 1]
+        assert_tree_edges_are_flows(tree, edges)
 
     def test_triangle_all_pairs_two(self):
-        g = WeightedSupportGraph(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)))
-        tree = gomory_hu(g)
-        for u, v in ((0, 1), (0, 2), (1, 2)):
-            assert tree.min_pair_value(u, v) == pytest.approx(2)
+        edges = ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0))
+        tree = gomory_hu(3, edges)
+        assert tree.value[1:] == pytest.approx((2, 2))
+        assert_tree_edges_are_flows(tree, edges)
 
     def test_pairwise_values_match_direct_flows(self):
         rng = SplitMix64(77)
@@ -124,17 +132,12 @@ class TestGomoryHu:
                 for j in range(i + 1, n):
                     if rng.randrange(100) < 50:
                         edges.append((i, j, rng.randrange(1, 10) / 2))
-            g = WeightedSupportGraph(n, tuple(edges))
-            tree = gomory_hu(g)
-            for u in range(n):
-                for v in range(u + 1, n):
-                    direct, _ = max_flow_min_cut(n, edges, u, v)
-                    assert tree.min_pair_value(u, v) == pytest.approx(direct)
+            assert_tree_edges_are_flows(gomory_hu(n, edges), edges)
 
     def test_child_sides_are_minimum_cuts(self):
         # cut-tree property, stronger than equal pairwise flows: the child
         # side of every tree edge is a cut of exactly the edge's value,
-        # which is what minimum odd cut separation reads off the tree
+        # which is what separation reads off the tree
         rng = SplitMix64(2)
         for trial in range(300):
             n = 3 + rng.randrange(8)  # up to 10
@@ -144,21 +147,14 @@ class TestGomoryHu:
                     if rng.randrange(100) < 50:
                         w = Fraction(rng.randrange(1, 10), rng.randrange(1, 5))
                         edges.append((i, j, w))
-            tree = gomory_hu(WeightedSupportGraph(n, tuple(edges)))
+            tree = gomory_hu(n, edges)
             for side, value in tree.cut_candidates():
                 cut = sum(w for u, v, w in edges if (u in side) != (v in side))
                 assert cut == value, (trial, sorted(side))
 
     def test_needs_two_vertices(self):
         with pytest.raises(CutError):
-            gomory_hu(WeightedSupportGraph(1, ()))
-
-
-class TestSupportGraph:
-    def test_threshold_drops_noise(self):
-        x = {Segment(0, 1): 0.5, Segment(1, 2): 1e-9}
-        g = support_graph(3, x)
-        assert g.edges == ((0, 1, 0.5),)
+            gomory_hu(1, ())
 
 
 class TestSeparateBlossom:
@@ -237,6 +233,13 @@ class TestSeparateConnectivity:
         with pytest.raises(CutError):
             separate_connectivity({}, 1)
 
+    def test_noise_edge_does_not_join_components(self):
+        x = {Segment(0, 1): 1.0, Segment(2, 3): 1.0, Segment(1, 2): 1e-9}
+        cuts = separate_connectivity(x, 4)
+        assert cuts
+        assert cuts[0].members in (frozenset({0, 1}), frozenset({2, 3}))
+        assert cuts[0].cut_value == 0
+
     def test_agrees_with_enumeration(self):
         rng = SplitMix64(321)
         trees6 = list(enum_spanning_trees(6))
@@ -260,40 +263,49 @@ class TestSeparateConnectivity:
                 assert cuts[0].cut_value == pytest.approx(true_min, abs=1e-9)
 
 
-class TestStoerWagner:
-    def test_matches_brute(self):
-        rng = SplitMix64(55)
-        for trial in range(30):
-            n = 4 + rng.randrange(5)
-            x = {}
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if rng.randrange(100) < 70:
-                        x[Segment(i, j)] = rng.randrange(1, 9) / 2
-            # ensure connectivity for a meaningful global cut
-            for i in range(n - 1):
-                x.setdefault(Segment(i, i + 1), 1.0)
-            value, side = stoer_wagner(n, x)
-            assert value == pytest.approx(brute_min_cut(x, n))
-            assert 0 < len(side) < n
+class TestCutTreeExactness:
+    """Both separators against enumeration of every vertex subset, on random
+    supports where some edges weigh 1 or more and get contracted."""
 
-    @pytest.mark.parametrize("exact_type", [int, Fraction])
-    def test_exact_weights_with_ties_match_brute(self, exact_type):
-        # few distinct weights tie many vertices in each phase's ordering
-        rng = SplitMix64(56)
-        for trial in range(40):
+    @pytest.mark.parametrize("kind", [float, Fraction, int])
+    def test_matches_brute(self, kind):
+        rng = SplitMix64({float: 55, Fraction: 56, int: 57}[kind])
+        if kind is float:
+            eps = dict(support_eps=SUPPORT_EPS, violation_eps=VIOLATION_EPS)
+        else:
+            eps = dict(support_eps=0, violation_eps=0)
+        contracted = 0
+        for trial in range(60):
             n = 2 + rng.randrange(9)
             x = {}
             for i in range(n):
                 for j in range(i + 1, n):
-                    if rng.randrange(100) < 60:
-                        x[Segment(i, j)] = exact_type(rng.randrange(1, 4))
-            if exact_type is Fraction:
-                x = {e: w / 3 for e, w in x.items()}
-            for i in range(n - 1):
-                x.setdefault(Segment(i, i + 1), exact_type(1))
-            value, side = stoer_wagner(n, x)
-            assert value == brute_min_cut(x, n)
-            assert type(value) is exact_type
-            assert 0 < len(side) < n
-            assert value == sum(w for e, w in x.items() if (e.a in side) != (e.b in side))
+                    if rng.randrange(100) < 40:
+                        if kind is int:
+                            x[Segment(i, j)] = rng.randrange(3)
+                        else:
+                            x[Segment(i, j)] = kind(rng.randrange(0, 9)) / 6
+                        if kind is float and rng.randrange(10) == 0:
+                            x[Segment(i, j)] = 1e-9  # below the support threshold
+            contracted += any(w >= 1 for w in x.values())
+            support = {e: w for e, w in x.items() if w > eps["support_eps"]}
+            limit = 1 - eps["violation_eps"]
+            separators = [(separate_connectivity, False)]
+            if n % 2 == 0:
+                separators.append((separate_blossom, True))
+            for separate, odd in separators:
+                cuts = separate(x, n, **eps)
+                weights = [
+                    weight(support, frozenset(s))
+                    for size in range(1, n, 2 if odd else 1)
+                    for s in combinations(range(n), size)
+                ]
+                assert bool(cuts) == (min(weights) < limit), (trial, odd)
+                if cuts:
+                    assert cuts[0].cut_value == min(weights)
+                for c in cuts:
+                    assert 0 < len(c.members) < n
+                    assert c.cut_value == weight(support, c.members)
+                    assert c.cut_value < limit
+                    assert not odd or len(c.members) % 2 == 1
+        assert contracted > 30

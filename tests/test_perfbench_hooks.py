@@ -16,18 +16,20 @@ tracer = spans.Tracer()
 spans.install(tracer)
 """
 
-# a general-line matching that takes four cut rounds at n = 10
+# general lines at n = 10: seed 4's matching takes four cut rounds, and seed
+# 1's tree needs connectivity cuts that max flows find
 BOUND_RUN = """
 import contextlib, io, json
 from pathlib import Path
 import minstab.cli as cli
 from minstab.instance import gen_random, serialize_instance
 path = Path({tmp!r}) / "inst.pts"
-path.write_text(serialize_instance(gen_random(10, 100, 4)))
+path.write_text(serialize_instance(gen_random(10, 100, {seed})))
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["bound", str(path), "--problem", "matching", "--family", "general"])
+    code = cli.main(["bound", str(path), "--problem", {problem!r}, "--family", "general"])
 assert code == 0, code
-print(json.dumps(dict(tracer.counters)))
+calls = {{name: t["calls"] for name, t in tracer.totals().items()}}
+print(json.dumps([dict(tracer.counters), calls]))
 """
 
 
@@ -46,10 +48,23 @@ def test_tracer_installs_on_every_hooked_name():
     assert proc.returncode == 0, proc.stderr
 
 
+def _traced_bound(tmp_path, problem: str, seed: int) -> tuple[dict, dict]:
+    """Counters and span calls per name of one traced bound run."""
+    run = BOUND_RUN.format(tmp=str(tmp_path), problem=problem, seed=seed)
+    proc = _run(_prelude() + run)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout.splitlines()[-1]))
+
+
 def test_traced_bound_counts_warm_offers_and_rounds(tmp_path):
     # the warm basis must still reach lp_solve where the tracer reads it
-    proc = _run(_prelude() + BOUND_RUN.format(tmp=str(tmp_path)))
-    assert proc.returncode == 0, proc.stderr
-    counters = json.loads(proc.stdout.splitlines()[-1])
+    counters, _ = _traced_bound(tmp_path, "matching", 4)
     assert counters["lp.float.warm_offered"] > 0
     assert counters["models.solve_relaxation.rounds"] >= 2
+
+
+def test_traced_tree_bound_spans_max_flows(tmp_path):
+    # connectivity separation runs its max flows through the wrapped name
+    counters, calls = _traced_bound(tmp_path, "tree", 1)
+    assert counters["cuts.separate_connectivity.cuts"] > 0
+    assert calls["cuts.max_flow_min_cut"] > 0
