@@ -1,10 +1,9 @@
 """Bounded-variable simplex with warm re-optimization after added rows.
 
-Two independent solver paths share one contract: a numpy float64 revised
-simplex (Dantzig pricing first, Bland afterwards, with a cycling guard) and a
-pure-Fraction Bland tableau simplex used to certify float results exactly.
-Both are two-phase with artificial variables and accept the basis of a prior
-solve.
+A numpy float64 revised simplex (Dantzig pricing first, Bland afterwards,
+with a cycling guard) solves, and an exact solve proves the float optimum in
+exact arithmetic or runs an independent pure-Fraction Bland tableau simplex.
+Both simplex paths are two-phase with artificial variables.
 
 The float path keeps the explicit basis inverse B^-1, m x m, beside the
 program's matrix A, never the m x N tableau B^-1 A: a pivot reads tableau row
@@ -18,10 +17,8 @@ the kept inverse. The state keeps the basic variables' bounds, which each
 pivot updates in the entering row, and the dual ratio test keeps a +-1 sign
 per column for the bound it sits at, so no pivot gathers either again. A
 basis that is not dual feasible, or a dual ratio test with no entering
-column, falls back to the cold two-phase solve, so only
-phase 1 declares a program infeasible. The exact path warm-starts only from a
-primal feasible basis, with the nonbasic variables at the bounds the basis
-records.
+column, falls back to the cold two-phase solve, so only phase 1 declares a
+program infeasible.
 
 A float solve's basis keeps its final inverse over the program's rows, and
 a warm float solve starts only from it: for a program whose first rows are
@@ -37,6 +34,12 @@ inverse in O(m^2), each refined once against A_B; the rows must hold,
 |c_B - y A_B| must stay within FEAS_TOL of the size of the terms it sums, and
 y must price no free nonbasic column in. A warm solve that fails a check
 solves cold; a cold solve that fails one raises.
+
+An exact solve offered a basis verifies a float optimum instead of
+re-solving (Applegate, Cook, Dash & Espinoza 2007): the float simplex
+re-solves from the basis, and _ExactSimplex.check reads x_B and y through the
+kept inverse with iterative refinement (Gleixner, Steffy & Wolter 2016) and
+proves them optimal exactly. Otherwise the Fraction simplex solves cold.
 
 A program keeps its row coefficients as one float64 matrix, and both simplex
 paths read only it. The matrix is built and checked once per row set:
@@ -63,6 +66,11 @@ import numpy as np
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 OBJ_TOL = 1e-6
+# The exact check refines x_B and y through the float inverse REFINE_ROUNDS
+# times, each round gaining about 40 bits: the error ends far below 2**-160,
+# which recovers any denominator up to 2**80 (the largest seen is 3.8e7, n = 28)
+REFINE_ROUNDS = 4
+CHECK_DENOMINATOR = 2**80
 
 Number = Union[int, float, Fraction]
 
@@ -265,7 +273,7 @@ class Basis:
     of == and repr. A warm float solve extends it when the program's first
     rows are its very Row objects (with_rows keeps them) and every appended
     row has a slack; otherwise, or without an inverse, the float solve starts
-    cold. The exact path reads only basic and at_upper."""
+    cold. The exact path hands it to the float simplex, not the Fraction one."""
 
     basic: tuple[int, ...]
     at_upper: frozenset[int] = frozenset()
@@ -277,11 +285,12 @@ NO_BASIS = Basis(())
 
 @dataclass
 class LpResult:
-    """A solve's outcome. warm_started: the optimum was reached from the
-    prior basis (on the float path, from its kept inverse), with or without
-    dual pivots; a warm attempt that fell back to the cold solve leaves it
-    False. pivots counts the basis changes of every phase, a discarded warm
-    attempt included."""
+    """A solve's outcome. warm_started: on the float path, the optimum was
+    reached from the prior basis's kept inverse, with or without dual pivots;
+    on the exact path, the exact check certified the float optimum re-solved
+    from it, and the Fraction simplex did not run. pivots counts the basis
+    changes of every phase: a discarded warm attempt's too, and on the exact
+    path the float re-solve's plus the Fraction simplex's."""
 
     status: LpStatus
     objective_value: Optional[Number]
@@ -311,13 +320,25 @@ def lp_solve(
     """Solve to proven optimality, or report Infeasible/Unbounded.
 
     warm_basis is the basis of an earlier solve of this program before rows
-    were appended or bounds changed. exact=True runs the independent Fraction
-    simplex (Bland pivoting, no tolerances); float coefficients are converted
-    to their exact binary rationals.
+    were appended or bounds changed. exact=True gives the rational optimum,
+    float coefficients read exactly: the float one re-solved from warm_basis
+    if the exact check proves it optimal, else the Fraction simplex's.
     """
-    if exact:
-        return _ExactSimplex(lp).solve(warm_basis)
-    return _FloatSimplex(lp).solve(warm_basis)
+    if not exact:
+        return _FloatSimplex(lp).solve(warm_basis)
+    simplex, pivots = _ExactSimplex(lp), 0
+    if warm_basis is not None:
+        floating = _FloatSimplex(lp)
+        try:
+            basis = floating.solve(warm_basis).basis
+        except LpError:
+            basis = NO_BASIS  # keeps no inverse, which the check declines
+        pivots = floating.pivots
+        checked = simplex.check(basis)
+        if checked is not None:
+            return replace(checked, warm_started=True, pivots=pivots)
+    result = simplex.solve()
+    return replace(result, pivots=pivots + result.pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +775,6 @@ class _ExactSimplex:
     """Bounded-variable simplex over exact rationals with Bland pivoting."""
 
     def __init__(self, lp: LinearProgram) -> None:
-        self.lp = lp
         n = lp.num_vars
         m = len(lp.rows)
         self.n = n
@@ -763,19 +783,20 @@ class _ExactSimplex:
         N = n + num_slacks
         self.N = N
         self.A = [[Fraction(0)] * N for _ in range(m)]
-        # the program's float64 coefficients, each converted exactly
+        # each row's nonzero coefficients, the program's float64 ones each
+        # converted exactly and then its slack's
         self.terms: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
         rows_i, cols_j = np.nonzero(lp.matrix)
         for i, j, coef in zip(rows_i.tolist(), cols_j.tolist(), lp.matrix[rows_i, cols_j].tolist()):
             self.A[i][j] = Fraction(coef)
             self.terms[i].append((j, self.A[i][j]))
-        self.b = [Fraction(0)] * m
+        self.b = [_frac(row.rhs) for row in lp.rows]
         self.slack_of_row = [-1] * m
         slack = n
         for i, row in enumerate(lp.rows):
-            self.b[i] = _frac(row.rhs)
             if row.rel != "=":
                 self.A[i][slack] = Fraction(1) if row.rel == "<=" else Fraction(-1)
+                self.terms[i].append((slack, self.A[i][slack]))
                 self.slack_of_row[i] = slack
                 slack += 1
         self.lo: list[Fraction] = [_frac(v) for v in lp.lo] + [Fraction(0)] * num_slacks
@@ -788,82 +809,74 @@ class _ExactSimplex:
         self.iter_cap = 20000 + 200 * (m + N)
         self.pivots = 0
 
-    def solve(self, warm_basis: Optional[Basis]) -> LpResult:
-        state = None
-        if warm_basis is not None and self.m > 0:
-            state = self._warm_state(warm_basis)
-        warm_started = state is not None
-        infeasible = False
-        if state is None:
-            state, infeasible = self._phase1()
+    def solve(self) -> LpResult:
+        state, infeasible = self._phase1()
         if infeasible:
             result = LpResult(LpStatus.INFEASIBLE, None, [], NO_BASIS)
         elif self._loop(state, phase1=False) == "unbounded":
             result = LpResult(LpStatus.UNBOUNDED, None, [], NO_BASIS)
         else:
             result = self._finish(state)
-        return replace(result, warm_started=warm_started, pivots=self.pivots)
+        return replace(result, pivots=self.pivots)
 
-    # state: [T, basis, xB, at_upper, num_art]
+    def check(self, basis: Basis) -> Optional[LpResult]:
+        """The solution on basis, a float optimum's, if exact arithmetic
+        proves it optimal, else None: x_B and y solve B x_B = b - A_N x_N and
+        y B = c_B exactly (_refined), x fits every bound, slacks included, and
+        each movable nonbasic column's reduced cost has its bound's sign."""
+        if basis.inverse is None:  # only an optimal float solve keeps one
+            return None
+        N, Binv, cols = self.N, basis.inverse.Binv, list(basis.basic)
+        at_upper = [j in basis.at_upper and self.hi[j] is not None for j in range(N)]
+        x = [self.hi[j] if at_upper[j] else self.lo[j] for j in range(N)]
 
-    def _warm_state(self, warm: Basis):
-        m, N = self.m, self.N
-        basis = list(warm.basic[:m])
-        for i in range(len(basis), m):
-            s = self.slack_of_row[i]
-            if s < 0:
-                return None
-            basis.append(s)
-        if len(basis) != m or len(set(basis)) != m:
+        def rows_residual(xB: list) -> list:  # b - A x, with x_B = xB put into x
+            for j, v in zip(cols, xB):
+                x[j] = v
+            return self._residual(x)
+
+        def reduced_costs(y: list, columns: Iterable[int]) -> list:  # c - y A
+            d = list(self.cost)
+            for yi, row in zip(y, self.terms):
+                if yi:
+                    for j, a in row:
+                        d[j] -= yi * a
+            return [d[j] for j in columns]
+
+        y = _refined(lambda y: reduced_costs(y, cols), lambda r: r @ Binv, len(cols))
+        # the last residual leaves the rounded x_B in x
+        xB = _refined(rows_residual, lambda r: Binv @ r, len(cols))
+        if y is None or xB is None or not self._within_bounds(x, cols):
             return None
-        if any(not 0 <= j < N for j in basis + list(warm.at_upper)):
+        d = reduced_costs(y, range(N))
+        movable = (j for j in range(N) if self.lo[j] != self.hi[j])
+        if any(d[j] > 0 if at_upper[j] else d[j] < 0 for j in movable):
             return None
-        aug = []
-        for i in range(m):
-            aug.append([self.A[i][j] for j in basis] + list(self.A[i]) + [self.b[i]])
-        for col in range(m):
-            piv_row = next((r for r in range(col, m) if aug[r][col] != 0), None)
-            if piv_row is None:
-                return None
-            aug[col], aug[piv_row] = aug[piv_row], aug[col]
-            piv = aug[col][col]
-            if piv != 1:
-                aug[col] = [v / piv for v in aug[col]]
-            for r in range(m):
-                if r != col and aug[r][col] != 0:
-                    factor = aug[r][col]
-                    aug[r] = [a - factor * p for a, p in zip(aug[r], aug[col])]
-        T = [row[m : m + N] for row in aug]
-        beta = [row[m + N] for row in aug]
-        basic = set(basis)
-        # nonbasic variables go back to the bound the basis records
-        at_upper = [
-            j in warm.at_upper and j not in basic and self.hi[j] is not None
-            for j in range(N)
+        return self._optimum(x, basis)
+
+    def _residual(self, x: list) -> list:
+        """b - A x, slacks included."""
+        return [
+            b - sum((a * x[j] for j, a in row if x[j]), Fraction(0))
+            for b, row in zip(self.b, self.terms)
         ]
-        x_nonbasic = {
-            j: self.hi[j] if at_upper[j] else self.lo[j] for j in range(N) if j not in basic
-        }
-        nonzero = [(j, v) for j, v in x_nonbasic.items() if v]
-        xB = [beta[i] - sum((T[i][j] * v for j, v in nonzero), Fraction(0)) for i in range(m)]
-        for i, j in enumerate(basis):
-            if xB[i] < self.lo[j]:
-                return None
-            if self.hi[j] is not None and xB[i] > self.hi[j]:
-                return None
-        return [T, basis, xB, at_upper, 0]
+
+    def _within_bounds(self, x: list, columns: Iterable[int]) -> bool:
+        lo, hi = self.lo, self.hi
+        return all(lo[j] <= x[j] and (hi[j] is None or x[j] <= hi[j]) for j in columns)
+
+    def _optimum(self, x: list, basis: Basis) -> LpResult:
+        primal = x[: self.n]
+        obj = sum((self.cost[j] * primal[j] for j in range(self.n)), Fraction(0))
+        return LpResult(LpStatus.OPTIMAL, obj, primal, basis)
+
+    # state: [T, basis, xB, at_upper, num_art]; at_upper marks only finite upper bounds
 
     def _phase1(self):
         m, N = self.m, self.N
         if m == 0:
             return [[], [], [], [False] * N, 0], False
-        resid = []
-        for i in range(m):
-            acc = self.b[i]
-            for j, a in enumerate(self.A[i]):
-                if a and self.lo[j]:
-                    acc -= a * self.lo[j]
-            resid.append(acc)
+        resid = self._residual(self.lo)
         basis = [-1] * m
         art_rows = []
         for i in range(m):
@@ -877,17 +890,11 @@ class _ExactSimplex:
         for t, i in enumerate(art_rows):
             T[i][N + t] = Fraction(1) if resid[i] >= 0 else Fraction(-1)
             basis[i] = N + t
-        xB = [Fraction(0)] * m
+        # each basic column is +-1 in its own row, of the sign of resid there
         for i in range(m):
-            if basis[i] >= N:
-                if T[i][basis[i]] < 0:
-                    T[i] = [-v for v in T[i]]
-                xB[i] = abs(resid[i])
-            else:
-                coef = self.A[i][basis[i]]
-                if coef < 0:
-                    T[i] = [-v for v in T[i]]
-                xB[i] = resid[i] * coef
+            if T[i][basis[i]] < 0:
+                T[i] = [-v for v in T[i]]
+        xB = [abs(v) for v in resid]
         self.lo += [Fraction(0)] * num_art
         self.hi += [None] * num_art
         state = [T, basis, xB, [False] * (N + num_art), num_art]
@@ -915,11 +922,7 @@ class _ExactSimplex:
             if pivot_col is None:
                 continue
             basic.discard(basis[r])
-            entering_value = (
-                self.hi[pivot_col]
-                if at_upper[pivot_col] and self.hi[pivot_col] is not None
-                else self.lo[pivot_col]
-            )
+            entering_value = self.hi[pivot_col] if at_upper[pivot_col] else self.lo[pivot_col]
             self._pivot(state, r, pivot_col)
             xB[r] = entering_value
             basic.add(pivot_col)
@@ -1014,9 +1017,7 @@ class _ExactSimplex:
                 at_upper[j] = not at_upper[j]
                 continue
             r = best_row
-            entering_value = (
-                self.hi[j] if at_upper[j] and self.hi[j] is not None else self.lo[j]
-            ) + sigma * t_star
+            entering_value = (self.hi[j] if at_upper[j] else self.lo[j]) + sigma * t_star
             leaving = basis[r]
             d_r = -sigma * T[r][j]
             at_upper[leaving] = d_r > 0 and self.hi[leaving] is not None
@@ -1027,30 +1028,29 @@ class _ExactSimplex:
 
     def _finish(self, state) -> LpResult:
         T, basis, xB, at_upper, num_art = state
-        width = self.N + num_art
-        x = [
-            (self.hi[j] if at_upper[j] and self.hi[j] is not None else self.lo[j])
-            for j in range(width)
-        ]
+        x = [self.hi[j] if at_upper[j] else self.lo[j] for j in range(self.N + num_art)]
         for i, j in enumerate(basis):
             x[j] = xB[i]
-        primal = x[: self.n]
-        for i, row in enumerate(self.lp.rows):
-            acc = -self.b[i]
-            for idx, coef in self.terms[i]:
-                acc += coef * primal[idx]
-            if row.rel == "<=" and acc > 0:
-                raise LpError(f"exact optimum violates row {i}")
-            if row.rel == ">=" and acc < 0:
-                raise LpError(f"exact optimum violates row {i}")
-            if row.rel == "=" and acc != 0:
-                raise LpError(f"exact optimum violates row {i}")
-        obj = sum((self.cost[j] * primal[j] for j in range(self.n)), Fraction(0))
+        # checked apart from the tableau: A x = b and the basic values' bounds
+        if any(self._residual(x)) or not self._within_bounds(x, basis):
+            raise LpError("exact optimum violates a row or a bound")
         basis_out = Basis(
             tuple(int(j) if j < self.N else -1 for j in basis),
             frozenset(j for j in range(self.N) if at_upper[j]),
         )
-        return LpResult(LpStatus.OPTIMAL, obj, list(primal), basis_out)
+        return self._optimum(x, basis_out)
+
+
+def _refined(residual, solve, size: int) -> Optional[list]:
+    """z with residual(z) exactly zero, or None: REFINE_ROUNDS times z gains
+    solve(residual(z)), a float inverse applied to the rounded residual, and
+    each value is then rounded to a denominator at most CHECK_DENOMINATOR."""
+    z = [Fraction(0)] * size
+    for _ in range(REFINE_ROUNDS):
+        step = solve(np.array([float(v) for v in residual(z)]))
+        z = [v + Fraction(s) for v, s in zip(z, step.tolist())]
+    z = [v.limit_denominator(CHECK_DENOMINATOR) for v in z]
+    return None if any(residual(z)) else z
 
 
 def _frac(v: Number) -> Fraction:

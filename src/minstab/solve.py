@@ -354,7 +354,8 @@ def min_length_matching(inst: Instance, metric: str = "euclidean") -> Solution:
     the feasible region integral; integrality is asserted and re-checked with
     the exact rational solver before giving up. Ties between optimal
     matchings are broken toward the lexicographically smallest edge list by
-    greedy fixing under an optimal-length cap.
+    greedy fixing: an edge stays fixed to one when the optimum under the
+    fixing stays within an optimal-length cap, and is fixed to zero otherwise.
 
     The cap lies OBJ_TOL * max(1, optimum) above the optimum, so the result
     is within OBJ_TOL (1e-6) relative of the minimum length, not always the
@@ -396,20 +397,13 @@ def min_length_matching(inst: Instance, metric: str = "euclidean") -> Solution:
             )
     optimum = float(result.k_frac)  # the objective value: total scaled length
 
-    # lexicographic selection among optimal matchings, under a cap of
-    # OBJ_TOL * max(1, optimum) above the optimum in unscaled lengths
+    # lexicographic selection among optimal matchings: a fixing stays when
+    # the optimum under it is within OBJ_TOL * max(1, optimum) of the
+    # optimum, in unscaled lengths; no edge longer than that budget fits
     budget = optimum + OBJ_TOL * max(math.ldexp(1.0, -exponent), abs(optimum))
-    # No edge longer than the cap fits under it, and leaving such edges out
-    # of the cap row keeps its coefficients within its right-hand side; a cap
-    # below 1/2 is scaled up so that the row's tolerance stays relative to it
-    cap_exponent = min(0, math.frexp(budget)[1])
-    cap = {}
-    for i, (e, length) in enumerate(zip(edges, lengths)):
+    for e, length in zip(edges, lengths):
         if length > budget:
             fix_edge(model, e, 0)
-        else:
-            cap[i] = math.ldexp(length, -cap_exponent)
-    model.lp = model.lp.with_rows([make_row(cap, "<=", math.ldexp(budget, -cap_exponent))])
     matched: set[int] = set()
     warm = result.basis
     for e in edges:
@@ -418,12 +412,14 @@ def min_length_matching(inst: Instance, metric: str = "euclidean") -> Solution:
         trial = model.fork()
         fix_edge(trial, e, 1)
         try:
-            warm = _run_loop(trial, exact=False, warm_basis=warm).basis
+            fixed = _run_loop(trial, exact=False, warm_basis=warm)
         except InfeasibleRelaxationError:
+            fixed = None
+        if fixed is None or fixed.k_frac > budget:
             # the rejected trial's cut rows and keys go with its fork
             fix_edge(model, e, 0)
             continue
-        model = trial
+        model, warm = trial, fixed.basis
         matched.update(e)
     out = tuple(sorted(model.fixed_ones))
     if len(out) != inst.n // 2:

@@ -1,6 +1,7 @@
 import pytest
 
 from minstab import Instance, Point
+from minstab.lp import _ExactSimplex
 
 
 @pytest.fixture
@@ -11,3 +12,17 @@ def unit_square() -> Instance:
 @pytest.fixture
 def collinear3() -> Instance:
     return Instance("col3", (Point(0, 0), Point(1, 0), Point(2, 0)))
+
+
+@pytest.fixture
+def fraction_runs(monkeypatch):
+    """One entry per run of the Fraction simplex, in order."""
+    runs = []
+    solve = _ExactSimplex.solve
+
+    def recorded(self, *args):
+        runs.append(1)
+        return solve(self, *args)
+
+    monkeypatch.setattr(_ExactSimplex, "solve", recorded)
+    return runs

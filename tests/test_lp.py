@@ -22,6 +22,7 @@ from minstab.lp import (
     LpError,
     LpStatus,
     Row,
+    _ExactSimplex,
     _FloatSimplex,
     _State,
     lp_fix_variable,
@@ -78,6 +79,12 @@ def finish_failures(monkeypatch):
 
     monkeypatch.setattr(_FloatSimplex, "_finish", recorded)
     return failures
+
+
+def exact_solution(result):
+    """An exact result's objective value and primal, which must be Fractions."""
+    assert all(isinstance(v, Fraction) for v in [result.objective_value, *result.primal])
+    return result.objective_value, result.primal
 
 
 def scipy_solve(lp):
@@ -179,18 +186,25 @@ class TestExactMode:
             assert a.status is b.status
             if a.status is LpStatus.OPTIMAL:
                 assert abs(a.objective_value - float(b.objective_value)) <= 1e-6
+            # offered the float basis, the exact path gives the same answer
+            checked = lp_solve(lp, warm_basis=a.basis, exact=True)
+            assert (checked.status, checked.objective_value) == (b.status, b.objective_value)
 
     def test_warm_start_from_float_basis(self):
+        # offered a float basis, the exact path re-solves the float program
+        # from it and certifies its optimum in exact arithmetic, without a
+        # Fraction pivot
         lp = k_example()
         res = lp_solve(lp)
         exact = lp_solve(lp, warm_basis=res.basis, exact=True)
-        assert exact.status is LpStatus.OPTIMAL
-        assert exact.objective_value == Fraction(1)
+        cold = lp_solve(lp, exact=True)
+        assert exact.warm_started and exact.pivots == 0 and not cold.warm_started
+        assert exact.basis == res.basis and exact.basis.inverse is not None
+        assert exact_solution(exact) == exact_solution(cold) == (Fraction(1), [1, 0, 1])
 
     def test_warm_start_keeps_nonbasic_at_upper(self):
         # x0 and x1 sit at their upper bound 1 at the float optimum; put back
-        # at their lower bound, x2 = 3/2 would break its bound and the exact
-        # warm start would fall back to phase 1
+        # at their lower bound, x2 = 3/2 would break its bound and fail the check
         lp = make_lp(
             3,
             {0: -1, 1: -1, 2: -1},
@@ -203,7 +217,40 @@ class TestExactMode:
         warm = lp_solve(grown, warm_basis=prior.basis, exact=True)
         cold = lp_solve(grown, exact=True)
         assert warm.warm_started and not cold.warm_started
-        assert warm.objective_value == cold.objective_value == Fraction(-5, 2)
+        assert {0, 1} <= warm.basis.at_upper
+        assert exact_solution(warm) == exact_solution(cold)
+        assert warm.objective_value == Fraction(-5, 2)
+
+    def test_check_rejects_an_optimum_off_within_tolerance(self, fraction_runs):
+        # min (1 + 2**-40) x0 + x1 s.t. x0 + x1 = 1: the float simplex stops
+        # with x0 = 1, since x0's reduced cost at its upper bound, 2**-40, is
+        # below PIVOT_TOL; the check rejects the basis and the Fraction
+        # simplex finds x1 = 1
+        lp = make_lp(2, {0: 1 + 2**-40, 1: 1}, [make_row({0: 1, 1: 1}, "=", 1)], [(0, 1)] * 2)
+        floated = lp_solve(lp)
+        assert floated.primal == [1, 0]
+        res = lp_solve(lp, warm_basis=floated.basis, exact=True)
+        assert fraction_runs == [1]
+        cold = lp_solve(lp, exact=True)
+        assert not res.warm_started
+        # the float re-solve makes no pivot, so all are the Fraction simplex's
+        assert res.pivots == cold.pivots > 0
+        assert exact_solution(res) == exact_solution(cold) == (Fraction(1), [0, 1])
+
+    def test_damaged_inverse_never_certifies_a_wrong_optimum(self, finish_failures):
+        lp = k_example()
+        prior = lp_solve(lp)
+        damaged = with_inverse(prior.basis, 3 * prior.basis.inverse.Binv)
+        # iterative refinement through 3 B^-1 doubles the error each round
+        assert _ExactSimplex(lp).check(damaged) is None
+        cut = lp.with_rows([make_row({1: 1}, ">=", 0.75)])
+        res = lp_solve(cut, warm_basis=damaged, exact=True)
+        # the float re-solve fails its checks and solves cold; the check
+        # certifies that optimum
+        assert finish_failures and res.warm_started
+        cold = lp_solve(cut, exact=True)
+        assert exact_solution(res) == exact_solution(cold)
+        assert res.primal == [Fraction(1, 4), Fraction(3, 4), 1]
 
 
 class TestAddRows:
@@ -300,11 +347,19 @@ class TestDualReoptimize:
 
     def test_counts_pivots_on_both_paths(self):
         lp = k_example()
-        for exact in (False, True):
-            cold = lp_solve(lp, exact=exact)
-            assert cold.pivots > 0 and not cold.warm_started
-            again = lp_solve(lp, warm_basis=cold.basis, exact=exact)
-            assert again.warm_started and again.pivots == 0
+        cold = lp_solve(lp)
+        assert cold.pivots > 0 and not cold.warm_started
+        again = lp_solve(lp, warm_basis=cold.basis)
+        assert again.warm_started and again.pivots == 0
+        # exact: the float re-solve's pivots plus any Fraction pivots, and
+        # warm_started when the check certified the basis. A Fraction
+        # simplex basis keeps no inverse, so its float re-solve starts cold
+        exact = lp_solve(lp, exact=True)
+        assert exact.pivots > 0 and not exact.warm_started
+        checked = lp_solve(lp, warm_basis=exact.basis, exact=True)
+        assert checked.warm_started and checked.pivots == cold.pivots
+        again = lp_solve(lp, warm_basis=checked.basis, exact=True)
+        assert again.warm_started and again.pivots == 0
 
     def test_fuzz_rows_and_fixings_against_cold_and_scipy(self, monkeypatch):
         # the dual pivots update the reduced costs; kept dual feasible, the

@@ -268,6 +268,32 @@ class TestSolveRelaxation:
                     assert min_odd_cut(refined.x, n) >= 1 - 1e-7, (n, seed, family)
 
 
+class TestCertification:
+    @pytest.mark.parametrize("family", [AXIS, GENERAL])
+    @pytest.mark.parametrize("build", [build_matching_model, build_tree_model])
+    def test_check_certifies_every_exact_solve(self, monkeypatch, fraction_runs, build, family):
+        # certification offers each exact solve the float basis, and the
+        # exact check certifies it; a Fraction simplex run would be the slow
+        # path, which took most of a minute over n <= 16 roots
+        exact_solves = []
+        real = models.lp_solve
+
+        def spy(lp, warm_basis=None, **kwargs):
+            res = real(lp, warm_basis, **kwargs)
+            if kwargs.get("exact"):
+                exact_solves.append(res)
+            return res
+
+        monkeypatch.setattr(models, "lp_solve", spy)
+        for n in (10, 12):
+            for seed in (1, 2):
+                model = build(gen_random(n, 100, seed), family)
+                certify_relaxation(model, solve_relaxation(model))
+        assert len(exact_solves) >= 4
+        assert all(res.warm_started for res in exact_solves)
+        assert not fraction_runs
+
+
 class TestWarmReoptimization:
     @pytest.mark.parametrize(
         "build, seed", [(build_matching_model, 1), (build_tree_model, 4)]

@@ -22,7 +22,7 @@ from minstab import (
     solve_relaxation,
     verify_solution,
 )
-from minstab.lp import OBJ_TOL, LpError
+from minstab.lp import OBJ_TOL
 from minstab.models import ModelError, fix_edge
 from minstab.oracle import Objective
 from minstab.solve import SolveError, build_model
@@ -352,12 +352,6 @@ def odd_clusters(seed):
     return tuple(pts)
 
 
-# seeds of odd_clusters at which min_length_matching raises LpError ("row
-# ... violated at optimum"): after a failed warm attempt, the cold solve ends
-# with a degree or cap row outside its tolerance
-ODD_CLUSTERS_RAISING = {4, 22, 30, 31, 35, 38}
-
-
 class TestMinLengthMatching:
     def test_four_collinear(self):
         inst = Instance(
@@ -425,15 +419,7 @@ class TestMinLengthMatching:
             pts += rng.sample([Point(cx + dx, cy + dy) for dx in range(4) for dy in range(4)], 4)
         assert_shortest_matching(tuple(pts))
 
-    @pytest.mark.parametrize(
-        "seed",
-        [
-            pytest.param(s, marks=pytest.mark.xfail(raises=LpError, strict=True))
-            if s in ODD_CLUSTERS_RAISING
-            else s
-            for s in range(40)
-        ],
-    )
+    @pytest.mark.parametrize("seed", range(100))
     def test_within_obj_tol_of_the_minimum_for_odd_clusters(self, seed):
         # two clusters of an odd number of points force one long edge, and
         # which pair it joins changes the total by a few units in 2**20 to
