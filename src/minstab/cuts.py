@@ -14,7 +14,14 @@ cut: label a contracted node odd when it holds an odd number of original
 vertices; some tree edge crossing a minimum odd cut has a fundamental cut
 that is odd too, and no heavier (Padberg & Rao 1982, "Odd minimum cut-sets
 and b-matchings"). Blossom separation keeps the odd fundamental cuts,
-connectivity separation keeps all of them.
+connectivity separation keeps all of them. Only a fundamental cut whose
+tree value is below 1 - violation_eps + UNWEIGHED_MARGIN is weighed on the
+support: a cut weighs at least its flow, so no heavier one is violated.
+
+Gusfield's construction makes n - 1 max flows on one graph, so `gomory_hu`
+builds its arcs once, as a FlowGraph, and each flow starts from a fresh copy
+of their capacities (Gusfield 1990, "Very simple methods for all pairs
+network flow analysis").
 
 `separate_blossom` and `separate_connectivity` stay two names over the one
 routine, and `gomory_hu` looks `max_flow_min_cut` up as a module global, so
@@ -25,9 +32,8 @@ certification path reuse them.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .geom import Segment
 from .instance import UnionFind
@@ -35,6 +41,10 @@ from .instance import UnionFind
 SUPPORT_EPS = 1e-7
 VIOLATION_EPS = 1e-7
 MAX_CUTS_PER_ROUND = 10
+# A fundamental cut whose tree value is at least 1 - violation_eps by this
+# margin is never weighed: the cut weighs at least its flow, and the margin
+# covers the float rounding of the flow's sum
+UNWEIGHED_MARGIN = 1e-9
 
 Weight = Union[int, float, "Fraction"]
 
@@ -55,14 +65,43 @@ class Cut:
             raise CutError("a cut needs a nonempty vertex set")
 
 
+@dataclass(frozen=True)
+class FlowGraph:
+    """The arcs of an undirected graph on vertices 0..n-1, built once for
+    every max flow on it: edge k = (u, v, w) is arc 2k from u to v and arc
+    2k + 1 back, each of capacity w; head[u] lists the arcs leaving u. A max
+    flow reads the lists and never changes them. They stay lists: one
+    tuple per vertex would fill the interpreter's per-size tuple free lists
+    and grow the resident set over many trees."""
+
+    n: int
+    head: list[list[int]]
+    to: list[int]
+    cap: list[Weight]
+
+    @classmethod
+    def of(cls, n: int, edges: Sequence[tuple[int, int, Weight]]) -> "FlowGraph":
+        head: list[list[int]] = [[] for _ in range(n)]
+        to: list[int] = []
+        cap: list[Weight] = []
+        for u, v, w in edges:
+            head[u].append(len(to))
+            to.append(v)
+            head[v].append(len(to))
+            to.append(u)
+            cap += (w, w)
+        return cls(n, head, to, cap)
+
+
 def max_flow_min_cut(
     n: int,
-    edges: Sequence[tuple[int, int, Weight]],
+    edges: Union[Sequence[tuple[int, int, Weight]], FlowGraph],
     s: int,
     t: int,
     eps: Weight = 0,
 ) -> tuple[Weight, frozenset[int]]:
-    """Max s-t flow on an undirected graph; returns (value, source side).
+    """Max s-t flow on an undirected graph, given as (u, v, w) edges or as
+    the FlowGraph of n vertices they make; returns (value, source side).
 
     Shortest augmenting paths (Edmonds-Karp): each BFS over the arcs whose
     residual exceeds eps finds a path with the fewest arcs, and the flow is
@@ -72,56 +111,50 @@ def max_flow_min_cut(
     """
     if s == t:
         raise CutError("source equals sink")
-    head: list[list[int]] = [[] for _ in range(n)]
-    to: list[int] = []
-    res: list[Weight] = []
-    for u, v, w in edges:
-        head[u].append(len(to))
-        to.append(v)
-        res.append(w)
-        head[v].append(len(to))
-        to.append(u)
-        res.append(w)
-
-    def bfs() -> Optional[list[int]]:
-        parent_arc = [-1] * n
-        parent_arc[s] = -2
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for arc in head[u]:
-                v = to[arc]
-                if parent_arc[v] == -1 and res[arc] > eps:
-                    parent_arc[v] = arc
-                    if v == t:
-                        path = []
-                        w_ = v
-                        while w_ != s:
-                            path.append(parent_arc[w_])
-                            w_ = to[parent_arc[w_] ^ 1]
-                        return path
-                    queue.append(v)
-        return None
-
+    graph = edges if isinstance(edges, FlowGraph) else FlowGraph.of(n, edges)
+    if graph.n != n:
+        raise CutError(f"flow graph has {graph.n} vertices, not {n}")
+    head, to = graph.head, graph.to
+    res: list[Weight] = list(graph.cap)
     total: Weight = 0
-    while (path := bfs()) is not None:
+    while (parent_arc := _search(head, to, res, s, t, eps))[t] != -1:
+        path = []
+        v = t
+        while v != s:
+            path.append(parent_arc[v])
+            v = to[parent_arc[v] ^ 1]
         push = min(res[arc] for arc in path)
         for arc in path:
             res[arc] -= push
             res[arc ^ 1] += push
         total = total + push
+    seen = _search(head, to, res, s, -1, eps)
+    return total, frozenset(i for i in range(n) if seen[i] != -1)
 
-    seen = [False] * n
-    seen[s] = True
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
+
+def _search(
+    head: Sequence[Sequence[int]],
+    to: Sequence[int],
+    res: Sequence[Weight],
+    s: int,
+    t: int,
+    eps: Weight,
+) -> list[int]:
+    """Breadth-first search from s over the arcs whose residual exceeds
+    eps, stopped once t is reached: the arc each vertex was reached by, -2
+    for s and -1 for a vertex not reached."""
+    parent_arc = [-1] * len(head)
+    parent_arc[s] = -2
+    queue = [s]
+    for u in queue:  # the list grows behind the loop, first in first out
         for arc in head[u]:
             v = to[arc]
-            if not seen[v] and res[arc] > eps:
-                seen[v] = True
+            if parent_arc[v] == -1 and res[arc] > eps:
+                parent_arc[v] = arc
+                if v == t:
+                    return parent_arc
                 queue.append(v)
-    return total, frozenset(i for i in range(n) if seen[i])
+    return parent_arc
 
 
 @dataclass(frozen=True)
@@ -155,7 +188,7 @@ def gomory_hu(
     n: int, edges: Sequence[tuple[int, int, Weight]], eps: Weight = 0
 ) -> GomoryHuTree:
     """Gusfield's cut-tree construction: n-1 max-flow calls on the original
-    graph.
+    graph, whose arcs are built once and handed to every call.
 
     Every vertex hanging off the sink on the source side is re-parented, not
     only the later ones: re-parenting only j > i keeps the pairwise flow
@@ -163,12 +196,13 @@ def gomory_hu(
     """
     if n < 2:
         raise CutError("Gomory-Hu tree needs at least two vertices")
+    graph = FlowGraph.of(n, edges)
     parent = [0] * n
     parent[0] = -1
     value: list[Weight] = [0] * n
     for i in range(1, n):
         target = parent[i]
-        flow, side = max_flow_min_cut(n, edges, i, target, eps=eps)
+        flow, side = max_flow_min_cut(n, graph, i, target, eps=eps)
         value[i] = flow
         for j in range(n):
             if j != i and parent[j] == target and j in side:
@@ -228,12 +262,15 @@ def _tree_cuts(
     )
     cuts = []
     everyone = frozenset(range(n))
-    for nodes, _ in tree.cut_candidates():
+    limit = 1 - violation_eps
+    for nodes, value in tree.cut_candidates():
+        if value >= limit + UNWEIGHED_MARGIN:
+            continue  # a cut weighs at least its flow, so it holds
         members = frozenset(v for i in nodes for v in groups[i])
         if odd and len(members) % 2 == 0:
             continue  # with n even the complement is even too
         val = _cut_weight(xt, members)
-        if val < 1 - violation_eps:
+        if val < limit:
             # both sides of the tree edge are violated (same row); distinct
             # tree edges split the vertices differently
             cuts += [Cut(members, val), Cut(everyone - members, val)]

@@ -45,10 +45,19 @@ A program keeps its row coefficients as one float64 matrix, and both simplex
 paths read only it. The matrix is built and checked once per row set:
 appending rows converts only the new ones (or stacks coefficients the caller
 built already, such as a stabbing-row pool, whose rows carry none), and a
-copy with other bounds or another objective shares the matrix. The exact
-path converts each entry to its exact rational, so make_row rejects a
+copy with other bounds or another objective shares the matrix. The float
+simplex's standard form of the rows (the matrix with its slack columns, and
+the right-hand sides) is built by the first float solve of a row set and
+shared, read-only, by the copies with_bound and with_objective make: a
+rounding fixing or a branch re-solves without converting any row again. The
+exact path converts each entry to its exact rational, so make_row rejects a
 coefficient that float64 cannot hold exactly. Such copies check only what
 they change; a program constructed directly checks every bound and row.
+
+The float loops run on arrays of a few dozen rows, where a numpy call costs
+more than its arithmetic, so they bind the state's arrays once per loop and
+make as few calls per pivot as they can without changing a decision: the
+same pivots, values and inverses as the plain formulas.
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ from __future__ import annotations
 import copy
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -129,6 +138,10 @@ class LinearProgram:
     lo: tuple[Number, ...]
     hi: tuple[Number, ...]
     matrix: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    # holds the float simplex's standard form of the rows (_StandardForm)
+    # once a float solve has made it; with_bound and with_objective copies
+    # share the holder, while with_rows and dataclasses.replace start empty
+    standard: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.lo) != self.num_vars or len(self.hi) != self.num_vars:
@@ -155,7 +168,9 @@ class LinearProgram:
         checked."""
         new_rows = tuple(new_rows)
         matrix = _row_matrix(new_rows, self.num_vars, matrix)
-        return self._copy(rows=self.rows + new_rows, matrix=np.vstack([self.matrix, matrix]))
+        return self._copy(
+            rows=self.rows + new_rows, matrix=np.vstack([self.matrix, matrix]), standard=[]
+        )
 
     def with_bound(self, var: int, lo: Number, hi: Number) -> "LinearProgram":
         """A copy with var's bounds set to [lo, hi]; checks only that bound."""
@@ -336,9 +351,12 @@ def lp_solve(
         pivots = floating.pivots
         checked = simplex.check(basis)
         if checked is not None:
-            return replace(checked, warm_started=True, pivots=pivots)
+            checked.warm_started = True
+            checked.pivots = pivots
+            return checked
     result = simplex.solve()
-    return replace(result, pivots=pivots + result.pivots)
+    result.pivots += pivots
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +397,28 @@ class _State:
         return cost - (cost[self.basis] @ self.Binv) @ self.A
 
 
+class _StandardForm:
+    """A program's rows as the float simplex reads them, read-only: A is the
+    matrix with one slack column per inequality after the variables (+1 in
+    a <= row, -1 in a >= row), slack_of_row that column or -1, and b the
+    right-hand sides."""
+
+    def __init__(self, lp: LinearProgram) -> None:
+        n, m = lp.num_vars, len(lp.rows)
+        self.le = np.array([row.rel == "<=" for row in lp.rows], dtype=bool)
+        self.ge = np.array([row.rel == ">=" for row in lp.rows], dtype=bool)
+        slack_rows = (self.le | self.ge).nonzero()[0]
+        self.N = n + len(slack_rows)
+        self.A = np.zeros((m, self.N))
+        self.A[:, :n] = lp.matrix
+        self.slack_of_row = np.full(m, -1, dtype=int)
+        self.slack_of_row[slack_rows] = n + np.arange(len(slack_rows))
+        self.A[slack_rows, self.slack_of_row[slack_rows]] = np.where(self.le[slack_rows], 1.0, -1.0)
+        self.b = np.array([row.rhs for row in lp.rows], dtype=float)
+        for array in (self.le, self.ge, self.A, self.slack_of_row, self.b):
+            array.flags.writeable = False
+
+
 class _FloatSimplex:
     def __init__(self, lp: LinearProgram) -> None:
         n = lp.num_vars
@@ -386,22 +426,16 @@ class _FloatSimplex:
         self.n = n
         self.m = m
         self.rows = lp.rows
-        self.le = np.array([row.rel == "<=" for row in lp.rows], dtype=bool)
-        self.ge = np.array([row.rel == ">=" for row in lp.rows], dtype=bool)
-        slack_rows = np.flatnonzero(self.le | self.ge)
-        N = n + len(slack_rows)
-        self.N = N
-        A = np.zeros((m, N))
-        A[:, :n] = lp.matrix
-        self.slack_of_row = np.full(m, -1, dtype=int)
-        self.slack_of_row[slack_rows] = n + np.arange(len(slack_rows))
-        A[slack_rows, self.slack_of_row[slack_rows]] = np.where(self.le[slack_rows], 1.0, -1.0)
-        self.A = A
-        self.b = np.array([float(row.rhs) for row in lp.rows], dtype=float)
+        if not lp.standard:
+            lp.standard.append(_StandardForm(lp))
+        form = lp.standard[0]
+        self.le, self.ge, self.slack_of_row = form.le, form.ge, form.slack_of_row
+        self.A, self.b = form.A, form.b
+        N = self.N = form.N
         lo = np.zeros(N)
         hi = np.full(N, np.inf)
-        lo[:n] = [float(v) for v in lp.lo]
-        hi[:n] = [float(v) for v in lp.hi]
+        lo[:n] = lp.lo
+        hi[:n] = lp.hi
         self.lo = lo
         self.hi = hi
         self.cost = np.zeros(N)
@@ -426,7 +460,9 @@ class _FloatSimplex:
         warm_started = result is not None
         if result is None:
             result = self._cold()
-        return replace(result, warm_started=warm_started, pivots=self.pivots)
+        result.warm_started = warm_started
+        result.pivots = self.pivots
+        return result
 
     def _warm(self, state: _State) -> Optional[LpResult]:
         if not self._dual_loop(state):
@@ -450,13 +486,17 @@ class _FloatSimplex:
             m0 > self.m
             or len(warm.basic) != m0
             or kept.Binv.shape != (m0, m0)
-            or np.any(new_slacks < 0)
+            or (new_slacks < 0).any()
             or not all(map(operator.is_, kept.rows, self.rows))
         ):
             return None
         columns = list(warm.basic) + new_slacks.tolist()
-        if len(set(columns)) != self.m or any(
-            not 0 <= j < self.N for j in columns + list(warm.at_upper)
+        at_upper = warm.at_upper
+        if (
+            len(set(columns)) != self.m
+            or min(columns) < 0
+            or max(columns) >= self.N
+            or (at_upper and (min(at_upper) < 0 or max(at_upper) >= self.N))
         ):
             return None
         basis = np.array(columns, dtype=int)
@@ -494,12 +534,13 @@ class _FloatSimplex:
         basis is not dual feasible, no column can enter or the iteration cap
         trips; the caller then solves cold.
         """
-        lo, hi = state.lo, state.hi
+        lo, hi, at_upper, basis = state.lo, state.hi, state.at_upper, state.basis
+        xB, lo_B, hi_B, Binv, A = state.xB, state.lo_B, state.hi_B, state.Binv, state.A
         movable = (hi - lo) > 0
         free = movable.copy()  # nonbasic and movable; each pivot swaps two entries
-        free[state.basis] = False
+        free[basis] = False
         # -1 at upper, +1 otherwise: the direction a nonbasic column can move
-        sign = np.where(state.at_upper, -1.0, 1.0)
+        sign = np.where(at_upper, -1.0, 1.0)
         z = state.reduced_costs(self.cost)
         for it in range(self.dantzig_limit):
             r = self._leaving_row(state)
@@ -507,32 +548,37 @@ class _FloatSimplex:
                 return True
             # dual slack: how far each reduced cost is from pricing its column in
             slack = sign * z
-            if it == 0 and np.any(free & (slack < -FEAS_TOL)):
+            if it == 0 and (free & (slack < -FEAS_TOL)).any():
                 return False
-            rises = bool(state.xB[r] < state.lo_B[r])
-            alpha = state.row(r)
+            rises = bool(xB[r] < lo_B[r])
+            alpha = Binv[r] @ A
             # the leaving value rises when below its bound; column j moves it by
-            # -alpha_rj per unit, up from a lower bound or down from an upper one
-            toward = sign if rises else -sign
-            elig = np.flatnonzero(free & (toward * alpha < -PIVOT_TOL))
+            # -alpha_rj per unit, up from a lower bound or down from an upper
+            # one, so it moves toward the bound when t_j = +-sign_j alpha_rj < 0,
+            # and then |alpha_rj| = -t_j
+            t = sign * alpha
+            if not rises:
+                np.negative(t, out=t)
+            elig = (free & (t < -PIVOT_TOL)).nonzero()[0]
             if not len(elig):
                 return False
-            ratios = np.maximum(slack[elig], 0.0) / np.abs(alpha[elig])
+            size = -t[elig]
+            ratios = np.maximum(slack[elig], 0.0) / size
             best = float(ratios.min())
-            tied = elig[ratios <= best + 1e-12 + 1e-9 * best]
-            q = int(tied[np.argmax(np.abs(alpha[tied]))])
-            target = state.lo_B[r] if rises else state.hi_B[r]
-            step = (state.xB[r] - target) / alpha[q]
-            entering_value = (hi[q] if state.at_upper[q] else lo[q]) + step
-            d = state.column(q)
-            state.xB -= step * d
-            leaving = int(state.basis[r])
-            state.at_upper[leaving] = not rises
+            tied = ratios <= best + 1e-12 + 1e-9 * best
+            q = int(elig[tied][size[tied].argmax()])
+            target = lo_B[r] if rises else hi_B[r]
+            step = (xB[r] - target) / alpha[q]
+            entering_value = (hi[q] if at_upper[q] else lo[q]) + step
+            d = Binv @ A[:, q]
+            xB -= step * d
+            leaving = int(basis[r])
+            at_upper[leaving] = not rises
             sign[leaving], sign[q] = (1.0 if rises else -1.0), 1.0
             free[leaving], free[q] = movable[leaving], False
             self._pivot(state, r, q, d)
             z -= (z[q] / alpha[q]) * alpha
-            state.xB[r] = entering_value
+            xB[r] = entering_value
         return False
 
     @staticmethod
@@ -543,36 +589,37 @@ class _FloatSimplex:
         does. The weights are exact norms of rows of the kept inverse, O(m^2)."""
         xB = state.xB
         viol = np.maximum(state.lo_B - xB, xB - state.hi_B)
-        rows = np.flatnonzero(viol > FEAS_TOL)
+        rows = (viol > FEAS_TOL).nonzero()[0]
         if not len(rows):
             return -1
         Binv = state.Binv[rows]
         weights = np.einsum("ij,ij->i", Binv, Binv)
-        return int(rows[np.argmax(viol[rows] ** 2 / weights)])
+        return int(rows[(viol[rows] ** 2 / weights).argmax()])
 
     def _cold(self) -> LpResult:
-        m, N = self.m, self.N
-        resid = self.b - self.A @ self.lo
-        basis = np.full(m, -1, dtype=int)
-        art_rows = []
-        for i in range(m):
-            s = int(self.slack_of_row[i])
-            if s >= 0 and resid[i] * self.A[i, s] >= 0:
-                basis[i] = s
-            else:
-                art_rows.append(i)
+        m, N, A = self.m, self.N, self.A
+        resid = self.b - A @ self.lo
+        # a row keeps its slack basic when the slack's value resid / coef is
+        # not negative; every other row gets an artificial of resid's sign
+        rows = np.arange(m)
+        has_slack = self.slack_of_row >= 0
+        slack_coef = np.zeros(m)
+        slack_coef[has_slack] = A[rows[has_slack], self.slack_of_row[has_slack]]
+        own = has_slack & (resid * slack_coef >= 0)
+        basis = np.where(own, self.slack_of_row, -1)
+        art_rows = (~own).nonzero()[0]
         num_art = len(art_rows)
+        art_cols = N + np.arange(num_art)
 
-        A_ext = np.hstack([self.A, np.zeros((m, num_art))]) if num_art else self.A
-        for t, i in enumerate(art_rows):
-            A_ext[i, N + t] = 1.0 if resid[i] >= 0 else -1.0
-            basis[i] = N + t
+        A_ext = np.hstack([A, np.zeros((m, num_art))]) if num_art else A
+        if num_art:
+            A_ext[art_rows, art_cols] = np.where(resid[art_rows] >= 0, 1.0, -1.0)
+            basis[art_rows] = art_cols
 
         # every basic column is a slack or an artificial, +-1 in its own row
-        Binv = np.diag(1.0 / A_ext[np.arange(m), basis])
-        xB = np.zeros(m)
-        for i in range(m):
-            xB[i] = abs(resid[i]) if basis[i] >= N else resid[i] * self.A[i, basis[i]]
+        diag = A_ext[rows, basis]
+        Binv = np.diag(1.0 / diag)
+        xB = np.where(basis >= N, np.abs(resid), resid * diag)
 
         lo_ext = np.concatenate([self.lo, np.zeros(num_art)])
         hi_ext = np.concatenate([self.hi, np.full(num_art, np.inf)])
@@ -599,14 +646,13 @@ class _FloatSimplex:
     def _drive_out_artificials(self, state: _State) -> None:
         N = self.N
         basic = set(state.basis.tolist())
-        for r in range(self.m):
-            if state.basis[r] < N:
-                continue
+        # a pivot in row r changes only row r's basic variable
+        for r in (state.basis >= N).nonzero()[0].tolist():
             row = state.row(r)[:N]
             pivot_col = -1
-            for j in np.flatnonzero(np.abs(row) > PIVOT_TOL):
-                if int(j) not in basic:
-                    pivot_col = int(j)
+            for j in (np.abs(row) > PIVOT_TOL).nonzero()[0].tolist():
+                if j not in basic:
+                    pivot_col = j
                     break
             if pivot_col < 0:
                 continue  # redundant row; artificial stays basic, pinned at zero
@@ -634,73 +680,76 @@ class _FloatSimplex:
         state.at_upper[j] = False
 
     def _loop(self, state: _State, phase1: bool) -> str:
-        width = state.width
+        N, m = self.N, self.m
+        cost = np.zeros(state.width)
         if phase1:
-            cost = np.zeros(width)
-            cost[self.N :] = 1.0
+            cost[N:] = 1.0
         else:
-            cost = np.zeros(width)
-            cost[: self.N] = self.cost
-        lo, hi = state.lo, state.hi
+            cost[:N] = self.cost
+        lo, hi, at_upper, basis = state.lo, state.hi, state.at_upper, state.basis
+        xB, lo_B, hi_B, Binv, A = state.xB, state.lo_B, state.hi_B, state.Binv, state.A
         # nonbasic structural or slack columns that can move; artificials
         # never re-enter, and each pivot swaps two entries
         enterable = (hi - lo) > 0
-        enterable[self.N :] = False
+        enterable[N:] = False
         free = enterable.copy()
-        free[state.basis] = False
+        free[basis] = False
         # priced once; each pivot updates them with the pivot row
         z = state.reduced_costs(cost)
 
         iters = 0
-        while True:
-            iters += 1
-            if iters > self.iter_cap:
-                return "cycled"
-            lower_elig = free & ~state.at_upper & (z < -PIVOT_TOL)
-            upper_elig = free & state.at_upper & (z > PIVOT_TOL)
-            elig = lower_elig | upper_elig
-            if not elig.any():
-                return "optimal"
-            if iters <= self.dantzig_limit:
-                scores = np.where(elig, np.abs(z), -1.0)
-                j = int(np.argmax(scores))
-            else:
-                j = int(np.flatnonzero(elig)[0])
+        # the ratio test divides every row and keeps the quotients of the
+        # rows whose entry passes PIVOT_TOL
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while True:
+                iters += 1
+                if iters > self.iter_cap:
+                    return "cycled"
+                elig = free & np.where(at_upper, z > PIVOT_TOL, z < -PIVOT_TOL)
+                if not elig.any():
+                    return "optimal"
+                dantzig = iters <= self.dantzig_limit
+                if dantzig:
+                    j = int(np.where(elig, np.abs(z), -1.0).argmax())
+                else:
+                    j = int(elig.argmax())  # the first eligible column
 
-            sigma = -1.0 if state.at_upper[j] else 1.0
-            d = state.column(j)
-            delta = -sigma * d
-            t_rows = np.full(self.m, np.inf)
-            up = delta > PIVOT_TOL
-            dn = delta < -PIVOT_TOL
-            with np.errstate(invalid="ignore"):
-                t_rows[up] = (state.hi_B[up] - state.xB[up]) / delta[up]
-                t_rows[dn] = (state.xB[dn] - state.lo_B[dn]) / (-delta[dn])
-            t_rows = np.maximum(t_rows, 0.0)
-            t_flip = hi[j] - lo[j]
-            row_min = float(t_rows.min()) if len(t_rows) else np.inf
-            t_star = min(row_min, t_flip)
-            if not np.isfinite(t_star):
-                return "unbounded"
-            state.xB -= sigma * t_star * d
-            if t_flip <= row_min:
-                state.at_upper[j] = not state.at_upper[j]
-                continue
-            close = np.flatnonzero(t_rows <= t_star + 1e-12 + 1e-9 * t_star)
-            if iters <= self.dantzig_limit:
-                # largest pivot among tied rows keeps the basis well conditioned;
-                # Bland's lowest basis index below guarantees termination
-                r = int(min(close, key=lambda i: (-abs(delta[i]), state.basis[i])))
-            else:
-                r = int(min(close, key=lambda i: state.basis[i]))
-            entering_value = (hi[j] if state.at_upper[j] else lo[j]) + sigma * t_star
-            leaving = int(state.basis[r])
-            state.at_upper[leaving] = bool(delta[r] > 0) and np.isfinite(hi[leaving])
-            free[leaving], free[j] = enterable[leaving], False
-            alpha = state.row(r)
-            self._pivot(state, r, j, d)
-            z -= (z[j] / alpha[j]) * alpha
-            state.xB[r] = entering_value
+                sigma = -1.0 if at_upper[j] else 1.0
+                d = Binv @ A[:, j]
+                delta = -sigma * d
+                t_rows = np.where(
+                    delta > PIVOT_TOL,
+                    (hi_B - xB) / delta,
+                    np.where(delta < -PIVOT_TOL, (xB - lo_B) / -delta, np.inf),
+                )
+                t_rows = np.maximum(t_rows, 0.0)
+                t_flip = hi[j] - lo[j]
+                row_min = float(t_rows.min()) if m else math.inf
+                t_star = min(row_min, t_flip)
+                if not math.isfinite(t_star):
+                    return "unbounded"
+                xB -= sigma * t_star * d
+                if t_flip <= row_min:
+                    at_upper[j] = not at_upper[j]
+                    continue
+                close = (t_rows <= t_star + 1e-12 + 1e-9 * t_star).nonzero()[0]
+                if len(close) == 1:
+                    r = int(close[0])
+                elif dantzig:
+                    # largest pivot among tied rows keeps the basis well
+                    # conditioned; Bland's lowest basis index below
+                    # guarantees termination
+                    r = int(min(close, key=lambda i: (-abs(delta[i]), basis[i])))
+                else:
+                    r = int(min(close, key=lambda i: basis[i]))
+                entering_value = (hi[j] if at_upper[j] else lo[j]) + sigma * t_star
+                leaving = int(basis[r])
+                at_upper[leaving] = bool(delta[r] > 0) and math.isfinite(hi[leaving])
+                free[leaving], free[j] = enterable[leaving], False
+                alpha = Binv[r] @ A
+                self._pivot(state, r, j, d)
+                z -= (z[j] / alpha[j]) * alpha
+                xB[r] = entering_value
 
     def _finish(self, state: _State, status: str) -> LpResult:
         """The optimum's result, checked against the original matrix. With a
@@ -712,24 +761,23 @@ class _FloatSimplex:
         in. A structural basis keeps the inverse, read-only."""
         if status == "unbounded":
             return LpResult(LpStatus.UNBOUNDED, None, [], NO_BASIS)
-        N = self.N
-        x = np.where(state.at_upper, np.where(np.isfinite(state.hi), state.hi, 0.0), state.lo)
-        basis = state.basis
-        structural = len(basis) > 0 and bool(np.all(basis < N))
+        n, N, A, b, cost = self.n, self.N, self.A, self.b, self.cost
+        at_upper, basis = state.at_upper, state.basis
+        x = np.where(at_upper, np.where(np.isfinite(state.hi), state.hi, 0.0), state.lo)
+        structural = len(basis) > 0 and bool((basis < N).all())
         y = None
         if len(basis):
             x[basis] = 0.0
             if structural:
-                Binv, A_B, c_B = state.Binv, self.A[:, basis], self.cost[basis]
-                rhs = self.b - self.A @ x[:N]
+                Binv, A_B, c_B = state.Binv, A[:, basis], cost[basis]
+                rhs = b - A @ x[:N]
                 xB = Binv @ rhs
                 state.xB = xB + Binv @ (rhs - A_B @ xB)
                 y = c_B @ Binv
                 y += (c_B - y @ A_B) @ Binv
             x[basis] = state.xB
-        primal = np.clip(x[: self.n], self.lo[: self.n], self.hi[: self.n])
-        activities = self.A[:, : self.n] @ primal
-        b = self.b
+        primal = np.clip(x[:n], self.lo[:n], self.hi[:n])
+        activities = A[:, :n] @ primal
         tol = 10 * FEAS_TOL * np.maximum(1.0, np.abs(b))
         violated = np.where(
             self.le,
@@ -737,31 +785,31 @@ class _FloatSimplex:
             np.where(self.ge, activities < b - tol, np.abs(activities - b) > tol),
         )
         if violated.any():
-            i = int(np.argmax(violated))
+            i = int(violated.argmax())
             act, rhs = float(activities[i]), float(b[i])
             sign = ">" if self.le[i] else "<" if self.ge[i] else "!="
             raise LpError(f"row {i} violated at optimum: {act} {sign} {rhs}")
         if y is not None:
-            d = self.cost - y @ self.A
+            d = cost - y @ A
             # c_B - y A_B, against the size of the terms its float sum adds
             residual = np.abs(d[basis])
-            scale = np.abs(self.cost[basis]) + np.abs(y) @ np.abs(self.A[:, basis])
-            if not np.all(residual <= FEAS_TOL * np.maximum(1.0, scale)):
+            scale = np.abs(c_B) + np.abs(y) @ np.abs(A_B)
+            if not (residual <= FEAS_TOL * np.maximum(1.0, scale)).all():
                 raise LpError(f"basis residual {float(residual.max())} at optimum")
             free = self.hi > self.lo
             free[basis] = False
-            priced_in = free & np.where(state.at_upper[:N], d > FEAS_TOL, d < -FEAS_TOL)
+            priced_in = free & np.where(at_upper[:N], d > FEAS_TOL, d < -FEAS_TOL)
             if priced_in.any():
-                j = int(np.argmax(priced_in))
+                j = int(priced_in.argmax())
                 raise LpError(f"column {j} prices in at optimum: reduced cost {float(d[j])}")
-        obj = float(self.cost[: self.n] @ primal)
+        obj = float(cost[:n] @ primal)
         inverse = None
         if structural:
             state.Binv.flags.writeable = False
             inverse = KeptInverse(self.rows, state.Binv)
         basis_out = Basis(
-            tuple(int(j) if j < N else -1 for j in basis),
-            frozenset(np.flatnonzero(state.at_upper[:N]).tolist()),
+            tuple(np.where(basis < N, basis, -1).tolist()),
+            frozenset(at_upper[:N].nonzero()[0].tolist()),
             inverse,
         )
         return LpResult(LpStatus.OPTIMAL, obj, primal.tolist(), basis_out)
@@ -817,7 +865,8 @@ class _ExactSimplex:
             result = LpResult(LpStatus.UNBOUNDED, None, [], NO_BASIS)
         else:
             result = self._finish(state)
-        return replace(result, pivots=self.pivots)
+        result.pivots = self.pivots
+        return result
 
     def check(self, basis: Basis) -> Optional[LpResult]:
         """The solution on basis, a float optimum's, if exact arithmetic

@@ -258,9 +258,12 @@ def _separate(model: StabModel, x, *, exact: bool) -> list[Cut]:
 def _violated_stab_rows(model: StabModel, primal: list, *, exact: bool) -> list[int]:
     """Indices of the distinct pool rows not in model.lp that primal violates,
     at most STAB_BATCH of them, most violated first and ties to the lowest
-    index. The exact check sums Fractions and has no tolerance."""
+    index. The exact check sums Fractions over the columns where primal is
+    nonzero and has no tolerance."""
     if exact:
-        activity = model.stab_pool.astype(int).astype(object) @ np.array(primal, dtype=object)
+        support = [j for j, v in enumerate(primal) if v]
+        pool = model.stab_pool[:, support].astype(int).astype(object)
+        activity = pool @ np.array([primal[j] for j in support], dtype=object)
         violated = activity > 0
     else:
         activity = model.stab_pool @ np.asarray(primal)

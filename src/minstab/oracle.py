@@ -15,7 +15,6 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
-import mpmath
 import numpy as np
 
 from .geom import (
@@ -223,6 +222,8 @@ class RadicalSum:
     @property
     def value(self):
         if self._value is None:
+            import mpmath  # loaded on first use: nothing else in minstab needs it
+
             with mpmath.workdps(_MP_DPS):
                 self._value = mpmath.fsum(
                     f * mpmath.sqrt(s) for s, f in self.terms
@@ -238,6 +239,8 @@ class RadicalSum:
     def __lt__(self, other: "RadicalSum") -> bool:
         if self.terms == other.terms:
             return False
+        import mpmath
+
         with mpmath.workdps(_MP_DPS):
             return self.value < other.value
 

@@ -3,11 +3,14 @@ from itertools import combinations
 
 import pytest
 
+import minstab.cuts as cuts
 from minstab import Segment
 from minstab.cuts import (
     SUPPORT_EPS,
+    UNWEIGHED_MARGIN,
     VIOLATION_EPS,
     CutError,
+    FlowGraph,
     gomory_hu,
     max_flow_min_cut,
     separate_blossom,
@@ -97,6 +100,28 @@ class TestMaxFlow:
         assert value == Fraction(1, 2)  # min cut isolates vertex 2
 
 
+    def test_flow_graph_is_reused_unchanged(self):
+        # a prebuilt graph gives what its edge list gives, call after call
+        rng = SplitMix64(13)
+        for trial in range(20):
+            n = 4 + rng.randrange(5)
+            edges = [
+                (i, j, Fraction(rng.randrange(1, 9), rng.randrange(1, 4)))
+                for i in range(n)
+                for j in range(i + 1, n)
+                if rng.randrange(100) < 50
+            ]
+            graph = FlowGraph.of(n, edges)
+            for s, t in ((0, n - 1), (n - 1, 0), (1, 2), (0, n - 1)):
+                assert max_flow_min_cut(n, graph, s, t) == max_flow_min_cut(n, edges, s, t)
+            assert graph == FlowGraph.of(n, edges)
+
+    def test_flow_graph_of_other_size_rejected(self):
+        graph = FlowGraph.of(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        with pytest.raises(CutError, match="3 vertices, not 4"):
+            max_flow_min_cut(4, graph, 0, 2)
+
+
 def assert_tree_edges_are_flows(tree, edges):
     """Each tree edge's value is the maximum flow between its two ends."""
     for i in range(1, tree.n):
@@ -155,6 +180,34 @@ class TestGomoryHu:
     def test_needs_two_vertices(self):
         with pytest.raises(CutError):
             gomory_hu(1, ())
+
+    def test_one_graph_for_all_flows(self, monkeypatch):
+        # the arcs are built once per tree and every one of the n - 1 flows
+        # runs on them, through the module's max_flow_min_cut
+        builds, graphs = [], []
+        of = FlowGraph.of.__func__
+
+        def recorded_of(cls, n, edges):
+            builds.append(n)
+            return of(cls, n, edges)
+
+        flow = cuts.max_flow_min_cut
+
+        def recorded_flow(n, edges, s, t, eps=0):
+            graphs.append(edges)
+            return flow(n, edges, s, t, eps)
+
+        monkeypatch.setattr(FlowGraph, "of", classmethod(recorded_of))
+        monkeypatch.setattr(cuts, "max_flow_min_cut", recorded_flow)
+        n = 9
+        edges = [(i, (i * 4 + 3) % n, 0.5 + i / 4) for i in range(n)] + [(0, 5, 1.0)]
+        tree = gomory_hu(n, edges)
+        assert builds == [n]
+        assert len(graphs) == n - 1
+        assert isinstance(graphs[0], FlowGraph)
+        assert all(graph is graphs[0] for graph in graphs)
+        monkeypatch.undo()
+        assert_tree_edges_are_flows(tree, edges)
 
 
 class TestSeparateBlossom:
@@ -309,3 +362,86 @@ class TestCutTreeExactness:
                     assert c.cut_value < limit
                     assert not odd or len(c.members) % 2 == 1
         assert contracted > 30
+
+
+class TestUnweighedCuts:
+    """Fundamental cuts whose tree value clears 1 - violation_eps by
+    UNWEIGHED_MARGIN are not weighed on the support; those below are."""
+
+    def test_cut_just_below_the_limit_is_returned(self):
+        # contracted to {0, 1} and {2, 3}, joined by two halves of w
+        w = 1 - VIOLATION_EPS - 1e-12
+        x = {
+            Segment(0, 1): 1.0,
+            Segment(2, 3): 1.0,
+            Segment(1, 2): w / 2,
+            Segment(0, 3): w / 2,
+        }
+        found = separate_connectivity(x, 4)
+        assert [c.members for c in found] == [frozenset({0, 1}), frozenset({2, 3})]
+        assert [c.cut_value for c in found] == [w, w]
+
+    def test_cut_inside_the_margin_is_weighed_and_kept_out(self, monkeypatch):
+        weighed = []
+        weigh = cuts._cut_weight
+
+        def recorded(x, members):
+            weighed.append(members)
+            return weigh(x, members)
+
+        monkeypatch.setattr(cuts, "_cut_weight", recorded)
+        w = 1 - VIOLATION_EPS + 1e-12
+        x = {
+            Segment(0, 1): 1.0,
+            Segment(2, 3): 1.0,
+            Segment(1, 2): w / 2,
+            Segment(0, 3): w / 2,
+        }
+        assert separate_connectivity(x, 4) == []
+        assert len(weighed) == 1
+        assert weighed[0] in (frozenset({0, 1}), frozenset({2, 3}))
+
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_weighs_only_cuts_below_the_margin(self, monkeypatch, odd):
+        trees, weighed = [], []
+        build, weigh = cuts.gomory_hu, cuts._cut_weight
+
+        def recorded_tree(*args, **kwargs):
+            trees.append(build(*args, **kwargs))
+            return trees[-1]
+
+        def recorded_weight(x, members):
+            weighed.append(members)
+            return weigh(x, members)
+
+        monkeypatch.setattr(cuts, "gomory_hu", recorded_tree)
+        monkeypatch.setattr(cuts, "_cut_weight", recorded_weight)
+        separate = separate_blossom if odd else separate_connectivity
+        limit = 1 - VIOLATION_EPS + UNWEIGHED_MARGIN
+        rng = SplitMix64(31)
+        skipped = kept = 0
+        for trial in range(40):
+            n = 4 + 2 * rng.randrange(4)
+            # every weight is below 1 - VIOLATION_EPS: nothing is contracted,
+            # so node i of the tree is vertex i
+            x = {
+                Segment(i, j): rng.randrange(1, 12) / 13
+                for i in range(n)
+                for j in range(i + 1, n)
+                if rng.randrange(100) < 50
+            }
+            trees.clear()
+            weighed.clear()
+            separate(x, n)
+            (tree,) = trees
+            expected = []
+            for side, value in tree.cut_candidates():
+                # a cut weighs at least its flow
+                assert weight(x, side) >= value - 1e-12
+                if value >= limit:
+                    skipped += 1
+                elif not odd or len(side) % 2 == 1:
+                    expected.append(side)
+            assert weighed == expected, trial
+            kept += len(expected)
+        assert skipped > 0 and kept > 0

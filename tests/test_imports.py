@@ -134,12 +134,14 @@ def test_orphan_check_flags_a_helper_nothing_names():
     assert orphaned_private_names(sources) == ["_Orphan (a.py line 4)"]
 
 
-def test_cli_import_leaves_scipy_out():
-    # scipy is a test-only dependency; importing it would more than double
-    # the command-line tool's start-up time
+@pytest.mark.parametrize("package", ["scipy", "mpmath"])
+def test_cli_import_leaves_package_out(package):
+    # scipy is a test-only dependency, and importing it would more than
+    # double the command-line tool's start-up time; mpmath serves only the
+    # oracle's exact length comparisons, which load it on first use
     code = (
         f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import minstab.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120

@@ -637,6 +637,30 @@ class TestValidation:
 
 
 class TestSharedMatrix:
+    def test_copies_share_the_standard_form_of_their_rows(self):
+        # the first float solve of a row set builds its standard form; the
+        # copies that keep the rows solve on it, read-only, and a program
+        # with other rows builds its own
+        lp = k_example()
+        cold = lp_solve(lp)
+        (form,) = lp.standard
+        fixed = lp_fix_variable(lp, 0, 0.25)
+        warm = lp_solve(fixed, cold.basis)
+        assert warm.warm_started
+        assert fixed.standard == fixed.with_objective([(0, 1)]).standard == [form]
+        assert _FloatSimplex(fixed).A is form.A
+        with pytest.raises(ValueError, match="read-only"):
+            form.A[0, 0] = 2.0
+        fresh = LinearProgram(fixed.num_vars, fixed.objective, fixed.rows, fixed.lo, fixed.hi)
+        again = lp_solve(fresh)
+        assert fresh.standard[0] is not form
+        assert (warm.primal, warm.objective_value) == (again.primal, again.objective_value)
+        assert warm.primal == pytest.approx([0.25, 0.75, 1])
+        grown = lp.with_rows([make_row({0: 1}, "<=", 0.5)])
+        assert grown.standard == []
+        lp_solve(grown, cold.basis)
+        assert grown.standard[0] is not form and lp.standard == [form]
+
     def test_copies_keep_the_matrix_of_their_rows(self):
         lp = k_example()
         grown = lp.with_rows([make_row({0: 2, 2: 1}, ">=", 1)])

@@ -430,6 +430,31 @@ class TestLazyStabbingRows:
         assert full.status is LpStatus.OPTIMAL
         assert full.objective_value == certified
 
+    @pytest.mark.parametrize("build", [build_matching_model, build_tree_model])
+    def test_exact_pool_check_sums_the_whole_pool(self, build):
+        # the exact check multiplies only the primal's nonzero columns; it
+        # must pick what the product over every column picks, in its order
+        model = build(gen_random(12, 100, seed=5), GENERAL)
+        rng = random.Random(7)
+        primals = [lp_solve(model.lp, exact=True).primal]
+        primals += [
+            [Fraction(rng.randrange(4), rng.randrange(1, 7)) for _ in range(model.lp.num_vars)]
+            for _ in range(3)
+        ]
+        model.cut_keys.update(range(0, len(model.stab_pool), 5))
+        for primal in primals:
+            assert 0 in primal
+            activity = model.stab_pool.astype(int).astype(object) @ np.array(primal, dtype=object)
+            expected = [
+                i
+                for i in range(len(model.stab_pool))
+                if activity[i] > 0 and model.stab_distinct[i] and i not in model.cut_keys
+            ]
+            expected.sort(key=lambda i: (-activity[i], i))
+            found = models._violated_stab_rows(model, primal, exact=True)
+            assert found == expected[: models.STAB_BATCH]
+            assert found
+
     def test_counts_cuts_and_stabbing_rows_apart(self):
         # this instance needs a blossom cut (see TestSolveRelaxation)
         model = build_matching_model(gen_random(10, 100, seed=74), AXIS)
