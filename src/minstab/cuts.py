@@ -94,14 +94,9 @@ class FlowGraph:
 
 
 def max_flow_min_cut(
-    n: int,
-    edges: Union[Sequence[tuple[int, int, Weight]], FlowGraph],
-    s: int,
-    t: int,
-    eps: Weight = 0,
+    graph: FlowGraph, s: int, t: int, eps: Weight = 0
 ) -> tuple[Weight, frozenset[int]]:
-    """Max s-t flow on an undirected graph, given as (u, v, w) edges or as
-    the FlowGraph of n vertices they make; returns (value, source side).
+    """Max s-t flow on an undirected graph; returns (value, source side).
 
     Shortest augmenting paths (Edmonds-Karp): each BFS over the arcs whose
     residual exceeds eps finds a path with the fewest arcs, and the flow is
@@ -111,9 +106,6 @@ def max_flow_min_cut(
     """
     if s == t:
         raise CutError("source equals sink")
-    graph = edges if isinstance(edges, FlowGraph) else FlowGraph.of(n, edges)
-    if graph.n != n:
-        raise CutError(f"flow graph has {graph.n} vertices, not {n}")
     head, to = graph.head, graph.to
     res: list[Weight] = list(graph.cap)
     total: Weight = 0
@@ -129,7 +121,7 @@ def max_flow_min_cut(
             res[arc ^ 1] += push
         total = total + push
     seen = _search(head, to, res, s, -1, eps)
-    return total, frozenset(i for i in range(n) if seen[i] != -1)
+    return total, frozenset(i for i in range(graph.n) if seen[i] != -1)
 
 
 def _search(
@@ -202,7 +194,7 @@ def gomory_hu(
     value: list[Weight] = [0] * n
     for i in range(1, n):
         target = parent[i]
-        flow, side = max_flow_min_cut(n, graph, i, target, eps=eps)
+        flow, side = max_flow_min_cut(graph, i, target, eps=eps)
         value[i] = flow
         for j in range(n):
             if j != i and parent[j] == target and j in side:

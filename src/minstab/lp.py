@@ -41,18 +41,18 @@ re-solves from the basis, and _ExactSimplex.check reads x_B and y through the
 kept inverse with iterative refinement (Gleixner, Steffy & Wolter 2016) and
 proves them optimal exactly. Otherwise the Fraction simplex solves cold.
 
-A program keeps its row coefficients as one float64 matrix, and both simplex
-paths read only it. The matrix is built and checked once per row set:
-appending rows converts only the new ones (or stacks coefficients the caller
-built already, such as a stabbing-row pool, whose rows carry none), and a
-copy with other bounds or another objective shares the matrix. The float
-simplex's standard form of the rows (the matrix with its slack columns, and
-the right-hand sides) is built by the first float solve of a row set and
-shared, read-only, by the copies with_bound and with_objective make: a
-rounding fixing or a branch re-solves without converting any row again. The
-exact path converts each entry to its exact rational, so make_row rejects a
-coefficient that float64 cannot hold exactly. Such copies check only what
-they change; a program constructed directly checks every bound and row.
+A program holds its rows once, in the standard form both simplex paths
+read: the float64 coefficient matrix with one slack column per inequality
+after the variables, numbered in row order, and the right-hand sides, all
+read-only; lp.matrix is the form's view of the coefficients. The form is
+built with the row set: appending rows converts only the new ones (or copies
+coefficients the caller built already, such as a stabbing-row pool, whose
+rows carry none), and the copies with_bound and with_objective make share
+it, so a rounding fixing or a branch re-solves without converting any row
+again. Such copies check only what they change; a program constructed
+directly checks every bound and row. The exact path converts each nonzero of
+the form to its exact rational, so make_row rejects a coefficient that
+float64 cannot hold exactly.
 
 The float loops run on arrays of a few dozen rows, where a numpy call costs
 more than its arithmetic, so they bind the state's arrays once per loop and
@@ -99,7 +99,8 @@ class Row:
     """A constraint's relation, right-hand side and, when make_row built it,
     coeffs: sorted (index, float64) pairs, a repeated index summed in exact
     rationals. A coefficient that float64 cannot hold exactly raises, because
-    the exact simplex reads the program's float matrix back. A program builds
+    the exact simplex reads the program's float matrix back, and so does a
+    right-hand side without a finite float64 value. A program builds
     its matrix from coeffs; a row without them (a stabbing-pool row) enters a
     program only with its matrix row. Rows compare by identity: a kept basis
     inverse belongs to the very rows it was computed for."""
@@ -111,6 +112,12 @@ class Row:
     def __post_init__(self) -> None:
         if self.rel not in ("<=", "=", ">="):
             raise LpError(f"bad relation {self.rel!r}")
+        try:
+            finite = math.isfinite(self.rhs)
+        except OverflowError:  # an int or Fraction beyond float64's range
+            finite = False
+        if not finite:
+            raise LpError(f"right-hand side {self.rhs} has no finite float64 value")
         if self.coeffs is not None:
             object.__setattr__(self, "coeffs", _exact_coeffs(self.coeffs))
 
@@ -121,15 +128,43 @@ def make_row(
     return Row(rel, rhs, tuple(coeffs.items() if isinstance(coeffs, Mapping) else coeffs))
 
 
+class _StandardForm:
+    """A program's rows as both simplex paths read them, read-only: A is the
+    coefficient matrix with one slack column per inequality after the
+    variables, numbered in row order (+1 in a <= row, -1 in a >= row),
+    slack_of_row each row's slack column or -1, b the right-hand sides, and
+    le and ge mark the <= and >= rows. blocks hold the coefficients of
+    consecutive rows and are copied into A one by one, never stacked first."""
+
+    def __init__(self, rows: tuple[Row, ...], blocks: Sequence[np.ndarray]) -> None:
+        m, n = len(rows), blocks[0].shape[1]
+        self.le = np.array([row.rel == "<=" for row in rows], dtype=bool)
+        self.ge = np.array([row.rel == ">=" for row in rows], dtype=bool)
+        slack_rows = (self.le | self.ge).nonzero()[0]
+        self.N = n + len(slack_rows)
+        self.A = np.zeros((m, self.N))
+        i = 0
+        for block in blocks:
+            self.A[i : i + len(block), :n] = block
+            i += len(block)
+        self.slack_of_row = np.full(m, -1, dtype=int)
+        self.slack_of_row[slack_rows] = n + np.arange(len(slack_rows))
+        self.A[slack_rows, self.slack_of_row[slack_rows]] = np.where(self.le[slack_rows], 1.0, -1.0)
+        self.b = np.array([row.rhs for row in rows], dtype=float)
+        for array in (self.le, self.ge, self.A, self.slack_of_row, self.b):
+            array.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """Minimization LP over bounded variables; treated as immutable.
 
-    matrix holds the row coefficients, one float64 row per Row; both simplex
-    paths read only it. A program constructed without it builds it from the
-    rows' coeffs and checks every row's indices; with_rows does so for the
-    appended rows only, and copies that keep the rows (with_bound,
-    with_objective, dataclasses.replace) share it.
+    form holds the rows in the standard form both simplex paths read
+    (_StandardForm), built with the row set and copied from matrix, when
+    given, or else from the rows' coeffs, whose indices are checked; matrix
+    is then the form's read-only view form.A[:, :num_vars]. with_rows
+    converts and checks the appended rows only; with_bound and
+    with_objective copies share the form.
     """
 
     num_vars: int
@@ -138,10 +173,7 @@ class LinearProgram:
     lo: tuple[Number, ...]
     hi: tuple[Number, ...]
     matrix: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
-    # holds the float simplex's standard form of the rows (_StandardForm)
-    # once a float solve has made it; with_bound and with_objective copies
-    # share the holder, while with_rows and dataclasses.replace start empty
-    standard: list = field(default_factory=list, init=False, compare=False, repr=False)
+    form: _StandardForm = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.lo) != self.num_vars or len(self.hi) != self.num_vars:
@@ -149,7 +181,9 @@ class LinearProgram:
         for j, (l, h) in enumerate(zip(self.lo, self.hi)):
             _check_bound(j, l, h)
         _check_objective(self.objective, self.num_vars)
-        object.__setattr__(self, "matrix", _row_matrix(self.rows, self.num_vars, self.matrix))
+        form = _StandardForm(self.rows, (_row_matrix(self.rows, self.num_vars, self.matrix),))
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "matrix", form.A[:, : self.num_vars])
 
     def _copy(self, **changes) -> "LinearProgram":
         """A copy with these fields replaced, without __post_init__'s checks
@@ -162,15 +196,17 @@ class LinearProgram:
     def with_rows(
         self, new_rows: Sequence[Row], matrix: Optional[np.ndarray] = None
     ) -> "LinearProgram":
-        """These rows appended. matrix, when given, holds their coefficients
-        as built before (a stabbing-row pool, another program's rows) and is
-        stacked as it is; otherwise the rows' coeffs are converted and
-        checked."""
+        """These rows appended, or the program itself when there are none.
+        matrix, when given, holds their coefficients as built before (a
+        stabbing-row pool, another program's rows) and is copied as it is;
+        otherwise the rows' coeffs are converted and checked."""
         new_rows = tuple(new_rows)
         matrix = _row_matrix(new_rows, self.num_vars, matrix)
-        return self._copy(
-            rows=self.rows + new_rows, matrix=np.vstack([self.matrix, matrix]), standard=[]
-        )
+        if not new_rows:
+            return self
+        rows = self.rows + new_rows
+        form = _StandardForm(rows, (self.matrix, matrix))
+        return self._copy(rows=rows, form=form, matrix=form.A[:, : self.num_vars])
 
     def with_bound(self, var: int, lo: Number, hi: Number) -> "LinearProgram":
         """A copy with var's bounds set to [lo, hi]; checks only that bound."""
@@ -397,28 +433,6 @@ class _State:
         return cost - (cost[self.basis] @ self.Binv) @ self.A
 
 
-class _StandardForm:
-    """A program's rows as the float simplex reads them, read-only: A is the
-    matrix with one slack column per inequality after the variables (+1 in
-    a <= row, -1 in a >= row), slack_of_row that column or -1, and b the
-    right-hand sides."""
-
-    def __init__(self, lp: LinearProgram) -> None:
-        n, m = lp.num_vars, len(lp.rows)
-        self.le = np.array([row.rel == "<=" for row in lp.rows], dtype=bool)
-        self.ge = np.array([row.rel == ">=" for row in lp.rows], dtype=bool)
-        slack_rows = (self.le | self.ge).nonzero()[0]
-        self.N = n + len(slack_rows)
-        self.A = np.zeros((m, self.N))
-        self.A[:, :n] = lp.matrix
-        self.slack_of_row = np.full(m, -1, dtype=int)
-        self.slack_of_row[slack_rows] = n + np.arange(len(slack_rows))
-        self.A[slack_rows, self.slack_of_row[slack_rows]] = np.where(self.le[slack_rows], 1.0, -1.0)
-        self.b = np.array([row.rhs for row in lp.rows], dtype=float)
-        for array in (self.le, self.ge, self.A, self.slack_of_row, self.b):
-            array.flags.writeable = False
-
-
 class _FloatSimplex:
     def __init__(self, lp: LinearProgram) -> None:
         n = lp.num_vars
@@ -426,9 +440,7 @@ class _FloatSimplex:
         self.n = n
         self.m = m
         self.rows = lp.rows
-        if not lp.standard:
-            lp.standard.append(_StandardForm(lp))
-        form = lp.standard[0]
+        form = lp.form
         self.le, self.ge, self.slack_of_row = form.le, form.ge, form.slack_of_row
         self.A, self.b = form.A, form.b
         N = self.N = form.N
@@ -827,26 +839,17 @@ class _ExactSimplex:
         m = len(lp.rows)
         self.n = n
         self.m = m
-        num_slacks = sum(1 for r in lp.rows if r.rel != "=")
-        N = n + num_slacks
-        self.N = N
-        self.A = [[Fraction(0)] * N for _ in range(m)]
-        # each row's nonzero coefficients, the program's float64 ones each
-        # converted exactly and then its slack's
+        form = lp.form
+        N = self.N = form.N
+        num_slacks = N - n
+        # each row's nonzero coefficients in column order, slack included,
+        # each float64 converted exactly
         self.terms: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
-        rows_i, cols_j = np.nonzero(lp.matrix)
-        for i, j, coef in zip(rows_i.tolist(), cols_j.tolist(), lp.matrix[rows_i, cols_j].tolist()):
-            self.A[i][j] = Fraction(coef)
-            self.terms[i].append((j, self.A[i][j]))
+        rows_i, cols_j = form.A.nonzero()
+        for i, j, coef in zip(rows_i.tolist(), cols_j.tolist(), form.A[rows_i, cols_j].tolist()):
+            self.terms[i].append((j, Fraction(coef)))
         self.b = [_frac(row.rhs) for row in lp.rows]
-        self.slack_of_row = [-1] * m
-        slack = n
-        for i, row in enumerate(lp.rows):
-            if row.rel != "=":
-                self.A[i][slack] = Fraction(1) if row.rel == "<=" else Fraction(-1)
-                self.terms[i].append((slack, self.A[i][slack]))
-                self.slack_of_row[i] = slack
-                slack += 1
+        self.slack_of_row = form.slack_of_row.tolist()
         self.lo: list[Fraction] = [_frac(v) for v in lp.lo] + [Fraction(0)] * num_slacks
         self.hi: list[Optional[Fraction]] = [
             None if math.isinf(float(v)) else _frac(v) for v in lp.hi
@@ -884,12 +887,13 @@ class _ExactSimplex:
                 x[j] = v
             return self._residual(x)
 
-        def reduced_costs(y: list, columns: Iterable[int]) -> list:  # c - y A
-            d = list(self.cost)
+        def reduced_costs(y: list, columns: Sequence[int]) -> list:  # (c - y A)_columns
+            d = {j: self.cost[j] for j in columns}
             for yi, row in zip(y, self.terms):
                 if yi:
                     for j, a in row:
-                        d[j] -= yi * a
+                        if j in d:
+                            d[j] -= yi * a
             return [d[j] for j in columns]
 
         y = _refined(lambda y: reduced_costs(y, cols), lambda r: r @ Binv, len(cols))
@@ -930,12 +934,16 @@ class _ExactSimplex:
         art_rows = []
         for i in range(m):
             s = self.slack_of_row[i]
-            if s >= 0 and resid[i] * self.A[i][s] >= 0:
+            # a row's slack is its last term
+            if s >= 0 and resid[i] * self.terms[i][-1][1] >= 0:
                 basis[i] = s
             else:
                 art_rows.append(i)
         num_art = len(art_rows)
-        T = [list(row) + [Fraction(0)] * num_art for row in self.A]
+        T = [[Fraction(0)] * (N + num_art) for _ in range(m)]
+        for row, terms in zip(T, self.terms):
+            for j, a in terms:
+                row[j] = a
         for t, i in enumerate(art_rows):
             T[i][N + t] = Fraction(1) if resid[i] >= 0 else Fraction(-1)
             basis[i] = N + t

@@ -59,11 +59,6 @@ class BnbNode:
     warm: Basis  # the parent's k-objective basis; the node solve starts from it
 
 
-def _forms_cycle(edges: Sequence[Segment], n: int) -> bool:
-    uf = UnionFind(n)
-    return any(not uf.union(e.a, e.b) for e in sorted(edges))
-
-
 def _rationalized(value: float) -> Fraction:
     return Fraction(value).limit_denominator(10**6)
 
@@ -87,7 +82,8 @@ def iterated_rounding(
 ) -> Solution:
     """Fix a heaviest refined edge to one and re-solve until the structure is
     complete. Ties go to the lexicographically smallest segment; for trees,
-    cycle-closing candidates are skipped rather than fixed to zero.
+    the free edges that would close a cycle with the fixed ones are fixed to
+    zero before each pick (_fix_dead_edges).
 
     root is model's solved relaxation, refined for the first fixing; the
     fixings go on a fork of model. Each later k re-solve starts warm from the
@@ -102,13 +98,14 @@ def iterated_rounding(
     """
     inst, problem, family = model.inst, model.problem, model.family
     work = model.fork()
+    _fix_dead_edges(work, inst, problem)
     target = _structure_size(inst, problem)
     relax = root
     length_basis = None
     while True:
         refined = lexicographic_refine(work, relax, length_basis)
         length_basis = refined.basis
-        choice = _pick_edge(work, refined.x, inst, problem)
+        choice = _pick_edge(work, refined.x, problem)
         if on_iteration is not None:
             on_iteration(
                 {
@@ -157,9 +154,11 @@ def _fix_dead_edges(model: StabModel, inst: Instance, problem: Problem) -> None:
             fix_edge(model, e, 0)
 
 
-def _pick_edge(
-    model: StabModel, x: dict, inst: Instance, problem: Problem
-) -> Segment:
+def _pick_edge(model: StabModel, x: dict, problem: Problem) -> Segment:
+    """A heaviest free edge, ties to the smallest segment. For trees every
+    free edge joins two components of the fixed forest, since
+    _fix_dead_edges fixed the others to zero; for matchings an edge at a
+    matched vertex is skipped."""
     matched = {v for e in model.fixed_ones for v in e}
     candidates = []
     for e in model.edges:
@@ -168,11 +167,6 @@ def _pick_edge(
         if problem is Problem.MATCHING and (e.a in matched or e.b in matched):
             continue
         candidates.append(e)
-    if problem is Problem.SPANNING_TREE:
-        uf = UnionFind(inst.n)
-        for e in sorted(model.fixed_ones):
-            uf.union(e.a, e.b)
-        candidates = [e for e in candidates if uf.find(e.a) != uf.find(e.b)]
     if not candidates:
         raise SolveError("no candidate edge left to fix; structure incomplete")
     best_w = max(float(x[e]) for e in candidates)
@@ -286,8 +280,9 @@ def branch_and_bound(
             ones = set(node.fixed_ones)
             zeros = set(node.fixed_zeros)
             (ones if value else zeros).add(branch_edge)
-            if value and problem is Problem.SPANNING_TREE and _forms_cycle(ones, inst.n):
-                continue
+            # a tree's branch edge is free, so it joins two components of
+            # the fixed forest (_fix_dead_edges); a matching's is kept off
+            # the matched vertices only by its weight passing INT_TOL
             if value and problem is Problem.MATCHING:
                 touched = [v for e in ones for v in e]
                 if len(touched) != len(set(touched)):

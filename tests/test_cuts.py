@@ -73,12 +73,12 @@ def random_matching_combination(n, rng, parts=3):
 
 class TestMaxFlow:
     def test_path_graph(self):
-        value, side = max_flow_min_cut(3, [(0, 1, 1.0), (1, 2, 1.0)], 0, 2)
+        value, side = max_flow_min_cut(FlowGraph.of(3, [(0, 1, 1.0), (1, 2, 1.0)]), 0, 2)
         assert value == pytest.approx(1)
         assert 0 in side and 2 not in side
 
     def test_disconnected(self):
-        value, side = max_flow_min_cut(4, [(0, 1, 1.0), (2, 3, 1.0)], 0, 2)
+        value, side = max_flow_min_cut(FlowGraph.of(4, [(0, 1, 1.0), (2, 3, 1.0)]), 0, 2)
         assert value == 0
         assert side == frozenset({0, 1})
 
@@ -91,17 +91,16 @@ class TestMaxFlow:
                 for j in range(i + 1, n):
                     if rng.randrange(100) < 60:
                         edges.append((i, j, rng.randrange(1, 8) / 2))
-            value, _ = max_flow_min_cut(n, edges, 0, n - 1)
+            value, _ = max_flow_min_cut(FlowGraph.of(n, edges), 0, n - 1)
             assert value == pytest.approx(brute_min_st_cut(n, edges, 0, n - 1))
 
     def test_fraction_weights_exact(self):
         edges = [(0, 1, Fraction(1, 3)), (1, 2, Fraction(1, 2)), (0, 2, Fraction(1, 6))]
-        value, _ = max_flow_min_cut(3, edges, 0, 2)
+        value, _ = max_flow_min_cut(FlowGraph.of(3, edges), 0, 2)
         assert value == Fraction(1, 2)  # min cut isolates vertex 2
 
-
     def test_flow_graph_is_reused_unchanged(self):
-        # a prebuilt graph gives what its edge list gives, call after call
+        # a graph reused gives what a fresh one gives, call after call
         rng = SplitMix64(13)
         for trial in range(20):
             n = 4 + rng.randrange(5)
@@ -113,19 +112,16 @@ class TestMaxFlow:
             ]
             graph = FlowGraph.of(n, edges)
             for s, t in ((0, n - 1), (n - 1, 0), (1, 2), (0, n - 1)):
-                assert max_flow_min_cut(n, graph, s, t) == max_flow_min_cut(n, edges, s, t)
+                value, side = max_flow_min_cut(graph, s, t)
+                assert (value, side) == max_flow_min_cut(FlowGraph.of(n, edges), s, t)
+                assert value == brute_min_st_cut(n, edges, s, t)
             assert graph == FlowGraph.of(n, edges)
-
-    def test_flow_graph_of_other_size_rejected(self):
-        graph = FlowGraph.of(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        with pytest.raises(CutError, match="3 vertices, not 4"):
-            max_flow_min_cut(4, graph, 0, 2)
 
 
 def assert_tree_edges_are_flows(tree, edges):
     """Each tree edge's value is the maximum flow between its two ends."""
     for i in range(1, tree.n):
-        direct, _ = max_flow_min_cut(tree.n, edges, i, tree.parent[i])
+        direct, _ = max_flow_min_cut(FlowGraph.of(tree.n, edges), i, tree.parent[i])
         assert tree.value[i] == pytest.approx(direct), (i, tree.parent[i])
 
 
@@ -193,9 +189,9 @@ class TestGomoryHu:
 
         flow = cuts.max_flow_min_cut
 
-        def recorded_flow(n, edges, s, t, eps=0):
-            graphs.append(edges)
-            return flow(n, edges, s, t, eps)
+        def recorded_flow(graph, s, t, eps=0):
+            graphs.append(graph)
+            return flow(graph, s, t, eps)
 
         monkeypatch.setattr(FlowGraph, "of", classmethod(recorded_of))
         monkeypatch.setattr(cuts, "max_flow_min_cut", recorded_flow)

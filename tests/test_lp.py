@@ -253,6 +253,44 @@ class TestExactMode:
         assert res.primal == [Fraction(1, 4), Fraction(3, 4), 1]
 
 
+    def test_terms_are_the_nonzeros_of_the_standard_form(self):
+        # the exact path reads the float path's form: each row's nonzeros in
+        # column order, slacks included, each an exact Fraction
+        rng = random.Random(11)
+        programs = [
+            make_lp(
+                3,
+                {2: 1},
+                [
+                    make_row({0: 0.5, 1: -3}, "<=", 2),
+                    make_row({1: 1, 2: 0.25}, ">=", 1),
+                    make_row({0: 1, 2: -1}, "=", 0),
+                ],
+            ).with_rows([Row(">=", 0)], np.array([[0.0, 2.0**-30, 5.0]]))
+        ]
+        for _ in range(20):
+            n = rng.randint(1, 6)
+            rows = [
+                make_row(
+                    {j: rng.randint(-3, 3) / 4 for j in range(n) if rng.random() < 0.6},
+                    rng.choice(["<=", ">=", "="]),
+                    rng.randint(-4, 4),
+                )
+                for _ in range(rng.randint(1, 6))
+            ]
+            programs.append(make_lp(n, {}, rows))
+        for lp in programs:
+            simplex, form = _ExactSimplex(lp), lp.form
+            assert simplex.N == form.N and simplex.slack_of_row == form.slack_of_row.tolist()
+            assert len(simplex.terms) == len(lp.rows)
+            for i, terms in enumerate(simplex.terms):
+                assert [j for j, _ in terms] == form.A[i].nonzero()[0].tolist()
+                assert all(type(a) is Fraction and a == form.A[i, j] for j, a in terms)
+        first = _ExactSimplex(programs[0])
+        assert [terms[-1] for terms in first.terms] == [(3, 1), (4, -1), (2, -1), (5, -1)]
+        assert first.terms[3] == [(1, Fraction(1, 2**30)), (2, 5), (5, -1)]
+
+
 class TestAddRows:
     def test_non_binding_row_keeps_objective(self):
         lp = k_example()
@@ -616,6 +654,16 @@ class TestValidation:
         half = make_lp(1, {0: 1}, [make_row({0: Fraction(1, 2)}, ">=", 1)])
         assert lp_solve(half, exact=True).objective_value == 2
 
+    @pytest.mark.parametrize("rhs", [math.nan, math.inf, -math.inf, 10**400])
+    def test_right_hand_side_without_finite_float64_value_is_rejected(self, rhs):
+        # a NaN or infinite right-hand side would reach phase 1 of the float
+        # path and Fraction() on the exact one
+        with pytest.raises(LpError, match="no finite float64 value"):
+            Row(">=", rhs)
+        with pytest.raises(LpError, match="no finite float64 value"):
+            make_row({0: 1, 1: 1}, ">=", rhs)
+        assert make_row({0: 1}, "<=", Fraction(1, 3)).rhs == Fraction(1, 3)
+
     def test_rows_without_coefficients_need_their_matrix(self):
         # a pool row carries no coeffs: it enters a program only with its
         # matrix row, and a program rebuilt from such rows alone raises
@@ -638,35 +686,72 @@ class TestValidation:
 
 class TestSharedMatrix:
     def test_copies_share_the_standard_form_of_their_rows(self):
-        # the first float solve of a row set builds its standard form; the
-        # copies that keep the rows solve on it, read-only, and a program
-        # with other rows builds its own
+        # a program builds the standard form of its rows once; the copies
+        # that keep the rows share it, read-only, and solve on it
         lp = k_example()
+        form = lp.form
         cold = lp_solve(lp)
-        (form,) = lp.standard
+        assert lp.form is form
         fixed = lp_fix_variable(lp, 0, 0.25)
         warm = lp_solve(fixed, cold.basis)
         assert warm.warm_started
-        assert fixed.standard == fixed.with_objective([(0, 1)]).standard == [form]
+        for other in (fixed, fixed.with_objective([(0, 1)]), lp.with_bound(2, 0, 5)):
+            assert other.form is form
         assert _FloatSimplex(fixed).A is form.A
+        for array in (form.A, form.b, form.le, form.ge, form.slack_of_row):
+            assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             form.A[0, 0] = 2.0
+        # no rows appended: the program itself, form and all
+        assert lp.with_rows(()) is lp
+        assert lp.with_rows([], np.zeros((0, 3))) is lp
         fresh = LinearProgram(fixed.num_vars, fixed.objective, fixed.rows, fixed.lo, fixed.hi)
         again = lp_solve(fresh)
-        assert fresh.standard[0] is not form
+        assert fresh.form is not form
         assert (warm.primal, warm.objective_value) == (again.primal, again.objective_value)
         assert warm.primal == pytest.approx([0.25, 0.75, 1])
-        grown = lp.with_rows([make_row({0: 1}, "<=", 0.5)])
-        assert grown.standard == []
-        lp_solve(grown, cold.basis)
-        assert grown.standard[0] is not form and lp.standard == [form]
+        # appended rows get a new form whose first rows are the old one's,
+        # slacks numbered after the variables in row order
+        grown = lp.with_rows([make_row({0: 1}, ">=", 0.5), make_row({1: 1}, "=", 0.5)])
+        assert grown.form is not form and lp.form is form
+        assert np.array_equal(grown.form.A[:2, : form.N], form.A)
+        assert not grown.form.A[:2, form.N :].any()
+        assert grown.form.A[2].tolist() == [1, 0, 0, 0, -1]
+        assert grown.form.A[3].tolist() == [0, 1, 0, 0, 0]
+        assert grown.form.slack_of_row.tolist() == [-1, 3, 4, -1]
+        assert grown.form.b.tolist() == [1, 0, 0.5, 0.5]
+        assert grown.form.le.tolist() == [False, True, False, False]
+        assert grown.form.ge.tolist() == [False, False, True, False]
+        # dataclasses.replace rebuilds an equal form from the coefficients
+        replaced = dataclasses.replace(grown, objective=((0, 1),))
+        assert replaced.form is not grown.form
+        for name in ("A", "b", "le", "ge", "slack_of_row"):
+            assert np.array_equal(getattr(replaced.form, name), getattr(grown.form, name)), name
+        assert replaced.form.N == grown.form.N == 5
 
     def test_copies_keep_the_matrix_of_their_rows(self):
         lp = k_example()
         grown = lp.with_rows([make_row({0: 2, 2: 1}, ">=", 1)])
         assert np.array_equal(grown.matrix[:2], lp.matrix)
         assert lp_fix_variable(grown, 0, 0).matrix is grown.matrix
-        assert dataclasses.replace(grown, objective=((0, 1),)).matrix is grown.matrix
+        assert grown.with_objective([(0, 1)]).matrix is grown.matrix
+        # the matrix is the form's read-only view of the coefficients
+        assert grown.matrix.base is grown.form.A
+        assert np.array_equal(grown.matrix, grown.form.A[:, :3])
+        assert not grown.matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            grown.matrix[0, 0] = 2.0
+        # a caller's array is copied, so editing it later changes no program
+        coefficients = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, -1.0]])
+        own = LinearProgram(3, lp.objective, lp.rows, lp.lo, lp.hi, coefficients)
+        appended = np.array([[0.0, 1.0, 0.0]])
+        longer = own.with_rows([Row("<=", 0.5)], appended)
+        coefficients[0, 0] = appended[0, 0] = 7.0
+        assert not np.shares_memory(own.matrix, coefficients)
+        assert not np.shares_memory(longer.matrix, appended)
+        assert own.matrix.tolist() == [[1, 1, 0], [1, 1, -1]]
+        assert longer.matrix[2].tolist() == [0, 1, 0]
+        assert lp_solve(own).objective_value == pytest.approx(1)
 
     def test_tableau_equals_one_built_from_scratch(self):
         # a cut row, a fixing and an objective swap, as rounding and

@@ -81,6 +81,46 @@ class TestIteratedRounding:
             rounded(collinear3, Problem.MATCHING, AXIS)
 
 
+def forest_components(n, edges):
+    """Each vertex's component label in the forest of these edges."""
+    label = list(range(n))
+    for _ in range(n):
+        for e in edges:
+            label[e.a] = label[e.b] = min(label[e.a], label[e.b])
+    return label
+
+
+class TestDeadEdges:
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_every_free_tree_edge_joins_two_components(self, seed):
+        # after _fix_dead_edges no free edge lies inside a component of the
+        # fixed forest, so the edge rounding picks and the edge branching
+        # fixes to one never close a cycle
+        rng = random.Random(seed)
+        inst = gen_random(9, 100, seed)
+        model = build_model(inst, Problem.SPANNING_TREE, GENERAL)
+        minstab.solve._fix_dead_edges(model, inst, Problem.SPANNING_TREE)
+        assert not model.fixed_ones and not model.fixed_zeros  # nothing to fix yet
+        ones = []
+        for e in rng.sample(model.edges, len(model.edges)):
+            label = forest_components(inst.n, ones)
+            if len(ones) < inst.n // 2 and rng.random() < 0.25 and label[e.a] != label[e.b]:
+                ones.append(e)
+                fix_edge(model, e, 1)
+            elif rng.random() < 0.1:
+                fix_edge(model, e, 0)
+        zeros = set(model.fixed_zeros)
+        minstab.solve._fix_dead_edges(model, inst, Problem.SPANNING_TREE)
+        label = forest_components(inst.n, ones)
+        assert model.fixed_ones == set(ones)
+        assert all(label[e.a] == label[e.b] for e in model.fixed_zeros - zeros)
+        free = [e for e in model.edges if e not in model.fixed_ones | model.fixed_zeros]
+        assert free and all(label[e.a] != label[e.b] for e in free)
+        x = {e: rng.random() for e in model.edges}
+        pick = minstab.solve._pick_edge(model, x, Problem.SPANNING_TREE)
+        assert pick in free and x[pick] == max(x[e] for e in free)
+
+
 class TestBranchAndBound:
     def test_unit_square_matching(self, unit_square):
         sol = rounded_bnb(unit_square, Problem.MATCHING, AXIS)
