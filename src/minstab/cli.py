@@ -224,6 +224,8 @@ def _cmd_gen(args) -> int:
         except ValueError:
             raise InstanceError(f"bad grid spec {args.grid!r}, expected RxC")
         num, _, den = args.keep.partition("/")
+        if den and int(den) == 0:
+            raise InstanceError(f"bad keep fraction {args.keep!r}: zero denominator")
         keep = Fraction(int(num), int(den) if den else 1)
         inst = gen_grid(rows, cols, keep, args.seed)
     _emit(serialize_instance(inst), args.output)
@@ -346,12 +348,11 @@ def _cmd_oracle(args) -> int:
     print(f"objective={objective.value} value={value} optima={len(structures)}")
     if args.output:
         edges = structures[0]
-        if objective in (Objective.STABBING, Objective.CROSSING):
-            k = int(value) if objective is Objective.STABBING else stabbing_number(
-                edges, inst.points, family
-            )[0]
-        else:
-            k, _ = stabbing_number(edges, inst.points, family)
+        k = (
+            int(value)
+            if objective is Objective.STABBING
+            else stabbing_number(edges, inst.points, family)[0]
+        )
         sol = Solution(problem, family, tuple(edges), k, None, Method.BRUTE)
         _emit(solution_to_json(sol), args.output)
     return 0

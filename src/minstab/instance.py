@@ -155,9 +155,13 @@ def _parse_tsplib(text: str, name: str) -> Instance:
         if len(parts) != 3:
             raise InstanceError(f"line {lineno}: expected 'index x y', got {line!r}")
         try:
-            coords.append((Decimal(parts[1]), Decimal(parts[2])))
-        except ArithmeticError as exc:
-            raise InstanceError(f"line {lineno}: bad coordinate in {line!r}") from exc
+            x, y = Decimal(parts[1]), Decimal(parts[2])
+            finite = x.is_finite() and y.is_finite()  # Decimal parses nan and inf
+        except ArithmeticError:
+            finite = False
+        if not finite:
+            raise InstanceError(f"line {lineno}: bad coordinate in {line!r}")
+        coords.append((x, y))
     if not coords:
         raise InstanceError("TSPLIB file has no coordinates")
     decimals = 0

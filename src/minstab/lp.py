@@ -20,7 +20,7 @@ basis that is not dual feasible, or a dual ratio test with no entering
 column, falls back to the cold two-phase solve, so only phase 1 declares a
 program infeasible.
 
-A float solve's basis keeps its final inverse over the program's rows, and
+A float solve's Basis keeps its final inverse over the program's rows, and
 a warm float solve starts only from it: for a program whose first rows are
 those very Row objects and whose appended rows all have slacks, k appended
 rows a with slack coefficients s add the rows [-diag(1/s) a_B B^-1,
@@ -41,18 +41,21 @@ re-solves from the basis, and _ExactSimplex.check reads x_B and y through the
 kept inverse with iterative refinement (Gleixner, Steffy & Wolter 2016) and
 proves them optimal exactly. Otherwise the Fraction simplex solves cold.
 
-A program holds its rows once, in the standard form both simplex paths
-read: the float64 coefficient matrix with one slack column per inequality
-after the variables, numbered in row order, and the right-hand sides, all
-read-only; lp.matrix is the form's view of the coefficients. The form is
-built with the row set: appending rows converts only the new ones (or copies
-coefficients the caller built already, such as a stabbing-row pool, whose
-rows carry none), and the copies with_bound and with_objective make share
-it, so a rounding fixing or a branch re-solves without converting any row
-again. Such copies check only what they change; a program constructed
-directly checks every bound and row. The exact path converts each nonzero of
-the form to its exact rational, so make_row rejects a coefficient that
-float64 cannot hold exactly.
+A program's lifecycle is: build it, append rows (with_rows), change any
+number of bounds in one step (with_bounds) or the objective (with_objective),
+and re-optimize warm. It holds its rows once, in the standard form both
+simplex paths read: the float64 coefficient matrix with one slack column per
+inequality after the variables, numbered in row order, and the right-hand
+sides, all read-only; lp.matrix is the form's view of the coefficients. Each
+row carries the key of its origin, and lp.keys collects them. The form and
+the keys are built with the row set: appending rows converts only the new
+ones (or copies coefficients the caller built already, such as a
+stabbing-row pool, whose rows carry no coeffs), and the copies with_bounds and
+with_objective make share them, so a rounding fixing or a branch re-solves
+without converting any row again. Such copies check only what they change; a
+program constructed directly checks every bound and row. The exact path
+converts each nonzero of the form to its exact rational, so make_row rejects
+a coefficient that float64 cannot hold exactly.
 
 The float loops run on arrays of a few dozen rows, where a numpy call costs
 more than its arithmetic, so they bind the state's arrays once per loop and
@@ -68,7 +71,7 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -102,12 +105,14 @@ class Row:
     the exact simplex reads the program's float matrix back, and so does a
     right-hand side without a finite float64 value. A program builds
     its matrix from coeffs; a row without them (a stabbing-pool row) enters a
-    program only with its matrix row. Rows compare by identity: a kept basis
-    inverse belongs to the very rows it was computed for."""
+    program only with its matrix row. key names the row's origin, or is None
+    (see LinearProgram.keys). Rows compare by identity, not by key: a kept
+    basis inverse belongs to the very rows it was computed for."""
 
     rel: str  # "<=", "=" or ">="
     rhs: Number
     coeffs: Optional[tuple[tuple[int, float], ...]] = field(default=None, repr=False)
+    key: Optional[Hashable] = None
 
     def __post_init__(self) -> None:
         if self.rel not in ("<=", "=", ">="):
@@ -123,9 +128,12 @@ class Row:
 
 
 def make_row(
-    coeffs: Mapping[int, Number] | Iterable[tuple[int, Number]], rel: str, rhs: Number
+    coeffs: Mapping[int, Number] | Iterable[tuple[int, Number]],
+    rel: str,
+    rhs: Number,
+    key: Optional[Hashable] = None,
 ) -> Row:
-    return Row(rel, rhs, tuple(coeffs.items() if isinstance(coeffs, Mapping) else coeffs))
+    return Row(rel, rhs, tuple(coeffs.items() if isinstance(coeffs, Mapping) else coeffs), key)
 
 
 class _StandardForm:
@@ -162,9 +170,10 @@ class LinearProgram:
     form holds the rows in the standard form both simplex paths read
     (_StandardForm), built with the row set and copied from matrix, when
     given, or else from the rows' coeffs, whose indices are checked; matrix
-    is then the form's read-only view form.A[:, :num_vars]. with_rows
-    converts and checks the appended rows only; with_bound and
-    with_objective copies share the form.
+    is then the form's read-only view form.A[:, :num_vars]. keys is the
+    frozenset of the rows' keys that are not None, built with the row set
+    too. with_rows converts and checks the appended rows only; with_bounds
+    and with_objective copies share the form and the keys.
     """
 
     num_vars: int
@@ -174,6 +183,7 @@ class LinearProgram:
     hi: tuple[Number, ...]
     matrix: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
     form: _StandardForm = field(init=False, compare=False, repr=False)
+    keys: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.lo) != self.num_vars or len(self.hi) != self.num_vars:
@@ -184,6 +194,7 @@ class LinearProgram:
         form = _StandardForm(self.rows, (_row_matrix(self.rows, self.num_vars, self.matrix),))
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "matrix", form.A[:, : self.num_vars])
+        object.__setattr__(self, "keys", _row_keys(frozenset(), self.rows))
 
     def _copy(self, **changes) -> "LinearProgram":
         """A copy with these fields replaced, without __post_init__'s checks
@@ -206,17 +217,23 @@ class LinearProgram:
             return self
         rows = self.rows + new_rows
         form = _StandardForm(rows, (self.matrix, matrix))
-        return self._copy(rows=rows, form=form, matrix=form.A[:, : self.num_vars])
-
-    def with_bound(self, var: int, lo: Number, hi: Number) -> "LinearProgram":
-        """A copy with var's bounds set to [lo, hi]; checks only that bound."""
-        if not 0 <= var < self.num_vars:
-            raise LpError(f"variable {var} out of range")
-        _check_bound(var, lo, hi)
         return self._copy(
-            lo=self.lo[:var] + (lo,) + self.lo[var + 1 :],
-            hi=self.hi[:var] + (hi,) + self.hi[var + 1 :],
+            rows=rows,
+            form=form,
+            matrix=form.A[:, : self.num_vars],
+            keys=_row_keys(self.keys, new_rows),
         )
+
+    def with_bounds(self, bounds: Mapping[int, tuple[Number, Number]]) -> "LinearProgram":
+        """A copy with each var's bounds set to (lo, hi), in one step; checks
+        only these bounds."""
+        lo, hi = list(self.lo), list(self.hi)
+        for var, (l, h) in bounds.items():
+            if not 0 <= var < self.num_vars:
+                raise LpError(f"variable {var} out of range")
+            _check_bound(var, l, h)
+            lo[var], hi[var] = l, h
+        return self._copy(lo=tuple(lo), hi=tuple(hi))
 
     def with_objective(
         self, objective: Iterable[tuple[int, Number]]
@@ -225,6 +242,11 @@ class LinearProgram:
         objective = tuple(objective)
         _check_objective(objective, self.num_vars)
         return self._copy(objective=objective)
+
+
+def _row_keys(keys: frozenset, rows: Iterable[Row]) -> frozenset:
+    """keys and the rows' keys that are not None."""
+    return keys.union(row.key for row in rows if row.key is not None)
 
 
 def _check_bound(var: int, lo: Number, hi: Number) -> None:
@@ -305,30 +327,24 @@ def make_lp(
 
 
 @dataclass(frozen=True)
-class KeptInverse:
-    """The final basis inverse of a float solve: rows are the program's rows
-    and Binv is B^-1, m x m, for the basic columns of its variables and
-    slacks in row order. Binv is read-only, so copies of a Basis share it."""
-
-    rows: tuple[Row, ...]
-    Binv: np.ndarray
-
-
-@dataclass(frozen=True)
 class Basis:
     """The basic variable of each row and the nonbasic variables held at their
     upper bound. Slacks are numbered after the program's variables in row
     order; -1 marks a row whose artificial stayed basic.
 
-    inverse, set by a float solve whose basis has no artificial, is left out
-    of == and repr. A warm float solve extends it when the program's first
-    rows are its very Row objects (with_rows keeps them) and every appended
-    row has a slack; otherwise, or without an inverse, the float solve starts
-    cold. The exact path hands it to the float simplex, not the Fraction one."""
+    A float solve whose basis has no artificial keeps its final inverse: rows
+    are the program's rows and Binv is B^-1, m x m, for the basic columns of
+    its variables and slacks in row order, read-only, so copies of a Basis
+    share it. Both are left out of == and repr. A warm float solve extends
+    the inverse when the program's first rows are these very Row objects
+    (with_rows keeps them) and every appended row has a slack; otherwise, or
+    without an inverse, the float solve starts cold. The exact path hands it
+    to the float simplex, not the Fraction one."""
 
     basic: tuple[int, ...]
     at_upper: frozenset[int] = frozenset()
-    inverse: Optional[KeptInverse] = field(default=None, compare=False, repr=False)
+    rows: tuple[Row, ...] = field(default=(), compare=False, repr=False)
+    Binv: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
 
 NO_BASIS = Basis(())
@@ -349,17 +365,6 @@ class LpResult:
     basis: Basis
     warm_started: bool = False
     pivots: int = 0
-
-
-def lp_fix_variable(lp: LinearProgram, var: int, value: Number) -> LinearProgram:
-    """New program with lo = hi = value for var; value must fit original bounds."""
-    if not 0 <= var < lp.num_vars:
-        raise LpError(f"variable {var} out of range")
-    if not lp.lo[var] <= value <= lp.hi[var]:
-        raise LpError(
-            f"fix value {value} outside bounds [{lp.lo[var]}, {lp.hi[var]}] of var {var}"
-        )
-    return lp.with_bound(var, value, value)
 
 
 def lp_solve(
@@ -489,17 +494,16 @@ class _FloatSimplex:
         slacks joins the basis, in O(k m^2) for k rows; None unless this
         program's first rows are the inverse's very rows, every appended row
         has a slack and the columns form a basis of this program."""
-        kept = warm.inverse
-        if kept is None:
+        if warm.Binv is None:
             return None
-        m0 = len(kept.rows)
+        m0 = len(warm.rows)
         new_slacks = self.slack_of_row[m0:]
         if (
             m0 > self.m
             or len(warm.basic) != m0
-            or kept.Binv.shape != (m0, m0)
+            or warm.Binv.shape != (m0, m0)
             or (new_slacks < 0).any()
-            or not all(map(operator.is_, kept.rows, self.rows))
+            or not all(map(operator.is_, warm.rows, self.rows))
         ):
             return None
         columns = list(warm.basic) + new_slacks.tolist()
@@ -513,14 +517,14 @@ class _FloatSimplex:
             return None
         basis = np.array(columns, dtype=int)
         Binv = np.zeros((self.m, self.m))
-        Binv[:m0, :m0] = kept.Binv
+        Binv[:m0, :m0] = warm.Binv
         if m0 < self.m:
             # the basis gains each new row's slack: B = [[B0, 0], [a_B, S]]
             # with S the slack coefficients, so its inverse has the rows
             # [-S^-1 a_B B0^-1, S^-1] below B0^-1
             A_new = self.A[m0:]
             coef = A_new[np.arange(len(new_slacks)), new_slacks]
-            Binv[m0:, :m0] = -(A_new[:, basis[:m0]] @ kept.Binv) / coef[:, None]
+            Binv[m0:, :m0] = -(A_new[:, basis[:m0]] @ warm.Binv) / coef[:, None]
             Binv[m0:, m0:] = np.diag(1.0 / coef)
         return self._start(warm, basis, Binv)
 
@@ -815,14 +819,13 @@ class _FloatSimplex:
                 j = int(priced_in.argmax())
                 raise LpError(f"column {j} prices in at optimum: reduced cost {float(d[j])}")
         obj = float(cost[:n] @ primal)
-        inverse = None
         if structural:
             state.Binv.flags.writeable = False
-            inverse = KeptInverse(self.rows, state.Binv)
         basis_out = Basis(
             tuple(np.where(basis < N, basis, -1).tolist()),
             frozenset(at_upper[:N].nonzero()[0].tolist()),
-            inverse,
+            self.rows if structural else (),
+            state.Binv if structural else None,
         )
         return LpResult(LpStatus.OPTIMAL, obj, primal.tolist(), basis_out)
 
@@ -876,9 +879,9 @@ class _ExactSimplex:
         proves it optimal, else None: x_B and y solve B x_B = b - A_N x_N and
         y B = c_B exactly (_refined), x fits every bound, slacks included, and
         each movable nonbasic column's reduced cost has its bound's sign."""
-        if basis.inverse is None:  # only an optimal float solve keeps one
+        if basis.Binv is None:  # only an optimal float solve keeps one
             return None
-        N, Binv, cols = self.N, basis.inverse.Binv, list(basis.basic)
+        N, Binv, cols = self.N, basis.Binv, list(basis.basic)
         at_upper = [j in basis.at_upper and self.hi[j] is not None for j in range(N)]
         x = [self.hi[j] if at_upper[j] else self.lo[j] for j in range(N)]
 

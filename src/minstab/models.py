@@ -7,6 +7,9 @@ A model's program starts with the degree rows (matching) or the total row
 built once, into a pool on the model, and the cutting-plane loop separates
 them lazily like blossom and connectivity cuts: each round appends the most
 violated pool rows, and separates cuts only once no stabbing row is violated.
+Each appended row carries its key, a pool row's line index or a cut's
+cut_key, so model.lp.keys is the one record of what the program holds.
+Fixings change edge bounds through fix_edges, one program copy per call.
 
 The surrogate row is the sum of the pool's distinct rows, scaled by a power
 of two (Glover, "Surrogate constraints", Operations Research 16(4), 1968).
@@ -39,7 +42,6 @@ from .lp import (
     LinearProgram,
     LpStatus,
     Row,
-    lp_fix_variable,
     lp_solve,
     make_lp,
     make_row,
@@ -80,7 +82,7 @@ class StabModel:
     """LP over edge variables plus the bound variable k.
 
     Owned by a single solve loop: the loop solves lp and appends every
-    violated stabbing row and cut row to it, and fixings replace it with
+    violated stabbing row and cut row to it, and fix_edges replaces it with
     tightened bounds. lp starts with the degree rows or the total row and,
     when the pool has at least two distinct rows, the surrogate row
     sum(c_e x_e) - L k <= 0 scaled by 2**-ceil(log2 L): L is the number of
@@ -92,9 +94,9 @@ class StabModel:
     k). It is built once and never written; the loop appends a pool row by
     stacking its matrix row onto lp's, with a Row("<=", 0) of its own and no
     coefficient tuple. stab_distinct marks the rows that equal no earlier
-    line's row, the only ones the loop appends. cut_keys
-    names every row appended to lp: a cut by the canonical side of its vertex
-    set (cut_key), a stabbing row by its index in the pool.
+    line's row, the only ones the loop appends. Every row appended to lp
+    carries its key, so lp.keys names them all: a stabbing row its index in
+    the pool, a cut row the canonical side of its vertex set (cut_key).
 
     length_objective is the Euclidean length objective of lexicographic
     refinement, built by its first call and shared by later forks.
@@ -111,18 +113,12 @@ class StabModel:
     stab_distinct: np.ndarray
     fixed_ones: set[Segment] = field(default_factory=set)
     fixed_zeros: set[Segment] = field(default_factory=set)
-    cut_keys: set[Union[frozenset[int], int]] = field(default_factory=set)
     length_objective: Optional[tuple[tuple[int, float], ...]] = None
 
     def fork(self) -> StabModel:
-        """A copy with its own fixings and row keys; the immutable lp and the
-        pool are shared until either side replaces lp."""
-        return replace(
-            self,
-            fixed_ones=set(self.fixed_ones),
-            fixed_zeros=set(self.fixed_zeros),
-            cut_keys=set(self.cut_keys),
-        )
+        """A copy with its own fixings; the immutable lp, its row keys and
+        the pool are shared until either side replaces lp."""
+        return replace(self, fixed_ones=set(self.fixed_ones), fixed_zeros=set(self.fixed_zeros))
 
 
 @dataclass
@@ -142,18 +138,15 @@ def _build(inst: Instance, family: LineFamily, problem: Problem) -> StabModel:
     num_edges = len(edges)
     k_index = num_edges
     inf = float("inf")
-    rows: list[Row] = []
     if problem is Problem.MATCHING:
         bounds = [(0, 1)] * num_edges + [(0, inf)]
-        for v in range(n):
-            coeffs = {edge_index[e]: 1 for e in edges if v in e}
-            rows.append(make_row(coeffs, "=", 1))
+        rows = degree_rows(n, edges)
     else:
         # no upper bound on tree edge weights: the relaxation only has the
         # nonnegativity bound, which is what lets weight shift off a crossing
         # pair even when a neighbor edge already carries weight one
         bounds = [(0, inf)] * num_edges + [(0, inf)]
-        rows.append(make_row({i: 1 for i in range(num_edges)}, "=", n - 1))
+        rows = [make_row({i: 1 for i in range(num_edges)}, "=", n - 1)]
     pool, distinct = _stab_pool(inst, family, edges)
     num_distinct = int(distinct.sum())
     # the surrogate row (see StabModel); of a single distinct row it would be
@@ -175,6 +168,11 @@ def _build(inst: Instance, family: LineFamily, problem: Problem) -> StabModel:
         stab_pool=pool,
         stab_distinct=distinct,
     )
+
+
+def degree_rows(n: int, edges) -> list[Row]:
+    """A perfect matching's degree rows: the edges at each vertex sum to 1."""
+    return [make_row({i: 1 for i, e in enumerate(edges) if v in e}, "=", 1) for v in range(n)]
 
 
 def _stab_pool(inst: Instance, family: LineFamily, edges) -> tuple[np.ndarray, np.ndarray]:
@@ -222,22 +220,32 @@ def pool_stabbing_number(model: StabModel, edges) -> int:
     return int(model.stab_pool[:, cols].sum(axis=1).max())
 
 
-def fix_edge(model: StabModel, seg: Segment, value: int) -> None:
-    """Pin an edge variable to 0 or 1 via its bounds; stabbing rows follow."""
-    if value not in (0, 1):
-        raise ModelError(f"edges can only be fixed to 0 or 1, got {value}")
-    idx = model.edge_index[seg]
-    model.lp = lp_fix_variable(model.lp, idx, value)
-    (model.fixed_ones if value == 1 else model.fixed_zeros).add(seg)
+def fix_edges(model: StabModel, ones=(), zeros=()) -> None:
+    """Pin the edges in ones to 1 and those in zeros to 0 through their
+    bounds, in one program copy; stabbing rows follow. An edge whose bounds
+    exclude its value raises ModelError: one fixed the other way before, or
+    in both collections."""
+    bounds = {}
+    for value, edges in ((1, ones), (0, zeros)):
+        for seg in edges:
+            idx = model.edge_index[seg]
+            lo, hi = bounds.get(idx, (model.lp.lo[idx], model.lp.hi[idx]))
+            if not lo <= value <= hi:
+                raise ModelError(f"cannot fix edge {seg} to {value}: its bounds are [{lo}, {hi}]")
+            bounds[idx] = (value, value)
+    model.lp = model.lp.with_bounds(bounds)
+    model.fixed_ones.update(ones)
+    model.fixed_zeros.update(zeros)
 
 
 def cut_row(model: StabModel, members: frozenset[int]) -> Row:
+    """The cut row x(delta(members)) >= 1, keyed by its cut_key."""
     coeffs = {
         i: 1
         for i, e in enumerate(model.edges)
         if (e.a in members) != (e.b in members)
     }
-    return make_row(coeffs, ">=", 1)
+    return make_row(coeffs, ">=", 1, cut_key(members, model.inst.n))
 
 
 def cut_key(members: frozenset[int], n: int) -> frozenset[int]:
@@ -271,7 +279,7 @@ def _violated_stab_rows(model: StabModel, primal: list, *, exact: bool) -> list[
     found = [
         i
         for i in np.flatnonzero(violated & model.stab_distinct).tolist()
-        if i not in model.cut_keys
+        if i not in model.lp.keys
     ]
     found.sort(key=lambda i: (-activity[i], i))
     return found[:STAB_BATCH]
@@ -303,18 +311,15 @@ def _run_loop(
         warm_basis = result.basis
         lines = _violated_stab_rows(model, result.primal, exact=exact)
         if lines:
-            model.cut_keys.update(lines)
             # the pool's matrix rows are the coefficients; each row is its own Row
-            model.lp = model.lp.with_rows([Row("<=", 0) for _ in lines], model.stab_pool[lines])
+            rows = [Row("<=", 0, key=i) for i in lines]
+            model.lp = model.lp.with_rows(rows, model.stab_pool[lines])
             stab_rows_added += len(lines)
             continue
         x = {e: result.primal[i] for i, e in enumerate(model.edges)}
-        rows = []
-        for c in _separate(model, x, exact=exact):
-            key = cut_key(c.members, n)
-            if key not in model.cut_keys:
-                model.cut_keys.add(key)
-                rows.append(cut_row(model, c.members))
+        # both sides of a cut share one key, and so one row: the key's own
+        keys = dict.fromkeys(cut_key(c.members, n) for c in _separate(model, x, exact=exact))
+        rows = [cut_row(model, key) for key in keys if key not in model.lp.keys]
         if not rows:
             return RelaxationResult(
                 k_frac=result.objective_value,
@@ -344,7 +349,7 @@ def solve_relaxation(
 def _set_objective(model: StabModel, objective, k_hi) -> None:
     """Give model.lp this objective and this upper bound on k."""
     k = model.k_index
-    model.lp = model.lp.with_objective(objective).with_bound(k, model.lp.lo[k], k_hi)
+    model.lp = model.lp.with_objective(objective).with_bounds({k: (model.lp.lo[k], k_hi)})
 
 
 def lexicographic_refine(

@@ -23,7 +23,7 @@ from .geom import (
     stabbing_number,
 )
 from .instance import Instance, Method, Problem, Solution, UnionFind, structure_defect
-from .lp import OBJ_TOL, Basis, LinearProgram, make_lp, make_row
+from .lp import OBJ_TOL, Basis, make_lp
 from .lp import lp_solve  # noqa: F401  perfbench/spans.py wraps this name
 from .models import (
     InfeasibleRelaxationError,
@@ -32,7 +32,8 @@ from .models import (
     _run_loop,
     build_matching_model,
     build_tree_model,
-    fix_edge,
+    degree_rows,
+    fix_edges,
     lexicographic_refine,
     pool_stabbing_number,
     solve_relaxation,
@@ -55,7 +56,6 @@ class BnbNode:
     fixed_ones: frozenset[Segment]
     fixed_zeros: frozenset[Segment]
     bound: float
-    depth: int
     warm: Basis  # the parent's k-objective basis; the node solve starts from it
 
 
@@ -83,7 +83,7 @@ def iterated_rounding(
     """Fix a heaviest refined edge to one and re-solve until the structure is
     complete. Ties go to the lexicographically smallest segment; for trees,
     the free edges that would close a cycle with the fixed ones are fixed to
-    zero before each pick (_fix_dead_edges).
+    zero with it (_dead_edges), so each step is one fix_edges call.
 
     root is model's solved relaxation, refined for the first fixing; the
     fixings go on a fork of model. Each later k re-solve starts warm from the
@@ -98,7 +98,8 @@ def iterated_rounding(
     """
     inst, problem, family = model.inst, model.problem, model.family
     work = model.fork()
-    _fix_dead_edges(work, inst, problem)
+    if work.fixed_ones:  # a model fixed before may hold dead edges already
+        fix_edges(work, zeros=_dead_edges(work, ()))
     target = _structure_size(inst, problem)
     relax = root
     length_basis = None
@@ -116,8 +117,7 @@ def iterated_rounding(
                     "chosen": choice,
                 }
             )
-        fix_edge(work, choice, 1)
-        _fix_dead_edges(work, inst, problem)
+        fix_edges(work, ones=[choice], zeros=_dead_edges(work, [choice]))
         if len(work.fixed_ones) >= target:
             break
         relax = solve_relaxation(work, relax.basis)
@@ -133,31 +133,33 @@ def iterated_rounding(
     )
 
 
-def _fix_dead_edges(model: StabModel, inst: Instance, problem: Problem) -> None:
-    """Zero out free edges no integral completion can use.
+def _dead_edges(model: StabModel, extra_ones) -> set[Segment]:
+    """The free edges no integral completion can use once the edges in
+    extra_ones are fixed to one too.
 
     For trees these are the edges closing a cycle with the fixed forest (the
     self-loops of the contracted residual problem); leaving them free lets the
     relaxation park weight on them, which breaks the planar-support argument.
     Matching degree rows already force edges at matched vertices to zero, so
-    nothing is needed there.
+    the set is empty there.
     """
-    if problem is not Problem.SPANNING_TREE:
-        return
-    uf = UnionFind(inst.n)
-    for e in sorted(model.fixed_ones):
+    if model.problem is not Problem.SPANNING_TREE:
+        return set()
+    ones = model.fixed_ones.union(extra_ones)
+    uf = UnionFind(model.inst.n)
+    for e in ones:
         uf.union(e.a, e.b)
-    for e in model.edges:
-        if e in model.fixed_ones or e in model.fixed_zeros:
-            continue
-        if uf.find(e.a) == uf.find(e.b):
-            fix_edge(model, e, 0)
+    return {
+        e
+        for e in model.edges
+        if e not in ones and e not in model.fixed_zeros and uf.find(e.a) == uf.find(e.b)
+    }
 
 
 def _pick_edge(model: StabModel, x: dict, problem: Problem) -> Segment:
     """A heaviest free edge, ties to the smallest segment. For trees every
     free edge joins two components of the fixed forest, since
-    _fix_dead_edges fixed the others to zero; for matchings an edge at a
+    the others are fixed to zero (_dead_edges); for matchings an edge at a
     matched vertex is skipped."""
     matched = {v for e in model.fixed_ones for v in e}
     candidates = []
@@ -234,7 +236,7 @@ def branch_and_bound(
     root_bound = float(root.k_frac)
     counter = 0
     heap: list[tuple[float, int, BnbNode]] = []
-    start = BnbNode(frozenset(), frozenset(), root_bound, 0, root.basis)
+    start = BnbNode(frozenset(), frozenset(), root_bound, root.basis)
     heapq.heappush(heap, (start.bound, counter, start))
     proven = True
 
@@ -246,23 +248,18 @@ def branch_and_bound(
         if math.ceil(bound - OBJ_TOL) >= best_k:
             break  # best-first: every remaining node is at least as bad
         work = pool.fork()
-        for e in sorted(node.fixed_ones):
-            fix_edge(work, e, 1)
-        for e in sorted(node.fixed_zeros):
-            fix_edge(work, e, 0)
-        _fix_dead_edges(work, inst, problem)
         if node is start:
             relax = root
         else:
+            fix_edges(work, node.fixed_ones, node.fixed_zeros | _dead_edges(work, node.fixed_ones))
             try:
                 relax = solve_relaxation(work, node.warm)
             except InfeasibleRelaxationError:
                 continue
             # stabbing and cut rows hold at every node: hand the new ones,
-            # with their coefficients, to the pool
+            # with their coefficients and keys, to the pool
             m = len(pool.lp.rows)
             pool.lp = pool.lp.with_rows(work.lp.rows[m:], work.lp.matrix[m:])
-            pool.cut_keys = work.cut_keys
         k_frac = float(relax.k_frac)
         node_bound = math.ceil(k_frac - OBJ_TOL)
         if node_bound >= best_k:
@@ -281,16 +278,14 @@ def branch_and_bound(
             zeros = set(node.fixed_zeros)
             (ones if value else zeros).add(branch_edge)
             # a tree's branch edge is free, so it joins two components of
-            # the fixed forest (_fix_dead_edges); a matching's is kept off
+            # the fixed forest (_dead_edges); a matching's is kept off
             # the matched vertices only by its weight passing INT_TOL
             if value and problem is Problem.MATCHING:
                 touched = [v for e in ones for v in e]
                 if len(touched) != len(set(touched)):
                     continue
             counter += 1
-            child = BnbNode(
-                frozenset(ones), frozenset(zeros), k_frac, node.depth + 1, relax.basis
-            )
+            child = BnbNode(frozenset(ones), frozenset(zeros), k_frac, relax.basis)
             heapq.heappush(heap, (child.bound, counter, child))
 
     return Solution(
@@ -367,8 +362,8 @@ def min_length_matching(inst: Instance, metric: str = "euclidean") -> Solution:
     exponent = max(0, math.frexp(max(lengths))[1] - LENGTH_BITS)
     if exponent:
         lengths = [math.ldexp(length, -exponent) for length in lengths]
-    # the cutting-plane loop needs only edges, cut rows and cut keys: an
-    # empty stabbing pool and no k column
+    # the cutting-plane loop needs only edges and the degree and cut rows:
+    # an empty stabbing pool, no k column and the length objective
     model = StabModel(
         problem=Problem.MATCHING,
         family=family,
@@ -376,7 +371,9 @@ def min_length_matching(inst: Instance, metric: str = "euclidean") -> Solution:
         edges=edges,
         edge_index={e: i for i, e in enumerate(edges)},
         k_index=-1,
-        lp=_matching_polytope_lp(inst, edges, lengths),
+        lp=make_lp(
+            len(edges), dict(enumerate(lengths)), degree_rows(inst.n, edges), [(0, 1)] * len(edges)
+        ),
         stab_pool=np.zeros((0, len(edges))),
         stab_distinct=np.zeros(0, dtype=bool),
     )
@@ -396,23 +393,21 @@ def min_length_matching(inst: Instance, metric: str = "euclidean") -> Solution:
     # the optimum under it is within OBJ_TOL * max(1, optimum) of the
     # optimum, in unscaled lengths; no edge longer than that budget fits
     budget = optimum + OBJ_TOL * max(math.ldexp(1.0, -exponent), abs(optimum))
-    for e, length in zip(edges, lengths):
-        if length > budget:
-            fix_edge(model, e, 0)
+    fix_edges(model, zeros=[e for e, length in zip(edges, lengths) if length > budget])
     matched: set[int] = set()
     warm = result.basis
     for e in edges:
         if e.a in matched or e.b in matched or e in model.fixed_zeros:
             continue
         trial = model.fork()
-        fix_edge(trial, e, 1)
+        fix_edges(trial, ones=[e])
         try:
             fixed = _run_loop(trial, exact=False, warm_basis=warm)
         except InfeasibleRelaxationError:
             fixed = None
         if fixed is None or fixed.k_frac > budget:
             # the rejected trial's cut rows and keys go with its fork
-            fix_edge(model, e, 0)
+            fix_edges(model, zeros=[e])
             continue
         model, warm = trial, fixed.basis
         matched.update(e)
@@ -427,17 +422,6 @@ def min_length_matching(inst: Instance, metric: str = "euclidean") -> Solution:
         k=k,
         lower_bound=None,
         method=Method.MIN_LENGTH,
-    )
-
-
-def _matching_polytope_lp(inst, edges, lengths) -> LinearProgram:
-    """Degree equalities over the edges with a length objective; no k column."""
-    index = {e: i for i, e in enumerate(edges)}
-    rows = []
-    for v in range(inst.n):
-        rows.append(make_row({index[e]: 1 for e in edges if v in e}, "=", 1))
-    return make_lp(
-        len(edges), dict(enumerate(lengths)), rows, [(0, 1)] * len(edges)
     )
 
 

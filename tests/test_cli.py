@@ -5,6 +5,7 @@ import pytest
 import minstab.cli
 import minstab.solve
 from minstab.cli import main
+from minstab.instance import gen_random, serialize_instance
 
 
 def run(capsys, *args):
@@ -35,6 +36,11 @@ class TestGen:
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "gen")
         assert code == 1
+
+    def test_zero_keep_denominator(self, capsys):
+        code, stdout, stderr = run(capsys, "gen", "--grid", "3x3", "--keep", "1/0")
+        assert code == 1 and not stdout
+        assert stderr.startswith("error: bad keep fraction '1/0'")
 
 
 class TestPipeline:
@@ -227,6 +233,23 @@ class TestOracleCommand:
         assert "value=3" in stdout
         assert "optima=2" in stdout
 
+    @pytest.mark.parametrize("objective", ["stabbing", "crossing"])
+    def test_written_solution_passes_eval(self, tmp_path, capsys, objective):
+        # the file's k is the stored solution's stabbing number under either
+        # objective, so eval recomputes the same value
+        path = tmp_path / "six.pts"
+        path.write_text("6\n0 0\n4 1\n1 5\n6 6\n3 2\n7 0\n")
+        sol = tmp_path / "sol.json"
+        code, _, _ = run(
+            capsys, "oracle", str(path), "--problem", "matching", "--family", "general",
+            "--objective", objective, "-o", str(sol),
+        )
+        assert code == 0
+        code, stdout, _ = run(capsys, "eval", str(path), "--edges", str(sol))
+        assert code == 0
+        printed = dict(t.split("=") for t in stdout.splitlines()[0].split())
+        assert printed["value"] == printed["stored_k"] == str(json.loads(sol.read_text())["k"])
+
 
 class TestRenderCommand:
     def test_lp_render_square(self, tmp_path, capsys):
@@ -328,6 +351,48 @@ class TestExitCodes:
         code, _, _ = run(capsys, "bound", "/no/such/file.pts", "--problem", "matching")
         assert code == 1
 
+    @pytest.mark.parametrize("coord", ["nan", "Infinity"])
+    def test_non_finite_tsplib_coordinate(self, tmp_path, capsys, coord):
+        path = tmp_path / "a.tsp"
+        path.write_text(f"NAME : a\nNODE_COORD_SECTION\n1 0 0\n2 {coord} 1\n3 1 1\n4 0 1\nEOF\n")
+        code, stdout, stderr = run(capsys, "oracle", str(path), "--problem", "matching")
+        assert code == 1 and not stdout
+        assert stderr.startswith("error: line 4: bad coordinate")
+
     def test_bad_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
+
+
+class TestGoldenReport:
+    # report --exact-check's whole stdout on gen_random(10, 100, 1), byte for
+    # byte: a change that keeps stdout must keep these
+    GOLDEN = {
+        ("matching", "axis"): (
+            "k_frac=2.000000000\nk_frac_exact=2/1\nceil_bound=2\nk_rounding=2\n"
+            "k_exact=2\nratio=1.000000\ncuts_added=0\n"
+        ),
+        ("matching", "general"): (
+            "k_frac=2.411764706\nk_frac_exact=41/17\nceil_bound=3\nk_rounding=3\n"
+            "k_exact=3\nratio=1.000000\ncuts_added=2\n"
+        ),
+        ("tree", "axis"): (
+            "k_frac=3.166666667\nk_frac_exact=19/6\nceil_bound=4\nk_rounding=4\n"
+            "k_exact=4\nratio=1.000000\ncuts_added=7\n"
+        ),
+        ("tree", "general"): (
+            "k_frac=4.285714286\nk_frac_exact=30/7\nceil_bound=5\nk_rounding=5\n"
+            "k_exact=5\nratio=1.000000\ncuts_added=3\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("problem, family", sorted(GOLDEN))
+    def test_report_exact_check_stdout(self, tmp_path, capsys, problem, family):
+        path = tmp_path / "random-n10-b100-s1.pts"
+        path.write_text(serialize_instance(gen_random(10, 100, 1)))
+        code, stdout, _ = run(
+            capsys, "report", str(path), "--problem", problem, "--family", family, "--exact-check"
+        )
+        assert code == 0
+        header = f"instance=random-n10-b100-s1\nproblem={problem}\nfamily={family}\n"
+        assert stdout == header + self.GOLDEN[problem, family]

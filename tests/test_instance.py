@@ -81,6 +81,13 @@ class TestParseTsplib:
         assert inst.points[0] == Point(25, 0)
         assert inst.points[1] == Point(1050, 0)
 
+    @pytest.mark.parametrize("coord", ["nan", "Infinity", "-inf", "sNaN"])
+    def test_non_finite_coordinate_rejected(self, coord):
+        # Decimal parses these, but they name no point
+        text = self.TEXT.replace("2 10 0", f"2 {coord} 1")
+        with pytest.raises(InstanceError, match="line 7: bad coordinate"):
+            parse_instance(text)
+
     def test_scaling_capped_at_four_decimals(self):
         text = self.TEXT.replace("1 0 0", "1 0.123456 0")
         inst = parse_instance(text)

@@ -25,12 +25,11 @@ from minstab.lp import (
     _ExactSimplex,
     _FloatSimplex,
     _State,
-    lp_fix_variable,
     lp_solve,
     make_lp,
     make_row,
 )
-from minstab.models import cut_row, fix_edge
+from minstab.models import ModelError, cut_row, fix_edges
 
 
 def k_example():
@@ -45,15 +44,15 @@ def k_example():
 def full_program(model):
     """model.lp plus every stabbing row of the model's pool not yet in it: the
     whole relaxation with the cuts found so far."""
-    rest = [i for i in range(len(model.stab_pool)) if i not in model.cut_keys]
-    return model.lp.with_rows([Row("<=", 0) for _ in rest], model.stab_pool[rest])
+    rest = [i for i in range(len(model.stab_pool)) if i not in model.lp.keys]
+    return model.lp.with_rows([Row("<=", 0, key=i) for i in rest], model.stab_pool[rest])
 
 
 def inverse_error(lp, basis):
     """max |B^-1 A_B - I| of basis's kept inverse on lp's basic columns,
     slacks included; the inverse must be m x m."""
     m = len(lp.rows)
-    Binv = basis.inverse.Binv
+    Binv = basis.Binv
     assert Binv.shape == (m, m)
     A_B = _FloatSimplex(lp).A[:, list(basis.basic)]
     return float(np.abs(Binv @ A_B - np.eye(m)).max())
@@ -61,7 +60,7 @@ def inverse_error(lp, basis):
 
 def with_inverse(basis, Binv):
     """basis with Binv in place of its kept inverse, for the same rows."""
-    return dataclasses.replace(basis, inverse=dataclasses.replace(basis.inverse, Binv=Binv))
+    return dataclasses.replace(basis, Binv=Binv)
 
 
 @pytest.fixture
@@ -199,7 +198,7 @@ class TestExactMode:
         exact = lp_solve(lp, warm_basis=res.basis, exact=True)
         cold = lp_solve(lp, exact=True)
         assert exact.warm_started and exact.pivots == 0 and not cold.warm_started
-        assert exact.basis == res.basis and exact.basis.inverse is not None
+        assert exact.basis == res.basis and exact.basis.Binv is not None
         assert exact_solution(exact) == exact_solution(cold) == (Fraction(1), [1, 0, 1])
 
     def test_warm_start_keeps_nonbasic_at_upper(self):
@@ -240,7 +239,7 @@ class TestExactMode:
     def test_damaged_inverse_never_certifies_a_wrong_optimum(self, finish_failures):
         lp = k_example()
         prior = lp_solve(lp)
-        damaged = with_inverse(prior.basis, 3 * prior.basis.inverse.Binv)
+        damaged = with_inverse(prior.basis, 3 * prior.basis.Binv)
         # iterative refinement through 3 B^-1 doubles the error each round
         assert _ExactSimplex(lp).check(damaged) is None
         cut = lp.with_rows([make_row({1: 1}, ">=", 0.75)])
@@ -496,7 +495,8 @@ class TestDualReoptimize:
                 )
             if changed is lp or rng.random() < 0.5:
                 var = rng.randrange(n)
-                changed = lp_fix_variable(changed, var, rng.choice([0, hi[var]]))
+                value = rng.choice([0, hi[var]])
+                changed = changed.with_bounds({var: (value, value)})
             attempts = len(warm_attempts)
             warm = lp_solve(changed, warm_basis=prior.basis)
             cold = lp_solve(changed)
@@ -524,21 +524,27 @@ class TestDualReoptimize:
 
 class TestFixVariable:
     def test_fix_forces_value(self):
-        lp = lp_fix_variable(k_example(), 0, 1)
+        lp = k_example().with_bounds({0: (1, 1)})
         res = lp_solve(lp)
         assert res.primal[0] == pytest.approx(1)
         assert res.primal[1] == pytest.approx(0)
         assert res.objective_value == pytest.approx(1)
 
     def test_fix_twice_idempotent(self):
-        lp = lp_fix_variable(k_example(), 0, 1)
-        again = lp_fix_variable(lp, 0, 1)
+        lp = k_example().with_bounds({0: (1, 1)})
+        again = lp.with_bounds({0: (1, 1)})
         assert again.lo[0] == again.hi[0] == 1
 
-    def test_fix_outside_bounds_errors(self):
-        lp = make_lp(1, {}, bounds=[(0, 1)])
-        with pytest.raises(LpError):
-            lp_fix_variable(lp, 0, 2)
+    def test_fix_outside_bounds_errors(self, unit_square):
+        # a fixing must fit the edge's bounds: fix_edges checks them, not
+        # with_bounds, which only checks the bounds it sets
+        model = build_matching_model(unit_square, LineFamily.AXIS_PARALLEL)
+        edge = model.edges[0]
+        fix_edges(model, zeros=[edge])
+        fixed = model.lp
+        with pytest.raises(ModelError, match="cannot fix"):
+            fix_edges(model, ones=[edge])
+        assert model.lp is fixed and not model.fixed_ones
 
 
 class TestWarmVsCold:
@@ -692,10 +698,10 @@ class TestSharedMatrix:
         form = lp.form
         cold = lp_solve(lp)
         assert lp.form is form
-        fixed = lp_fix_variable(lp, 0, 0.25)
+        fixed = lp.with_bounds({0: (0.25, 0.25)})
         warm = lp_solve(fixed, cold.basis)
         assert warm.warm_started
-        for other in (fixed, fixed.with_objective([(0, 1)]), lp.with_bound(2, 0, 5)):
+        for other in (fixed, fixed.with_objective([(0, 1)]), lp.with_bounds({2: (0, 5)})):
             assert other.form is form
         assert _FloatSimplex(fixed).A is form.A
         for array in (form.A, form.b, form.le, form.ge, form.slack_of_row):
@@ -733,7 +739,7 @@ class TestSharedMatrix:
         lp = k_example()
         grown = lp.with_rows([make_row({0: 2, 2: 1}, ">=", 1)])
         assert np.array_equal(grown.matrix[:2], lp.matrix)
-        assert lp_fix_variable(grown, 0, 0).matrix is grown.matrix
+        assert grown.with_bounds({0: (0, 0)}).matrix is grown.matrix
         assert grown.with_objective([(0, 1)]).matrix is grown.matrix
         # the matrix is the form's read-only view of the coefficients
         assert grown.matrix.base is grown.form.A
@@ -758,7 +764,7 @@ class TestSharedMatrix:
         # refinement apply them, against the same program read row by row
         model = build_matching_model(gen_random(8, 100, seed=3), LineFamily.AXIS_PARALLEL)
         model.lp = model.lp.with_rows([cut_row(model, frozenset({0, 1, 2}))])
-        fix_edge(model, model.edges[4], 1)
+        fix_edges(model, ones=[model.edges[4]])
         lengths = tuple((i, float(i + 1)) for i in range(len(model.edges)))
         lp = dataclasses.replace(model.lp, objective=lengths)
         fresh = LinearProgram(lp.num_vars, lp.objective, lp.rows, lp.lo, lp.hi)
@@ -782,17 +788,21 @@ class TestSharedMatrix:
         monkeypatch.setattr(minstab.lp, "_check_bound", recorded)
         lp = k_example()
         assert checked == [0, 1, 2]  # a program constructed directly checks all
-        fixed = lp_fix_variable(lp, 0, 1)
-        capped = fixed.with_objective([(0, 1)]).with_bound(2, 0, 5)
+        fixed = lp.with_bounds({0: (1, 1)})
+        capped = fixed.with_objective([(0, 1)]).with_bounds({2: (0, 5)})
         assert checked == [0, 1, 2, 0, 2]
         assert (capped.lo, capped.hi) == ((1, 0, 0), (1, math.inf, 5))
         assert capped.objective == ((0, 1),) and capped.matrix is lp.matrix
+        # several bounds change in one copy, and each is checked once
+        both = lp.with_bounds({2: (0, 5), 0: (1, 1)})
+        assert checked == [0, 1, 2, 0, 2, 2, 0]
+        assert (both.lo, both.hi) == (capped.lo, capped.hi) and both.form is lp.form
         with pytest.raises(LpError, match="must be finite"):
-            lp_fix_variable(lp, 2, math.inf)
+            lp.with_bounds({2: (math.inf, math.inf)})
         with pytest.raises(LpError, match="lo 2 > hi 1"):
-            lp.with_bound(0, 2, 1)
+            lp.with_bounds({0: (2, 1)})
         with pytest.raises(LpError, match="out of range"):
-            lp.with_bound(3, 0, 1)
+            lp.with_bounds({3: (0, 1)})
         with pytest.raises(LpError, match="objective index 3"):
             lp.with_objective([(3, 1)])
 
@@ -828,12 +838,12 @@ class TestSharedMatrix:
         assert moved.primal == pytest.approx([0.25, 0.75, 1])
         # without a kept inverse the basis solves cold
         cut_cold = lp_solve(cut)
-        bare = lp_solve(cut, dataclasses.replace(cold.basis, inverse=None))
+        bare = lp_solve(cut, dataclasses.replace(cold.basis, Binv=None))
         assert not bare.warm_started
         assert bare == cut_cold
         assert bare.primal == pytest.approx(moved.primal)
         # an inverse scaled by 3 fails the optimum's checks and solves cold
-        damaged = lp_solve(cut, with_inverse(cold.basis, 3 * cold.basis.inverse.Binv))
+        damaged = lp_solve(cut, with_inverse(cold.basis, 3 * cold.basis.Binv))
         assert finish_failures
         assert not damaged.warm_started
         assert damaged.primal == cut_cold.primal
@@ -849,9 +859,9 @@ class TestSharedMatrix:
             [make_row({0: 1, 1: 2}, "=", 1), make_row({0: 2, 1: 1, 2: -1}, "<=", 0)],
         )
         for other in (k_example(), shifted):
-            inverse = lp_solve(other).basis.inverse
-            assert inverse.Binv.shape == cold.basis.inverse.Binv.shape
-            res = lp_solve(lp, dataclasses.replace(cold.basis, inverse=inverse))
+            kept = lp_solve(other).basis
+            assert kept.Binv.shape == cold.basis.Binv.shape
+            res = lp_solve(lp, dataclasses.replace(cold.basis, rows=kept.rows, Binv=kept.Binv))
             assert not res.warm_started
             assert res == cold
 
@@ -861,7 +871,7 @@ class TestSharedMatrix:
         # basis looks optimal
         lp = make_lp(2, {0: -1}, [make_row({0: 1, 1: 1}, "<=", 2)])
         prior = lp_solve(lp)
-        kept = prior.basis.inverse
+        kept = prior.basis
         assert prior.basis.basic == (0,)
         assert np.array_equal(kept.Binv, [[1]])
         assert not kept.Binv.flags.writeable
@@ -892,7 +902,7 @@ class TestSharedMatrix:
             2, {0: -3, 1: -1}, [make_row({0: 1, 1: -1}, "<=", 0), make_row({0: 1, 1: 1}, "<=", 4)]
         )
         prior = lp_solve(lp)
-        kept = prior.basis.inverse
+        kept = prior.basis
         assert prior.basis.basic == (0, 1)
         assert np.allclose(kept.Binv, [[0.5, 0.5], [-0.5, 0.5]])
         damaged_Binv = kept.Binv.copy()
@@ -904,7 +914,7 @@ class TestSharedMatrix:
         assert res == cold
         assert res.primal == pytest.approx([2, 2])
         assert res.objective_value == pytest.approx(scipy_solve(lp).fun, abs=1e-9)
-        assert np.abs(res.basis.inverse.Binv - kept.Binv).max() < 1e-12
+        assert np.abs(res.basis.Binv - kept.Binv).max() < 1e-12
 
     def test_row_check_names_first_violated_row(self):
         # x0 <= 1 by its bound; the basis puts x0 = 2, and once x0 is clipped

@@ -28,12 +28,12 @@ from minstab.geom import (
     stabbing_number,
     stabs,
 )
-from minstab.lp import FEAS_TOL, NO_BASIS, LinearProgram, LpResult, LpStatus, lp_solve
+from minstab.lp import FEAS_TOL, NO_BASIS, LinearProgram, LpResult, LpStatus, Row, lp_solve
 from minstab.models import (
     InfeasibleRelaxationError,
     ModelError,
     cut_key,
-    fix_edge,
+    fix_edges,
 )
 
 AXIS = LineFamily.AXIS_PARALLEL
@@ -226,8 +226,7 @@ class TestSolveRelaxation:
 
     def test_infeasible_fixings_carry_sets(self, unit_square):
         model = build_matching_model(unit_square, AXIS)
-        fix_edge(model, Segment(0, 1), 1)
-        fix_edge(model, Segment(0, 2), 1)  # vertex 0 twice: infeasible
+        fix_edges(model, ones=[Segment(0, 1), Segment(0, 2)])  # vertex 0 twice: infeasible
         with pytest.raises(InfeasibleRelaxationError) as err:
             solve_relaxation(model)
         assert Segment(0, 1) in err.value.fixed_ones
@@ -441,14 +440,15 @@ class TestLazyStabbingRows:
             [Fraction(rng.randrange(4), rng.randrange(1, 7)) for _ in range(model.lp.num_vars)]
             for _ in range(3)
         ]
-        model.cut_keys.update(range(0, len(model.stab_pool), 5))
+        held = range(0, len(model.stab_pool), 5)
+        model.lp = model.lp.with_rows([Row("<=", 0, key=i) for i in held], model.stab_pool[list(held)])
         for primal in primals:
             assert 0 in primal
             activity = model.stab_pool.astype(int).astype(object) @ np.array(primal, dtype=object)
             expected = [
                 i
                 for i in range(len(model.stab_pool))
-                if activity[i] > 0 and model.stab_distinct[i] and i not in model.cut_keys
+                if activity[i] > 0 and model.stab_distinct[i] and i not in held
             ]
             expected.sort(key=lambda i: (-activity[i], i))
             found = models._violated_stab_rows(model, primal, exact=True)
@@ -460,9 +460,9 @@ class TestLazyStabbingRows:
         model = build_matching_model(gen_random(10, 100, seed=74), AXIS)
         built = len(model.lp.rows)
         relax = solve_relaxation(model)
-        cuts = [key for key in model.cut_keys if isinstance(key, frozenset)]
+        cuts = [key for key in model.lp.keys if isinstance(key, frozenset)]
         assert relax.cuts_added == len(cuts) > 0
-        assert relax.stab_rows_added == len(model.cut_keys) - len(cuts) > 0
+        assert relax.stab_rows_added == len(model.lp.keys) - len(cuts) > 0
         assert len(model.lp.rows) == built + relax.cuts_added + relax.stab_rows_added
 
     def test_rows_enter_once_and_duplicates_never(self):
@@ -558,7 +558,7 @@ class TestLexicographicRefine:
         assert model.lp.objective == built.objective
         assert (model.lp.lo, model.lp.hi) == (built.lo, built.hi)
         assert model.lp.rows[: len(built.rows)] == built.rows
-        assert len(model.cut_keys) == len(model.lp.rows) - len(built.rows)
+        assert len(model.lp.keys) == len(model.lp.rows) - len(built.rows)
         assert refined.cuts_added > 0
 
     def test_keeps_k_program_and_its_cuts(self, monkeypatch):
@@ -590,8 +590,7 @@ class TestLexicographicRefine:
     def test_restores_k_program_when_retry_raises(self):
         model = build_matching_model(gen_random(8, 100, seed=5), AXIS)
         root = solve_relaxation(model)
-        fix_edge(model, Segment(0, 1), 1)
-        fix_edge(model, Segment(0, 2), 1)  # vertex 0 twice: infeasible
+        fix_edges(model, ones=[Segment(0, 1), Segment(0, 2)])  # vertex 0 twice: infeasible
         fixed = model.lp
         with pytest.raises(InfeasibleRelaxationError):
             lexicographic_refine(model, root)
@@ -629,6 +628,44 @@ class TestSupportQuality:
         ]
 
 
+class TestRowKeys:
+    @pytest.mark.parametrize("build, seed", [(build_matching_model, 6), (build_tree_model, 1)])
+    def test_keys_name_every_row_the_loops_append(self, build, seed):
+        # at these seeds the length program appends rows phase 1 did not;
+        # the built rows have no key
+        model = build(gen_random(8, 100, seed=seed), AXIS)
+        built = model.lp
+        assert built.keys == frozenset() and {row.key for row in built.rows} == {None}
+
+        def appended_keys():
+            # each appended row is keyed by its origin: a pool row by its
+            # line, whose matrix row it holds, and a cut by its cut_key
+            keys = []
+            for i in range(len(built.rows), len(model.lp.rows)):
+                key = model.lp.rows[i].key
+                if isinstance(key, frozenset):
+                    assert key == cut_key(key, model.inst.n)
+                    expected = models.cut_row(model, key)
+                    assert model.lp.rows[i].coeffs == expected.coeffs
+                else:
+                    assert np.array_equal(model.lp.matrix[i], model.stab_pool[key])
+                keys.append(key)
+            assert len(set(keys)) == len(keys)
+            return frozenset(keys)
+
+        root = solve_relaxation(model)
+        grown = [len(model.lp.rows)]
+        assert model.lp.keys == appended_keys()
+        lexicographic_refine(model, root)
+        grown.append(len(model.lp.rows))
+        assert model.lp.keys == appended_keys()
+        certify_relaxation(model, root)
+        assert model.lp.keys == appended_keys()
+        assert len(built.rows) < grown[0] < grown[1]
+        assert any(isinstance(key, int) for key in model.lp.keys)
+        assert any(isinstance(key, frozenset) for key in model.lp.keys)
+
+
 class TestCutKey:
     def test_complement_collapses(self):
         assert cut_key(frozenset({0, 1}), 6) == cut_key(frozenset({2, 3, 4, 5}), 6)
@@ -642,7 +679,7 @@ class TestFixEdge:
     def test_fix_reflected_in_bounds(self, unit_square):
         model = build_matching_model(unit_square, AXIS)
         e = Segment(0, 1)
-        fix_edge(model, e, 1)
+        fix_edges(model, ones=[e])
         idx = model.edge_index[e]
         assert model.lp.lo[idx] == model.lp.hi[idx] == 1
         res = solve_relaxation(model)
@@ -652,5 +689,6 @@ class TestFixEdge:
 
     def test_bad_value_rejected(self, unit_square):
         model = build_matching_model(unit_square, AXIS)
-        with pytest.raises(ModelError):
-            fix_edge(model, Segment(0, 1), 2)
+        # an edge fixed to both values in one call
+        with pytest.raises(ModelError, match="cannot fix"):
+            fix_edges(model, ones=[Segment(0, 1)], zeros=[Segment(0, 1)])

@@ -22,8 +22,8 @@ from minstab import (
     solve_relaxation,
     verify_solution,
 )
-from minstab.lp import OBJ_TOL
-from minstab.models import ModelError, fix_edge
+from minstab.lp import OBJ_TOL, LinearProgram
+from minstab.models import ModelError, fix_edges
 from minstab.oracle import Objective
 from minstab.solve import SolveError, build_model
 
@@ -93,24 +93,26 @@ def forest_components(n, edges):
 class TestDeadEdges:
     @pytest.mark.parametrize("seed", range(1, 7))
     def test_every_free_tree_edge_joins_two_components(self, seed):
-        # after _fix_dead_edges no free edge lies inside a component of the
-        # fixed forest, so the edge rounding picks and the edge branching
-        # fixes to one never close a cycle
+        # once _dead_edges are fixed to zero no free edge lies inside a
+        # component of the fixed forest, so the edge rounding picks and the
+        # edge branching fixes to one never close a cycle
         rng = random.Random(seed)
         inst = gen_random(9, 100, seed)
         model = build_model(inst, Problem.SPANNING_TREE, GENERAL)
-        minstab.solve._fix_dead_edges(model, inst, Problem.SPANNING_TREE)
-        assert not model.fixed_ones and not model.fixed_zeros  # nothing to fix yet
-        ones = []
+        assert minstab.solve._dead_edges(model, ()) == set()  # nothing to fix yet
+        ones, zeros = [], set()
         for e in rng.sample(model.edges, len(model.edges)):
             label = forest_components(inst.n, ones)
             if len(ones) < inst.n // 2 and rng.random() < 0.25 and label[e.a] != label[e.b]:
                 ones.append(e)
-                fix_edge(model, e, 1)
             elif rng.random() < 0.1:
-                fix_edge(model, e, 0)
-        zeros = set(model.fixed_zeros)
-        minstab.solve._fix_dead_edges(model, inst, Problem.SPANNING_TREE)
+                zeros.add(e)
+        # as a branch-and-bound node fixes them: the edges about to be fixed
+        # to one count as fixed, and one fix_edges call takes them all
+        dead = minstab.solve._dead_edges(model, ones)
+        assert not dead & (zeros | set(ones))
+        fix_edges(model, ones, zeros | dead)
+        assert minstab.solve._dead_edges(model, ()) == set()
         label = forest_components(inst.n, ones)
         assert model.fixed_ones == set(ones)
         assert all(label[e.a] == label[e.b] for e in model.fixed_zeros - zeros)
@@ -214,7 +216,7 @@ class TestBranchAndBound:
             model.lp,
             set(model.fixed_ones),
             set(model.fixed_zeros),
-            set(model.cut_keys),
+            model.lp.keys,
         )
         node_solves = []
         solve = minstab.solve.solve_relaxation
@@ -232,7 +234,7 @@ class TestBranchAndBound:
             model.lp,
             model.fixed_ones,
             model.fixed_zeros,
-            model.cut_keys,
+            model.lp.keys,
         )
         assert after == before
         assert model.lp is before[0]
@@ -240,7 +242,7 @@ class TestBranchAndBound:
     def test_rejects_model_with_fixings(self):
         model, root = relaxed(gen_random(8, 60, seed=77), Problem.MATCHING, AXIS)
         incumbent = iterated_rounding(model, root)
-        fix_edge(model, incumbent.edges[0], 1)
+        fix_edges(model, ones=[incumbent.edges[0]])
         with pytest.raises(SolveError, match="without fixings"):
             branch_and_bound(model, root, incumbent)
 
@@ -275,6 +277,69 @@ class TestWarmResolves:
         for warm, result in solves[1:]:
             assert warm is not None
             assert result.warm_started
+
+
+def record_lifecycle(monkeypatch):
+    """The search's and rounding's steps, in order: ("bounds", variables) for
+    each LinearProgram.with_bounds call, ("solve", keys before, keys after)
+    for each solve_relaxation call that solve makes, with after None when it
+    raises."""
+    events = []
+    with_bounds = LinearProgram.with_bounds
+    solve = minstab.solve.solve_relaxation
+
+    def recorded_bounds(lp, bounds):
+        events.append(("bounds", frozenset(bounds)))
+        return with_bounds(lp, bounds)
+
+    def recorded_solve(work, *args):
+        before = work.lp.keys
+        events.append(["solve", before, None])
+        result = solve(work, *args)
+        events[-1][2] = work.lp.keys
+        return result
+
+    monkeypatch.setattr(LinearProgram, "with_bounds", recorded_bounds)
+    monkeypatch.setattr(minstab.solve, "solve_relaxation", recorded_solve)
+    return events
+
+
+class TestLifecycle:
+    def test_a_rounding_step_fixes_in_one_copy(self, monkeypatch):
+        # gen_random(12, 100, 2) general tree: rounding fixes 11 edges, each
+        # with its dead edges in one fix_edges call; refinement's k cap is the
+        # only other bound change
+        model, root = relaxed(gen_random(12, 100, 2), Problem.SPANNING_TREE, GENERAL)
+        events = record_lifecycle(monkeypatch)
+        steps = []
+        sol = iterated_rounding(model, root, on_iteration=steps.append)
+        fixings = [e for e in events if e[0] == "solve" or model.k_index not in e[1]]
+        kinds = [e[0] for e in fixings]
+        assert kinds == ["bounds", "solve"] * (len(steps) - 1) + ["bounds"]
+        assert len(steps) == len(sol.edges) == 11
+        for step, (_, fixed) in zip(steps, fixings[::2]):
+            assert model.edge_index[step["chosen"]] in fixed
+        assert sum(len(fixed) for _, fixed in fixings[::2]) > len(steps)  # dead edges too
+
+    @pytest.mark.parametrize("problem, n", [(Problem.MATCHING, 10), (Problem.SPANNING_TREE, 8)])
+    def test_a_node_fixes_in_one_copy_and_hands_its_rows_to_the_pool(
+        self, monkeypatch, problem, n
+    ):
+        # seed 406 rounds above the root's ceiling at both sizes, so the
+        # search solves nodes
+        model, root = relaxed(gen_random(n, 100, seed=406), problem, AXIS)
+        incumbent = iterated_rounding(model, root)
+        events = record_lifecycle(monkeypatch)
+        assert branch_and_bound(model, root, incumbent).proven
+        solves = events[1::2]
+        assert solves and [e[0] for e in events] == ["bounds", "solve"] * len(solves)
+        # each node starts from the pool: the root's keys and every key the
+        # nodes before it appended, none lost
+        assert solves[0][1] == model.lp.keys
+        for (_, before, after), (_, following, _) in zip(solves, solves[1:]):
+            assert following == (before if after is None else after)
+            assert after is None or after >= before
+        assert any(after is not None and after > before for _, before, after in solves)
 
 
 def rounding_pivots(monkeypatch, inst, problem, family, *, warm_refinement):
