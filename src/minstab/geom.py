@@ -20,7 +20,7 @@ class GeometryError(ValueError):
 # Coordinates are kept inside the 32-bit signed range. A coordinate difference
 # then reaches 2^32 - 2 and a 3-point orientation determinant about 2^65, more
 # than 64-bit signed arithmetic holds: the predicates are exact only because
-# they compute in Python ints. models._stab_pool sums in int64 only when its
+# they compute in Python ints. models._line_sides sums in int64 only when its
 # bound from the largest coefficients and coordinates stays below 2^62, and in
 # Python-int object arrays otherwise.
 COORD_LIMIT = 2**31

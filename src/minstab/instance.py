@@ -10,6 +10,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .geom import (
+    COORD_LIMIT,
     GeometryError,
     LineFamily,
     Point,
@@ -135,7 +136,7 @@ def _parse_native(text: str, name: str) -> Instance:
 def _parse_tsplib(text: str, name: str) -> Instance:
     lines = text.splitlines()
     header_name = name
-    coords: list[tuple[Decimal, Decimal]] = []
+    coords: list[tuple[int, Decimal, Decimal]] = []  # (line number, x, y)
     in_coords = False
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -161,26 +162,39 @@ def _parse_tsplib(text: str, name: str) -> Instance:
             finite = False
         if not finite:
             raise InstanceError(f"line {lineno}: bad coordinate in {line!r}")
-        coords.append((x, y))
+        coords.append((lineno, x, y))
     if not coords:
         raise InstanceError("TSPLIB file has no coordinates")
     decimals = 0
-    for x, y in coords:
+    for _, x, y in coords:
         for v in (x, y):
             exp = -v.as_tuple().exponent
             decimals = max(decimals, min(int(exp), 4) if exp > 0 else 0)
     scale = 10**decimals
     points = []
     seen: dict[Point, int] = {}
-    for idx, (x, y) in enumerate(coords):
-        p = Point(int((x * scale).to_integral_value()), int((y * scale).to_integral_value()))
+    for lineno, x, y in coords:
+        p = Point(_scaled(x, scale, lineno), _scaled(y, scale, lineno))
         if p in seen:
-            raise InstanceError(f"duplicate point at line {idx + 1} after scaling")
-        seen[p] = idx
+            raise InstanceError(f"duplicate point at line {lineno} after scaling")
+        seen[p] = lineno
         points.append(p)
     if decimals > 0:
         header_name = f"{header_name}-x{scale}"
     return Instance(header_name, tuple(points))
+
+
+def _scaled(v: Decimal, scale: int, lineno: int) -> int:
+    """v * scale rounded to an integer, which must be a valid coordinate. The
+    range is checked before int(): converting a Decimal like 1e999999 takes
+    seconds, and a larger exponent overflows the decimal context."""
+    try:
+        v = (v * scale).to_integral_value()
+    except ArithmeticError:
+        v = None
+    if v is None or not -COORD_LIMIT < v < COORD_LIMIT:
+        raise InstanceError(f"line {lineno}: coordinate out of range")
+    return int(v)
 
 
 def serialize_instance(inst: Instance) -> str:

@@ -3,10 +3,13 @@ the length-lexicographic refinement that steers fractional optima toward
 planar support.
 
 A model's program starts with the degree rows (matching) or the total row
-(tree) and one surrogate row. Every representative line's stabbing row is
-built once, into a pool on the model, and the cutting-plane loop separates
-them lazily like blossom and connectivity cuts: each round appends the most
-violated pool rows, and separates cuts only once no stabbing row is violated.
+(tree) and one surrogate row. Every representative line has a stabbing row,
+and the cutting-plane loop separates them lazily like blossom and
+connectivity cuts: each round appends the most violated of them, and
+separates cuts only once no stabbing row is violated. The model keeps the
+line pool compactly, as each line's side signs at the points (lines x points
+int8); a row, an activity or a stab count is derived from the signs over the
+edges it needs, so no lines x edges array is kept.
 Each appended row carries its key, a pool row's line index or a cut's
 cut_key, so model.lp.keys is the one record of what the program holds.
 Fixings change edge bounds through fix_edges, one program copy per call.
@@ -59,6 +62,9 @@ STAB_TOL = 1e-9
 # Side signs are summed in int64 when |a|*|x| + |b|*|y| + |c|, over the largest
 # coefficients and coordinates, stays below this; otherwise in Python ints.
 SIDE_INT64_LIMIT = 2**62
+# The build derives the distinct lines and the surrogate row from the side
+# signs this many lines at a time, a LINE_CHUNK x edges table per chunk.
+LINE_CHUNK = 256
 
 
 class ModelError(RuntimeError):
@@ -89,14 +95,19 @@ class StabModel:
     distinct pool rows and c_e how many of them stab edge e. Every
     coefficient is exact in float64 and at most 1 in magnitude.
 
-    stab_pool holds every representative line's stabbing row, in line order,
-    as float coefficients over lp's variables (rhs 0: the stabbed edges minus
-    k). It is built once and never written; the loop appends a pool row by
-    stacking its matrix row onto lp's, with a Row("<=", 0) of its own and no
-    coefficient tuple. stab_distinct marks the rows that equal no earlier
-    line's row, the only ones the loop appends. Every row appended to lp
-    carries its key, so lp.keys names them all: a stabbing row its index in
-    the pool, a cut row the canonical side of its vertex set (cut_key).
+    line_sides holds, for every representative line in line order, the sign
+    of a*x + b*y - c at each point (lines x points int8, 0 on the line); it
+    is built once and never written. It is stored column-major, so that one
+    point's signs at every line lie together for the edge gathers that read
+    them (line_sides.T is C-contiguous). A line stabs edge (u, v) when
+    side[u] * side[v] <= 0, and its stabbing row is 1 on those edges and -1
+    on k, with rhs 0. stab_rows derives the float rows the loop appends,
+    each with a Row("<=", 0) of its own and no coefficient tuple.
+    stab_distinct marks the lines whose stabbed-edge set is no earlier
+    line's, the only ones the loop appends. edge_ends holds each edge's two
+    point indices (edges x 2). Every row appended to lp carries its key, so
+    lp.keys names them all: a stabbing row its line's index, a cut row the
+    canonical side of its vertex set (cut_key).
 
     length_objective is the Euclidean length objective of lexicographic
     refinement, built by its first call and shared by later forks.
@@ -109,15 +120,16 @@ class StabModel:
     edge_index: dict[Segment, int]
     k_index: int
     lp: LinearProgram
-    stab_pool: np.ndarray
+    line_sides: np.ndarray
     stab_distinct: np.ndarray
+    edge_ends: np.ndarray
     fixed_ones: set[Segment] = field(default_factory=set)
     fixed_zeros: set[Segment] = field(default_factory=set)
     length_objective: Optional[tuple[tuple[int, float], ...]] = None
 
     def fork(self) -> StabModel:
         """A copy with its own fixings; the immutable lp, its row keys and
-        the pool are shared until either side replaces lp."""
+        the line pool are shared until either side replaces lp."""
         return replace(self, fixed_ones=set(self.fixed_ones), fixed_zeros=set(self.fixed_zeros))
 
 
@@ -147,15 +159,17 @@ def _build(inst: Instance, family: LineFamily, problem: Problem) -> StabModel:
         # pair even when a neighbor edge already carries weight one
         bounds = [(0, inf)] * num_edges + [(0, inf)]
         rows = [make_row({i: 1 for i in range(num_edges)}, "=", n - 1)]
-    pool, distinct = _stab_pool(inst, family, edges)
+    ends = _edge_ends(edges)
+    sides = _line_sides(inst, representative_lines(inst.points, family))
+    distinct, counts = _distinct_lines(sides, ends)
     num_distinct = int(distinct.sum())
     # the surrogate row (see StabModel); of a single distinct row it would be
     # that very row, which the loop appends when it is violated
     if num_distinct >= 2:
-        surrogate = distinct @ pool  # integer sums, exact; no copy of the pool rows
-        cols = np.flatnonzero(surrogate)
+        cols = np.flatnonzero(counts)
         scale = math.ldexp(1.0, -(num_distinct - 1).bit_length())
-        rows.append(make_row(zip(cols.tolist(), (surrogate[cols] * scale).tolist()), "<=", 0))
+        coeffs = (counts[cols] * scale).tolist() + [-num_distinct * scale]
+        rows.append(make_row(zip(cols.tolist() + [k_index], coeffs), "<=", 0))
     lp = make_lp(num_edges + 1, {k_index: 1}, rows, bounds)
     return StabModel(
         problem=problem,
@@ -165,8 +179,9 @@ def _build(inst: Instance, family: LineFamily, problem: Problem) -> StabModel:
         edge_index=edge_index,
         k_index=k_index,
         lp=lp,
-        stab_pool=pool,
+        line_sides=sides,
         stab_distinct=distinct,
+        edge_ends=ends,
     )
 
 
@@ -175,11 +190,14 @@ def degree_rows(n: int, edges) -> list[Row]:
     return [make_row({i: 1 for i, e in enumerate(edges) if v in e}, "=", 1) for v in range(n)]
 
 
-def _stab_pool(inst: Instance, family: LineFamily, edges) -> tuple[np.ndarray, np.ndarray]:
-    """One stabbing row per representative line: 1 on each edge the line
-    meets (an endpoint on the line counts), -1 on k, the last variable; and
-    which rows equal no earlier line's row."""
-    lines = representative_lines(inst.points, family)
+def _edge_ends(edges) -> np.ndarray:
+    """Each edge's two point indices, edges x 2."""
+    return np.array(edges, dtype=np.intp).reshape(len(edges), 2)
+
+
+def _line_sides(inst: Instance, lines) -> np.ndarray:
+    """The sign of a*x + b*y - c at each point, for each line: lines x points
+    int8, 0 where the point lies on the line, column-major (see StabModel)."""
     a, b, c = zip(*((ln.a, ln.b, ln.c) for ln in lines))
     xs = [p.x for p in inst.points]
     ys = [p.y for p in inst.points]
@@ -187,16 +205,42 @@ def _stab_pool(inst: Instance, family: LineFamily, edges) -> tuple[np.ndarray, n
     size = max(map(abs, a)) * max(map(abs, xs)) + max(map(abs, b)) * max(map(abs, ys))
     dtype = np.int64 if size + max(map(abs, c)) < SIDE_INT64_LIMIT else object
     a, b, c, xs, ys = (np.array(v, dtype=dtype) for v in (a, b, c, xs, ys))
-    sides = np.sign(np.outer(a, xs) + np.outer(b, ys) - c[:, None]).astype(np.int8)
-    ends_a = np.array([e.a for e in edges])
-    ends_b = np.array([e.b for e in edges])
-    pool = np.empty((len(lines), len(edges) + 1))
-    pool[:, :-1] = sides[:, ends_a] * sides[:, ends_b] <= 0
-    pool[:, -1] = -1.0
-    _, first = np.unique(np.packbits(pool > 0, axis=1), axis=0, return_index=True)
-    distinct = np.zeros(len(lines), dtype=bool)
-    distinct[first] = True
-    return pool, distinct
+    return np.sign(np.outer(xs, a) + np.outer(ys, b) - c).astype(np.int8).T
+
+
+def _stabbed(sides: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Which of these lines (sides, lines x points) meets each of these edges
+    (ends, edges x 2), as an edges x lines table: an endpoint on the line
+    counts."""
+    points = sides.T
+    return points.take(ends[:, 0], axis=0) * points.take(ends[:, 1], axis=0) <= 0
+
+
+def _distinct_lines(sides: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which lines stab an edge set no earlier line stabs, and how many of
+    those distinct lines stab each edge; LINE_CHUNK lines at a time."""
+    distinct = np.zeros(len(sides), dtype=bool)
+    counts = np.zeros(len(ends), dtype=np.int64)
+    seen = set()
+    for start in range(0, len(sides), LINE_CHUNK):
+        stabbed = _stabbed(sides[start : start + LINE_CHUNK], ends)
+        for i, bits in enumerate(np.packbits(stabbed, axis=0).T):
+            key = bits.tobytes()
+            if key not in seen:
+                seen.add(key)
+                distinct[start + i] = True
+        counts += stabbed[:, distinct[start : start + LINE_CHUNK]].sum(axis=1)
+    return distinct, counts
+
+
+def stab_rows(model: StabModel, lines) -> np.ndarray:
+    """The float stabbing rows of these pool lines over model.lp's variables:
+    1 on each edge the line stabs, -1 on k."""
+    sides = model.line_sides[np.asarray(lines, dtype=np.intp)]
+    rows = np.zeros((len(sides), model.lp.num_vars))
+    rows[:, : len(model.edges)] = _stabbed(sides, model.edge_ends).T
+    rows[:, model.k_index] = -1.0
+    return rows
 
 
 def build_matching_model(inst: Instance, family: LineFamily) -> StabModel:
@@ -214,10 +258,10 @@ def build_tree_model(inst: Instance, family: LineFamily) -> StabModel:
 
 
 def pool_stabbing_number(model: StabModel, edges) -> int:
-    """The stabbing number of these edges, read off the model's exact pool:
+    """The stabbing number of these edges, read off the model's line pool:
     the most of them one representative line meets."""
     cols = [model.edge_index[e] for e in edges]
-    return int(model.stab_pool[:, cols].sum(axis=1).max())
+    return int(_stabbed(model.line_sides, model.edge_ends[cols]).sum(axis=0).max())
 
 
 def fix_edges(model: StabModel, ones=(), zeros=()) -> None:
@@ -263,26 +307,35 @@ def _separate(model: StabModel, x, *, exact: bool) -> list[Cut]:
     return separate_connectivity(x, model.inst.n, **kwargs)
 
 
+def _pool_activity(model: StabModel, primal: list, *, exact: bool) -> np.ndarray:
+    """Each pool line's stabbing row times primal, summed over the edges
+    where primal is nonzero. The exact activity is an int: the row times the
+    primal's integer numerators over their common denominator, which scales
+    every activity by the same positive number."""
+    num_edges = len(model.edges)
+    k = primal[model.k_index]
+    if not exact:
+        x = np.fromiter(primal, float, num_edges)
+        support = np.flatnonzero(x)
+        return x[support] @ _stabbed(model.line_sides, model.edge_ends[support]) - k
+    support = [j for j in range(num_edges) if primal[j]]
+    stabbed = _stabbed(model.line_sides, model.edge_ends[support])
+    den = math.lcm(k.denominator, *(primal[j].denominator for j in support))
+    nums = [primal[j].numerator * (den // primal[j].denominator) for j in support]
+    k_num = k.numerator * (den // k.denominator)
+    dtype = np.int64 if sum(map(abs, nums)) + abs(k_num) < 2**63 else object
+    return np.array(nums, dtype=dtype) @ stabbed.astype(dtype) - k_num
+
+
 def _violated_stab_rows(model: StabModel, primal: list, *, exact: bool) -> list[int]:
-    """Indices of the distinct pool rows not in model.lp that primal violates,
-    at most STAB_BATCH of them, most violated first and ties to the lowest
-    index. The exact check sums Fractions over the columns where primal is
-    nonzero and has no tolerance."""
-    if exact:
-        support = [j for j, v in enumerate(primal) if v]
-        pool = model.stab_pool[:, support].astype(int).astype(object)
-        activity = pool @ np.array([primal[j] for j in support], dtype=object)
-        violated = activity > 0
-    else:
-        activity = model.stab_pool @ np.asarray(primal)
-        violated = activity > STAB_TOL
-    found = [
-        i
-        for i in np.flatnonzero(violated & model.stab_distinct).tolist()
-        if i not in model.lp.keys
-    ]
-    found.sort(key=lambda i: (-activity[i], i))
-    return found[:STAB_BATCH]
+    """Indices of the distinct pool lines not in model.lp whose stabbing rows
+    primal violates, at most STAB_BATCH of them, most violated first and ties
+    to the lowest index. The exact check has no tolerance."""
+    activity = _pool_activity(model, primal, exact=exact)
+    found = np.flatnonzero((activity > (0 if exact else STAB_TOL)) & model.stab_distinct)
+    found = found[np.lexsort((found, -activity[found]))].tolist()
+    # only the violated lines are looked up: a program holds many more keys
+    return [i for i in found if i not in model.lp.keys][:STAB_BATCH]
 
 
 def _run_loop(
@@ -311,9 +364,9 @@ def _run_loop(
         warm_basis = result.basis
         lines = _violated_stab_rows(model, result.primal, exact=exact)
         if lines:
-            # the pool's matrix rows are the coefficients; each row is its own Row
+            # stab_rows gives the coefficients; each row is its own Row
             rows = [Row("<=", 0, key=i) for i in lines]
-            model.lp = model.lp.with_rows(rows, model.stab_pool[lines])
+            model.lp = model.lp.with_rows(rows, stab_rows(model, lines))
             stab_rows_added += len(lines)
             continue
         x = {e: result.primal[i] for i, e in enumerate(model.edges)}

@@ -29,6 +29,7 @@ from .models import (
     InfeasibleRelaxationError,
     RelaxationResult,
     StabModel,
+    _edge_ends,
     _run_loop,
     build_matching_model,
     build_tree_model,
@@ -363,7 +364,7 @@ def min_length_matching(inst: Instance, metric: str = "euclidean") -> Solution:
     if exponent:
         lengths = [math.ldexp(length, -exponent) for length in lengths]
     # the cutting-plane loop needs only edges and the degree and cut rows:
-    # an empty stabbing pool, no k column and the length objective
+    # an empty line pool, no k column and the length objective
     model = StabModel(
         problem=Problem.MATCHING,
         family=family,
@@ -374,8 +375,9 @@ def min_length_matching(inst: Instance, metric: str = "euclidean") -> Solution:
         lp=make_lp(
             len(edges), dict(enumerate(lengths)), degree_rows(inst.n, edges), [(0, 1)] * len(edges)
         ),
-        stab_pool=np.zeros((0, len(edges))),
+        line_sides=np.zeros((0, inst.n), dtype=np.int8),
         stab_distinct=np.zeros(0, dtype=bool),
+        edge_ends=_edge_ends(edges),
     )
 
     result = _run_loop(model, exact=False, warm_basis=None)

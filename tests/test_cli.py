@@ -359,6 +359,13 @@ class TestExitCodes:
         assert code == 1 and not stdout
         assert stderr.startswith("error: line 4: bad coordinate")
 
+    def test_tsplib_coordinate_with_huge_exponent(self, tmp_path, capsys):
+        path = tmp_path / "a.tsp"
+        path.write_text("NAME : a\nNODE_COORD_SECTION\n1 0 0\n2 1e999999999 1\n3 1 1\n4 0 1\nEOF\n")
+        code, stdout, stderr = run(capsys, "oracle", str(path), "--problem", "matching")
+        assert code == 1 and not stdout
+        assert stderr.startswith("error: line 4: coordinate out of range")
+
     def test_bad_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1

@@ -88,6 +88,23 @@ class TestParseTsplib:
         with pytest.raises(InstanceError, match="line 7: bad coordinate"):
             parse_instance(text)
 
+    @pytest.mark.parametrize("coord", ["1e999999999", "-1e999999999", "1e999999", "2147483648"])
+    def test_coordinate_out_of_range_rejected(self, coord):
+        # the first two overflow the decimal context; the third would take
+        # seconds to convert to int
+        text = self.TEXT.replace("2 10 0", f"2 {coord} 1")
+        with pytest.raises(InstanceError, match="^line 7: coordinate out of range$"):
+            parse_instance(text)
+
+    def test_largest_coordinate_accepted(self):
+        inst = parse_instance(self.TEXT.replace("2 10 0", "2 2147483647 -2147483647"))
+        assert inst.points[1] == Point(2**31 - 1, -(2**31) + 1)
+
+    def test_duplicate_after_scaling_names_its_file_line(self):
+        text = self.TEXT.replace("1 0 0", "1 0.00001 0").replace("2 10 0", "2 0.00002 0")
+        with pytest.raises(InstanceError, match="^duplicate point at line 7 after scaling$"):
+            parse_instance(text)
+
     def test_scaling_capped_at_four_decimals(self):
         text = self.TEXT.replace("1 0 0", "1 0.123456 0")
         inst = parse_instance(text)

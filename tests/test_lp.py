@@ -29,7 +29,7 @@ from minstab.lp import (
     make_lp,
     make_row,
 )
-from minstab.models import ModelError, cut_row, fix_edges
+from minstab.models import ModelError, cut_row, fix_edges, stab_rows
 
 
 def k_example():
@@ -44,8 +44,8 @@ def k_example():
 def full_program(model):
     """model.lp plus every stabbing row of the model's pool not yet in it: the
     whole relaxation with the cuts found so far."""
-    rest = [i for i in range(len(model.stab_pool)) if i not in model.lp.keys]
-    return model.lp.with_rows([Row("<=", 0, key=i) for i in rest], model.stab_pool[rest])
+    rest = [i for i in range(len(model.line_sides)) if i not in model.lp.keys]
+    return model.lp.with_rows([Row("<=", 0, key=i) for i in rest], stab_rows(model, rest))
 
 
 def inverse_error(lp, basis):

@@ -34,6 +34,7 @@ from minstab.models import (
     ModelError,
     cut_key,
     fix_edges,
+    stab_rows,
 )
 
 AXIS = LineFamily.AXIS_PARALLEL
@@ -42,11 +43,11 @@ GENERAL = LineFamily.GENERAL
 
 def stab_row_of(model):
     """The model's stabbing rows' coefficients, one per representative line,
-    in line order; the pool holds them, and model.lp holds only those
-    appended so far."""
+    in line order; stab_rows derives them from the line pool, and model.lp
+    holds only those appended so far."""
     lines = representative_lines(model.inst.points, model.family)
-    assert len(model.stab_pool) == len(lines)
-    return dict(zip(lines, model.stab_pool))
+    assert len(model.line_sides) == len(lines)
+    return dict(zip(lines, stab_rows(model, range(len(lines)))))
 
 
 def near_limit_instance():
@@ -137,10 +138,9 @@ class TestBuildMatchingModel:
             for limit in (math.inf, 0):
                 monkeypatch.setattr(models, "SIDE_INT64_LIMIT", limit)
                 model = build_matching_model(inst, family)
-                pools.append((model.stab_pool, model.stab_distinct))
-            (pool64, distinct64), (pool_obj, distinct_obj) = pools
-            assert np.array_equal(pool64, pool_obj)
-            assert np.array_equal(distinct64, distinct_obj)
+                pools.append((model.line_sides, model.stab_distinct, model.lp.matrix))
+            for arrays64, arrays_obj in zip(*pools):
+                assert np.array_equal(arrays64, arrays_obj)
 
     @pytest.mark.parametrize("family", [AXIS, GENERAL])
     def test_pool_stabbing_number_matches_geometry(self, family):
@@ -372,7 +372,7 @@ class TestSurrogateRow:
             first = 10 if build is build_matching_model else 1
             assert [r.rel for r in model.lp.rows] == ["="] * first + ["<="]
             assert model.lp.rows[first].rhs == 0
-            distinct = model.stab_pool[model.stab_distinct]
+            distinct = stab_rows(model, np.flatnonzero(model.stab_distinct))
             num_distinct = len(distinct)
             assert num_distinct >= 2
             p = math.ceil(math.log2(num_distinct))
@@ -407,9 +407,10 @@ class TestLazyStabbingRows:
     def test_optimum_satisfies_the_whole_pool(self, build, seed):
         model = build(gen_random(24, 100, seed), GENERAL)
         relax = solve_relaxation(model)
-        assert 0 < relax.stab_rows_added < len(model.stab_pool)
+        lines = range(len(model.line_sides))
+        assert 0 < relax.stab_rows_added < len(lines)
         x = np.array([relax.x[e] for e in model.edges] + [relax.k_frac])
-        assert np.all(model.stab_pool @ x <= FEAS_TOL)
+        assert np.all(stab_rows(model, lines) @ x <= FEAS_TOL)
         ref = scipy_solve(full_program(model))
         assert ref.status == 0
         assert relax.k_frac == pytest.approx(ref.fun, abs=1e-6)
@@ -440,14 +441,16 @@ class TestLazyStabbingRows:
             [Fraction(rng.randrange(4), rng.randrange(1, 7)) for _ in range(model.lp.num_vars)]
             for _ in range(3)
         ]
-        held = range(0, len(model.stab_pool), 5)
-        model.lp = model.lp.with_rows([Row("<=", 0, key=i) for i in held], model.stab_pool[list(held)])
+        lines = range(len(model.line_sides))
+        held = range(0, len(lines), 5)
+        model.lp = model.lp.with_rows([Row("<=", 0, key=i) for i in held], stab_rows(model, held))
+        pool = stab_rows(model, lines).astype(int).astype(object)
         for primal in primals:
             assert 0 in primal
-            activity = model.stab_pool.astype(int).astype(object) @ np.array(primal, dtype=object)
+            activity = pool @ np.array(primal, dtype=object)
             expected = [
                 i
-                for i in range(len(model.stab_pool))
+                for i in lines
                 if activity[i] > 0 and model.stab_distinct[i] and i not in held
             ]
             expected.sort(key=lambda i: (-activity[i], i))
@@ -471,7 +474,7 @@ class TestLazyStabbingRows:
         model = build_matching_model(
             Instance("sq", (Point(0, 0), Point(4, 0), Point(0, 4), Point(4, 4))), GENERAL
         )
-        rows = [row.tobytes() for row in model.stab_pool]
+        rows = [row.tobytes() for row in stab_rows(model, range(len(model.line_sides)))]
         first = {}
         for i, row in enumerate(rows):
             first.setdefault(row, i)
@@ -482,6 +485,126 @@ class TestLazyStabbingRows:
         lp = model.lp
         keys = {(row.rel, row.rhs, lp.matrix[i].tobytes()) for i, row in enumerate(lp.rows)}
         assert len(keys) == len(lp.rows)
+
+
+def arrays_held(obj, depth=3):
+    """The numpy arrays obj holds in its attributes, theirs and so on."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif depth and hasattr(obj, "__dict__"):
+        for value in vars(obj).values():
+            yield from arrays_held(value, depth - 1)
+
+
+class TestLinePool:
+    @pytest.mark.parametrize("build", [build_matching_model, build_tree_model])
+    def test_keeps_side_signs_and_no_lines_by_edges_array(self, build):
+        model = build(gen_random(96, 100, seed=1), GENERAL)
+        lines = len(representative_lines(model.inst.points, GENERAL))
+        assert model.line_sides.shape == (lines, 96)
+        assert model.line_sides.dtype == np.int8
+        held = list(arrays_held(model))
+        assert any(array is model.lp.matrix for array in held)
+        assert max(array.size for array in held) < lines * len(model.edges)
+
+    @pytest.mark.parametrize("family", [AXIS, GENERAL])
+    @pytest.mark.parametrize("build", [build_matching_model, build_tree_model])
+    def test_stab_rows_equal_the_predicate_table(self, build, family):
+        for inst in [gen_random(10, 100, seed) for seed in (1, 2)] + [near_limit_instance()]:
+            model = build(inst, family)
+            lines = representative_lines(inst.points, family)
+            table = np.array(
+                [
+                    [float(stabs(line, e, inst.points)) for e in model.edges] + [-1.0]
+                    for line in lines
+                ]
+            )
+            assert np.array_equal(stab_rows(model, range(len(lines))), table)
+            picked = [len(lines) - 1, 0, 2]
+            assert np.array_equal(stab_rows(model, picked), table[picked])
+            assert stab_rows(model, []).shape == (0, model.lp.num_vars)
+
+    @pytest.mark.parametrize("chunk", [7, 256, 10**6])
+    def test_build_marks_first_lines_whatever_the_chunk_size(self, monkeypatch, chunk):
+        # the build reads the lines in chunks; the distinct mask and the
+        # surrogate row must not depend on where the chunks end
+        monkeypatch.setattr(models, "LINE_CHUNK", chunk)
+        model = build_tree_model(gen_random(24, 100, seed=2), GENERAL)
+        rows = stab_rows(model, range(len(model.line_sides)))
+        assert len(rows) > 256
+        first = {}
+        for i, row in enumerate(rows):
+            first.setdefault(row.tobytes(), i)
+        expected = [first[row.tobytes()] == i for i, row in enumerate(rows)]
+        assert list(model.stab_distinct) == expected
+        surrogate = rows[model.stab_distinct].sum(axis=0) / 2 ** math.ceil(math.log2(len(first)))
+        assert model.lp.matrix[1].tolist() == surrogate.tolist()
+
+    @pytest.mark.parametrize("n", [12, 24])
+    @pytest.mark.parametrize("build", [build_matching_model, build_tree_model])
+    def test_float_pool_check_matches_the_dense_product(self, build, n):
+        # the float check sums over the support of x only; its activities
+        # match the dense product's, and so do its picks unless two of the
+        # activities that decide them (or one and the tolerance) lie too
+        # close to order the same: even equal sums may differ in the last bit
+        model = build(gen_random(n, 100, seed=4), GENERAL)
+        lines = range(len(model.line_sides))
+        dense = stab_rows(model, lines)
+        held = range(0, len(lines), 7)
+        model.lp = model.lp.with_rows([Row("<=", 0, key=i) for i in held], stab_rows(model, held))
+        rng = np.random.default_rng(n)
+        compared = 0
+        for _ in range(100):
+            x = np.zeros(model.lp.num_vars)
+            x[rng.choice(len(model.edges), size=2 * n, replace=False)] = rng.random(2 * n)
+            x[model.k_index] = rng.uniform(0.3, 0.9) * (dense @ x).max()
+            reference = dense @ x
+            primal = x.tolist()
+            activity = models._pool_activity(model, primal, exact=False)
+            assert np.abs(activity - reference).max() <= 1e-12
+            candidates = [
+                i
+                for i in lines
+                if model.stab_distinct[i]
+                and i not in held
+                and reference[i] > models.STAB_TOL - 1e-12
+            ]
+            # the picks follow the order of the first STAB_BATCH + 1 of them,
+            # down to the tolerance
+            ranked = sorted(reference[candidates], reverse=True)[: models.STAB_BATCH + 1]
+            ranked.append(models.STAB_TOL)
+            if min(a - b for a, b in zip(ranked, ranked[1:])) <= 1e-12:
+                continue
+            expected = [i for i in candidates if reference[i] > models.STAB_TOL]
+            expected.sort(key=lambda i: (-reference[i], i))
+            found = models._violated_stab_rows(model, primal, exact=False)
+            assert found == expected[: models.STAB_BATCH]
+            assert expected
+            compared += 1
+        assert compared >= 30
+
+    @pytest.mark.parametrize("build", [build_matching_model, build_tree_model])
+    def test_exact_pool_check_with_numerators_past_int64(self, build):
+        # over the common denominator of 70-bit denominators the numerators
+        # pass 2**63, and the check sums Python ints
+        model = build(gen_random(12, 100, seed=5), GENERAL)
+        lines = range(len(model.line_sides))
+        pool = stab_rows(model, lines).astype(int).astype(object)
+        rng = random.Random(9)
+        for _ in range(3):
+            primal = [
+                Fraction(rng.randrange(2**70), rng.randrange(1, 2**70))
+                if rng.random() < 0.3
+                else Fraction(0)
+                for _ in range(model.lp.num_vars)
+            ]
+            primal[model.k_index] = Fraction(rng.randrange(1, 2**70), 2**70)
+            activity = pool @ np.array(primal, dtype=object)
+            expected = [i for i in lines if activity[i] > 0 and model.stab_distinct[i]]
+            expected.sort(key=lambda i: (-activity[i], i))
+            assert expected
+            found = models._violated_stab_rows(model, primal, exact=True)
+            assert found == expected[: models.STAB_BATCH]
 
 
 class TestLexicographicRefine:
@@ -648,7 +771,7 @@ class TestRowKeys:
                     expected = models.cut_row(model, key)
                     assert model.lp.rows[i].coeffs == expected.coeffs
                 else:
-                    assert np.array_equal(model.lp.matrix[i], model.stab_pool[key])
+                    assert np.array_equal(model.lp.matrix[i], stab_rows(model, [key])[0])
                 keys.append(key)
             assert len(set(keys)) == len(keys)
             return frozenset(keys)
