@@ -74,6 +74,15 @@ PROBLEMS = {
 TIME_LIMIT_HELP = "milliseconds for branch-and-bound after rounding, 0 = unlimited"
 
 
+def milliseconds(text: str) -> int:
+    """A --time-limit value; argparse reports one that is not a
+    nonnegative int as a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -138,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="branch and bound to proven optimality")
     _common_instance(p)
     _common_model(p)
-    p.add_argument("--time-limit", type=int, default=0, help=TIME_LIMIT_HELP)
+    p.add_argument("--time-limit", type=milliseconds, default=0, help=TIME_LIMIT_HELP)
     p.add_argument("--exact-check", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_exact)
@@ -173,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="bound + rounding + exact in one run")
     _common_instance(p)
     _common_model(p)
-    p.add_argument("--time-limit", type=int, default=0, help=TIME_LIMIT_HELP)
+    p.add_argument("--time-limit", type=milliseconds, default=0, help=TIME_LIMIT_HELP)
     p.add_argument("--exact-check", action="store_true")
     p.set_defaults(func=_cmd_report)
 
@@ -305,11 +314,8 @@ def _cmd_exact(args) -> int:
 
 def _cmd_minlen(args) -> int:
     inst = _load_instance(args)
-    metric = "manhattan" if args.family == "axis" else "euclidean"
-    if PROBLEMS[args.problem] is Problem.MATCHING:
-        sol = min_length_matching(inst, metric)
-    else:
-        sol = min_length_tree(inst, metric)
+    minimum = min_length_matching if PROBLEMS[args.problem] is Problem.MATCHING else min_length_tree
+    sol = minimum(inst, FAMILIES[args.family])
     _emit(solution_to_json(sol), args.output)
     sys.stdout.write(_solution_summary(sol))
     return 0

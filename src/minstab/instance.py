@@ -220,26 +220,39 @@ def solution_to_json(sol: Solution) -> str:
 
 
 def parse_solution(data: Union[str, bytes]) -> Solution:
+    """The solution in a document of solution_to_json's format. One that is
+    not a JSON object, lacks a field, gives k or a vertex index that is not
+    a JSON integer, or a lower bound that is no fraction p/q raises
+    SolutionError."""
     if isinstance(data, bytes):
         data = data.decode("ascii")
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise SolutionError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SolutionError("bad solution document: not a JSON object")
     try:
         problem = Problem(doc["problem"])
         family = LineFamily(doc["family"])
-        k = int(doc["k"])
+        k = _json_int(doc["k"])
         raw_lb = doc["lower_bound"]
         lb = None
         if raw_lb is not None:
             num, _, den = str(raw_lb).partition("/")
             lb = Fraction(int(num), int(den) if den else 1)
         method = Method(doc["method"])
-        edges = tuple(Segment.of(int(i), int(j)) for i, j in doc["edges"])
-    except (KeyError, ValueError, GeometryError) as exc:
+        edges = tuple(Segment.of(_json_int(i), _json_int(j)) for i, j in doc["edges"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, GeometryError) as exc:
         raise SolutionError(f"bad solution document: {exc}") from exc
     return Solution(problem, family, edges, k, lb, method)
+
+
+def _json_int(value) -> int:
+    # JSON true and false load as bools, which are ints to isinstance
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
 
 
 class UnionFind:

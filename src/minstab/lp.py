@@ -43,19 +43,16 @@ proves them optimal exactly. Otherwise the Fraction simplex solves cold.
 
 A program's lifecycle is: build it, append rows (with_rows), change any
 number of bounds in one step (with_bounds) or the objective (with_objective),
-and re-optimize warm. It holds its rows once, in the standard form both
-simplex paths read: the float64 coefficient matrix with one slack column per
-inequality after the variables, numbered in row order, and the right-hand
-sides, all read-only; lp.matrix is the form's view of the coefficients. Each
-row carries the key of its origin, and lp.keys collects them. The form and
-the keys are built with the row set: appending rows converts only the new
-ones (or copies coefficients the caller built already, such as a
-stabbing-row pool, whose rows carry no coeffs), and the copies with_bounds and
-with_objective make share them, so a rounding fixing or a branch re-solves
-without converting any row again. Such copies check only what they change; a
-program constructed directly checks every bound and row. The exact path
-converts each nonzero of the form to its exact rational, so make_row rejects
-a coefficient that float64 cannot hold exactly.
+and re-optimize warm. Its coefficients live only in its read-only float64
+matrix, lp.matrix, a view of the standard form both simplex paths read (one
+slack column per inequality after the variables, in row order). A Row keeps
+its relation, right-hand side and origin key (lp.keys collects the keys),
+and each row set enters with one float64 block, len(rows) x num_vars, that
+is checked and copied as it is: nothing is rounded on the way in, and the
+exact path reads each nonzero as the rational the float path reads. The
+copies with_bounds and with_objective make share the form and the keys, so
+a rounding fixing or a branch re-solves without converting any row again,
+and check only what they change.
 
 The float loops run on arrays of a few dozen rows, where a numpy call costs
 more than its arithmetic, so they bind the state's arrays once per loop and
@@ -99,19 +96,14 @@ class LpStatus(Enum):
 
 @dataclass(frozen=True, eq=False)
 class Row:
-    """A constraint's relation, right-hand side and, when make_row built it,
-    coeffs: sorted (index, float64) pairs, a repeated index summed in exact
-    rationals. A coefficient that float64 cannot hold exactly raises, because
-    the exact simplex reads the program's float matrix back, and so does a
-    right-hand side without a finite float64 value. A program builds
-    its matrix from coeffs; a row without them (a stabbing-pool row) enters a
-    program only with its matrix row. key names the row's origin, or is None
-    (see LinearProgram.keys). Rows compare by identity, not by key: a kept
-    basis inverse belongs to the very rows it was computed for."""
+    """A constraint's relation and right-hand side; its coefficients are its
+    row of the program's matrix. A right-hand side without a finite float64
+    value raises. key names the row's origin, or is None (see
+    LinearProgram.keys). Rows compare by identity, not by key: a kept basis
+    inverse belongs to the very rows it was computed for."""
 
     rel: str  # "<=", "=" or ">="
     rhs: Number
-    coeffs: Optional[tuple[tuple[int, float], ...]] = field(default=None, repr=False)
     key: Optional[Hashable] = None
 
     def __post_init__(self) -> None:
@@ -123,17 +115,6 @@ class Row:
             finite = False
         if not finite:
             raise LpError(f"right-hand side {self.rhs} has no finite float64 value")
-        if self.coeffs is not None:
-            object.__setattr__(self, "coeffs", _exact_coeffs(self.coeffs))
-
-
-def make_row(
-    coeffs: Mapping[int, Number] | Iterable[tuple[int, Number]],
-    rel: str,
-    rhs: Number,
-    key: Optional[Hashable] = None,
-) -> Row:
-    return Row(rel, rhs, tuple(coeffs.items() if isinstance(coeffs, Mapping) else coeffs), key)
 
 
 class _StandardForm:
@@ -167,13 +148,14 @@ class _StandardForm:
 class LinearProgram:
     """Minimization LP over bounded variables; treated as immutable.
 
-    form holds the rows in the standard form both simplex paths read
-    (_StandardForm), built with the row set and copied from matrix, when
-    given, or else from the rows' coeffs, whose indices are checked; matrix
-    is then the form's read-only view form.A[:, :num_vars]. keys is the
-    frozenset of the rows' keys that are not None, built with the row set
-    too. with_rows converts and checks the appended rows only; with_bounds
-    and with_objective copies share the form and the keys.
+    matrix holds the rows' coefficients as one float64 block, len(rows) x
+    num_vars, which may be None only when there are no rows; it is checked
+    (_coefficients) and copied into form, the rows in the standard form both
+    simplex paths read (_StandardForm), and matrix is then the form's
+    read-only view form.A[:, :num_vars]. keys is the frozenset of the rows'
+    keys that are not None, built with the row set too. with_rows checks and
+    converts the appended block only; with_bounds and with_objective copies
+    share the form and the keys.
     """
 
     num_vars: int
@@ -191,7 +173,7 @@ class LinearProgram:
         for j, (l, h) in enumerate(zip(self.lo, self.hi)):
             _check_bound(j, l, h)
         _check_objective(self.objective, self.num_vars)
-        form = _StandardForm(self.rows, (_row_matrix(self.rows, self.num_vars, self.matrix),))
+        form = _StandardForm(self.rows, (_coefficients(self.rows, self.num_vars, self.matrix),))
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "matrix", form.A[:, : self.num_vars])
         object.__setattr__(self, "keys", _row_keys(frozenset(), self.rows))
@@ -207,12 +189,11 @@ class LinearProgram:
     def with_rows(
         self, new_rows: Sequence[Row], matrix: Optional[np.ndarray] = None
     ) -> "LinearProgram":
-        """These rows appended, or the program itself when there are none.
-        matrix, when given, holds their coefficients as built before (a
-        stabbing-row pool, another program's rows) and is copied as it is;
-        otherwise the rows' coeffs are converted and checked."""
+        """These rows appended, with their coefficients matrix, a float64
+        block len(new_rows) x num_vars copied as it is; the program itself
+        when there are none."""
         new_rows = tuple(new_rows)
-        matrix = _row_matrix(new_rows, self.num_vars, matrix)
+        matrix = _coefficients(new_rows, self.num_vars, matrix)
         if not new_rows:
             return self
         rows = self.rows + new_rows
@@ -262,60 +243,34 @@ def _check_objective(objective: Iterable[tuple[int, Number]], num_vars: int) -> 
             raise LpError(f"objective index {idx} out of range")
 
 
-def _exact_float(coef: Number) -> float:
-    """coef as a float64; raises unless float64 holds it exactly."""
-    try:
-        value = float(coef)
-    except OverflowError:
-        value = math.inf
-    # int, Fraction and float compare with a float exactly
-    if not math.isfinite(value) or value != coef:
-        raise LpError(f"coefficient {coef} has no exact float64 value")
-    return value
-
-
-def _exact_coeffs(items: Iterable[tuple[int, Number]]) -> tuple[tuple[int, float], ...]:
-    """The coefficients as sorted (index, float64) pairs, a repeated index
-    summed in exact rationals; raises unless float64 holds each exactly."""
-    merged: dict[int, Number] = {}
-    for idx, coef in items:
-        merged[idx] = _frac(merged[idx]) + _frac(coef) if idx in merged else coef
-    return tuple(sorted((idx, _exact_float(coef)) for idx, coef in merged.items()))
-
-
-def _row_matrix(
-    rows: Sequence[Row], num_vars: int, matrix: Optional[np.ndarray]
+def _coefficients(
+    rows: Sequence[Row], num_vars: int, block: Optional[np.ndarray]
 ) -> np.ndarray:
-    """The rows' coefficient matrix. A given one must match the rows and be
-    finite; otherwise it is built from the rows' coeffs, checking their
-    indices, and a row without coeffs raises."""
-    if matrix is not None:
-        if matrix.shape != (len(rows), num_vars):
-            raise LpError("coefficient matrix does not match the rows")
-        if not np.all(np.isfinite(matrix)):
-            raise LpError("coefficient matrix is not finite")
-        return matrix
-    matrix = np.zeros((len(rows), num_vars))
-    for i, row in enumerate(rows):
-        if row.coeffs is None:
-            raise LpError(f"row {i} has no coefficients and no matrix row")
-        if row.coeffs:
-            cols, coefs = zip(*row.coeffs)
-            # a Row's indices are sorted and distinct
-            for idx in (cols[0], cols[-1]):
-                if not 0 <= idx < num_vars:
-                    raise LpError(f"row index {idx} out of range")
-            matrix[i, list(cols)] = coefs
-    return matrix
+    """block, the rows' coefficients, once it is a float64 array of one row
+    per Row and one column per variable, every value finite; None stands for
+    the empty block of no rows."""
+    if block is None:
+        if rows:
+            raise LpError("rows need their coefficient block")
+        return np.zeros((0, num_vars))
+    if not isinstance(block, np.ndarray) or block.dtype != np.float64:
+        raise LpError("coefficient block is not float64")
+    if block.shape != (len(rows), num_vars):
+        raise LpError("coefficient block does not match the rows")
+    if not np.isfinite(block).all():
+        raise LpError("coefficient block is not finite")
+    return block
 
 
 def make_lp(
     num_vars: int,
     objective: Mapping[int, Number] | Iterable[tuple[int, Number]] = (),
     rows: Sequence[Row] = (),
+    matrix: Optional[np.ndarray] = None,
     bounds: Optional[Sequence[tuple[Number, Number]]] = None,
 ) -> LinearProgram:
-    """Convenience constructor; default bounds are [0, +inf) per variable."""
+    """Convenience constructor; matrix is the rows' float64 coefficient block
+    and default bounds are [0, +inf) per variable."""
     if bounds is None:
         bounds = [(0, math.inf)] * num_vars
     obj = tuple(
@@ -323,7 +278,7 @@ def make_lp(
     )
     lo = tuple(b[0] for b in bounds)
     hi = tuple(b[1] for b in bounds)
-    return LinearProgram(num_vars, obj, tuple(rows), lo, hi)
+    return LinearProgram(num_vars, obj, tuple(rows), lo, hi, matrix)
 
 
 @dataclass(frozen=True)

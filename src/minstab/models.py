@@ -47,7 +47,6 @@ from .lp import (
     Row,
     lp_solve,
     make_lp,
-    make_row,
 )
 
 logger = logging.getLogger(__name__)
@@ -93,7 +92,10 @@ class StabModel:
     when the pool has at least two distinct rows, the surrogate row
     sum(c_e x_e) - L k <= 0 scaled by 2**-ceil(log2 L): L is the number of
     distinct pool rows and c_e how many of them stab edge e. Every
-    coefficient is exact in float64 and at most 1 in magnitude.
+    coefficient is exact in float64 and at most 1 in magnitude, and lives
+    only in lp.matrix: each row set is built as a float64 block over
+    edge_ends (degree_rows, the total and surrogate rows in the build,
+    cut_row, stab_rows) sized by lp's variables, and enters lp with it.
 
     line_sides holds, for every representative line in line order, the sign
     of a*x + b*y - c at each point (lines x points int8, 0 on the line); it
@@ -101,8 +103,8 @@ class StabModel:
     point's signs at every line lie together for the edge gathers that read
     them (line_sides.T is C-contiguous). A line stabs edge (u, v) when
     side[u] * side[v] <= 0, and its stabbing row is 1 on those edges and -1
-    on k, with rhs 0. stab_rows derives the float rows the loop appends,
-    each with a Row("<=", 0) of its own and no coefficient tuple.
+    on k, with rhs 0. stab_rows derives the block of the rows the loop
+    appends, each with a Row("<=", 0) of its own.
     stab_distinct marks the lines whose stabbed-edge set is no earlier
     line's, the only ones the loop appends. edge_ends holds each edge's two
     point indices (edges x 2). Every row appended to lp carries its key, so
@@ -149,28 +151,29 @@ def _build(inst: Instance, family: LineFamily, problem: Problem) -> StabModel:
     edge_index = {e: i for i, e in enumerate(edges)}
     num_edges = len(edges)
     k_index = num_edges
+    num_vars = num_edges + 1
+    ends = _edge_ends(edges)
     inf = float("inf")
     if problem is Problem.MATCHING:
         bounds = [(0, 1)] * num_edges + [(0, inf)]
-        rows = degree_rows(n, edges)
+        rows, block = degree_rows(n, ends, num_vars)
     else:
         # no upper bound on tree edge weights: the relaxation only has the
         # nonnegativity bound, which is what lets weight shift off a crossing
         # pair even when a neighbor edge already carries weight one
         bounds = [(0, inf)] * num_edges + [(0, inf)]
-        rows = [make_row({i: 1 for i in range(num_edges)}, "=", n - 1)]
-    ends = _edge_ends(edges)
+        rows, block = [Row("=", n - 1)], np.zeros((1, num_vars))
+        block[0, :num_edges] = 1.0
     sides = _line_sides(inst, representative_lines(inst.points, family))
     distinct, counts = _distinct_lines(sides, ends)
     num_distinct = int(distinct.sum())
     # the surrogate row (see StabModel); of a single distinct row it would be
     # that very row, which the loop appends when it is violated
     if num_distinct >= 2:
-        cols = np.flatnonzero(counts)
         scale = math.ldexp(1.0, -(num_distinct - 1).bit_length())
-        coeffs = (counts[cols] * scale).tolist() + [-num_distinct * scale]
-        rows.append(make_row(zip(cols.tolist() + [k_index], coeffs), "<=", 0))
-    lp = make_lp(num_edges + 1, {k_index: 1}, rows, bounds)
+        rows.append(Row("<=", 0))
+        block = np.vstack([block, np.append(counts, -num_distinct) * scale])
+    lp = make_lp(num_vars, {k_index: 1}, rows, block, bounds)
     return StabModel(
         problem=problem,
         family=family,
@@ -185,9 +188,13 @@ def _build(inst: Instance, family: LineFamily, problem: Problem) -> StabModel:
     )
 
 
-def degree_rows(n: int, edges) -> list[Row]:
-    """A perfect matching's degree rows: the edges at each vertex sum to 1."""
-    return [make_row({i: 1 for i, e in enumerate(edges) if v in e}, "=", 1) for v in range(n)]
+def degree_rows(n: int, ends: np.ndarray, num_vars: int) -> tuple[list[Row], np.ndarray]:
+    """A perfect matching's degree rows, the edges at each vertex summing to
+    1, and their block over num_vars variables: edge j is ends[j]."""
+    block = np.zeros((n, num_vars))
+    cols = np.arange(len(ends))
+    block[ends[:, 0], cols] = block[ends[:, 1], cols] = 1.0
+    return [Row("=", 1) for _ in range(n)], block
 
 
 def _edge_ends(edges) -> np.ndarray:
@@ -282,14 +289,15 @@ def fix_edges(model: StabModel, ones=(), zeros=()) -> None:
     model.fixed_zeros.update(zeros)
 
 
-def cut_row(model: StabModel, members: frozenset[int]) -> Row:
-    """The cut row x(delta(members)) >= 1, keyed by its cut_key."""
-    coeffs = {
-        i: 1
-        for i, e in enumerate(model.edges)
-        if (e.a in members) != (e.b in members)
-    }
-    return make_row(coeffs, ">=", 1, cut_key(members, model.inst.n))
+def cut_row(model: StabModel, members: frozenset[int]) -> tuple[Row, np.ndarray]:
+    """The cut row x(delta(members)) >= 1, keyed by its cut_key, and its
+    coefficients over model.lp's variables."""
+    inside = np.zeros(model.inst.n, dtype=bool)
+    inside[list(members)] = True
+    coeffs = np.zeros(model.lp.num_vars)
+    ends = model.edge_ends
+    coeffs[: len(ends)] = inside[ends[:, 0]] != inside[ends[:, 1]]
+    return Row(">=", 1, cut_key(members, model.inst.n)), coeffs
 
 
 def cut_key(members: frozenset[int], n: int) -> frozenset[int]:
@@ -372,8 +380,8 @@ def _run_loop(
         x = {e: result.primal[i] for i, e in enumerate(model.edges)}
         # both sides of a cut share one key, and so one row: the key's own
         keys = dict.fromkeys(cut_key(c.members, n) for c in _separate(model, x, exact=exact))
-        rows = [cut_row(model, key) for key in keys if key not in model.lp.keys]
-        if not rows:
+        cuts = [cut_row(model, key) for key in keys if key not in model.lp.keys]
+        if not cuts:
             return RelaxationResult(
                 k_frac=result.objective_value,
                 x=x,
@@ -382,7 +390,8 @@ def _run_loop(
                 lp_iterations=iterations,
                 basis=result.basis,
             )
-        model.lp = model.lp.with_rows(rows)
+        rows, coeffs = zip(*cuts)
+        model.lp = model.lp.with_rows(rows, np.array(coeffs))
         cuts_added += len(rows)
 
 

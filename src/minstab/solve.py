@@ -214,10 +214,13 @@ def branch_and_bound(
     the search only accepts strictly better ones. An integral node's stabbing
     number is read off the model's stabbing pool.
     time_limit is in milliseconds and bounds the search, not the incumbent's
-    construction; 0 means unlimited. On expiry the best incumbent is returned
-    with proven=False instead of raising.
+    construction; 0 means unlimited, and a negative one raises. On expiry
+    the best incumbent is returned with proven=False instead of raising,
+    unless the best open bound already proves it optimal.
     """
     inst, problem, family = model.inst, model.problem, model.family
+    if time_limit < 0:
+        raise SolveError(f"time limit {time_limit} ms is negative")
     if model.fixed_ones or model.fixed_zeros:
         raise SolveError("branch-and-bound needs a model without fixings")
     if incumbent.problem is not problem or incumbent.family is not family:
@@ -242,12 +245,12 @@ def branch_and_bound(
     proven = True
 
     while heap:
-        if deadline is not None and time.monotonic() > deadline:
-            proven = False
-            break
         bound, _, node = heapq.heappop(heap)
         if math.ceil(bound - OBJ_TOL) >= best_k:
             break  # best-first: every remaining node is at least as bad
+        if deadline is not None and time.monotonic() > deadline:
+            proven = False
+            break
         work = pool.fork()
         if node is start:
             relax = root
@@ -324,22 +327,10 @@ def _most_fractional(model: StabModel, x: dict) -> Segment:
 # minimum-length structures
 
 
-def _metric_length(seg: Segment, inst: Instance, metric: str):
-    if metric == "euclidean":
-        return euclidean_length(seg, inst.points)
-    if metric == "manhattan":
-        return manhattan_length(seg, inst.points)
-    raise SolveError(f"unknown metric {metric!r}")
-
-
-def _metric_family(metric: str) -> LineFamily:
-    # the average-stabbing equivalence: axis lines pair with the
-    # Manhattan metric, general lines with the Euclidean one
-    return LineFamily.AXIS_PARALLEL if metric == "manhattan" else LineFamily.GENERAL
-
-
-def min_length_matching(inst: Instance, metric: str = "euclidean") -> Solution:
-    """Minimum-total-length perfect matching via the matching polytope LP.
+def min_length_matching(inst: Instance, family: LineFamily) -> Solution:
+    """Minimum-total-length perfect matching via the matching polytope LP,
+    under the family's metric: Manhattan for axis lines, Euclidean for
+    general ones.
 
     Degree equalities plus lazily separated odd-set cuts make every vertex of
     the feasible region integral; integrality is asserted and re-checked with
@@ -355,9 +346,11 @@ def min_length_matching(inst: Instance, metric: str = "euclidean") -> Solution:
     """
     if inst.n % 2 != 0:
         raise SolveError(f"matching requires even n, got {inst.n}")
-    family = _metric_family(metric)
     edges = tuple(inst.all_edges())
-    lengths = [_metric_length(e, inst, metric) for e in edges]
+    # the average-stabbing equivalence: axis lines pair with the Manhattan
+    # metric, general lines with the Euclidean one
+    metric = manhattan_length if family is LineFamily.AXIS_PARALLEL else euclidean_length
+    lengths = [metric(e, inst.points) for e in edges]
     # The solver's tolerances are absolute: lengths past 2**LENGTH_BITS are
     # scaled below it by a power of two, which keeps each float exact
     exponent = max(0, math.frexp(max(lengths))[1] - LENGTH_BITS)
@@ -365,6 +358,7 @@ def min_length_matching(inst: Instance, metric: str = "euclidean") -> Solution:
         lengths = [math.ldexp(length, -exponent) for length in lengths]
     # the cutting-plane loop needs only edges and the degree and cut rows:
     # an empty line pool, no k column and the length objective
+    ends = _edge_ends(edges)
     model = StabModel(
         problem=Problem.MATCHING,
         family=family,
@@ -373,11 +367,14 @@ def min_length_matching(inst: Instance, metric: str = "euclidean") -> Solution:
         edge_index={e: i for i, e in enumerate(edges)},
         k_index=-1,
         lp=make_lp(
-            len(edges), dict(enumerate(lengths)), degree_rows(inst.n, edges), [(0, 1)] * len(edges)
+            len(edges),
+            dict(enumerate(lengths)),
+            *degree_rows(inst.n, ends, len(edges)),
+            bounds=[(0, 1)] * len(edges),
         ),
         line_sides=np.zeros((0, inst.n), dtype=np.int8),
         stab_distinct=np.zeros(0, dtype=bool),
-        edge_ends=_edge_ends(edges),
+        edge_ends=ends,
     )
 
     result = _run_loop(model, exact=False, warm_basis=None)
@@ -427,21 +424,14 @@ def min_length_matching(inst: Instance, metric: str = "euclidean") -> Solution:
     )
 
 
-def min_length_tree(inst: Instance, metric: str = "euclidean") -> Solution:
-    """Minimum spanning tree under the metric; Kruskal with lexicographic
-    tie-breaking (squared lengths keep Euclidean comparisons exact)."""
+def min_length_tree(inst: Instance, family: LineFamily) -> Solution:
+    """Minimum spanning tree under the family's metric (see
+    min_length_matching); Kruskal with lexicographic tie-breaking (squared
+    lengths keep Euclidean comparisons exact)."""
     if inst.n < 2:
         raise SolveError("spanning tree needs n >= 2")
-    if metric == "euclidean":
-        keyed = sorted(
-            (euclidean_length_sq(e, inst.points), e) for e in inst.all_edges()
-        )
-    elif metric == "manhattan":
-        keyed = sorted(
-            (manhattan_length(e, inst.points), e) for e in inst.all_edges()
-        )
-    else:
-        raise SolveError(f"unknown metric {metric!r}")
+    metric = manhattan_length if family is LineFamily.AXIS_PARALLEL else euclidean_length_sq
+    keyed = sorted((metric(e, inst.points), e) for e in inst.all_edges())
     uf = UnionFind(inst.n)
     chosen = []
     for _, e in keyed:
@@ -450,7 +440,6 @@ def min_length_tree(inst: Instance, metric: str = "euclidean") -> Solution:
             if len(chosen) == inst.n - 1:
                 break
     out = tuple(sorted(chosen))
-    family = _metric_family(metric)
     k, _ = stabbing_number(out, inst.points, family)
     return Solution(
         problem=Problem.SPANNING_TREE,

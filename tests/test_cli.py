@@ -370,6 +370,36 @@ class TestExitCodes:
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["exact", "report"])
+    def test_negative_time_limit_is_a_usage_error(self, tmp_path, capsys, command):
+        path = tmp_path / "a.pts"
+        path.write_text(serialize_instance(gen_random(10, 100, 1)))
+        code, stdout, stderr = run(
+            capsys, command, str(path), "--problem", "matching", "--time-limit", "-5"
+        )
+        assert code == 1 and not stdout
+        assert "argument --time-limit: -5 is negative" in stderr
+
+    SOLUTION = '"problem": "matching", "family": "axis", "method": "exact"'
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            "[1, 2]",
+            "{%s, " % SOLUTION + '"k": 1, "lower_bound": "1/0", "edges": [[0, 1]]}',
+            "{%s, " % SOLUTION + '"k": 1, "lower_bound": null, "edges": [[0, 1.9]]}',
+            "{%s, " % SOLUTION + '"k": true, "lower_bound": null, "edges": [[0, 1]]}',
+        ],
+        ids=["array", "zero_denominator", "float_index", "bool_k"],
+    )
+    def test_malformed_solution_document(self, tmp_path, capsys, document):
+        instance, solution = tmp_path / "a.pts", tmp_path / "s.json"
+        instance.write_text("2\n0 0\n1 1\n")
+        solution.write_text(document)
+        code, stdout, stderr = run(capsys, "eval", str(instance), "--edges", str(solution))
+        assert code == 1 and not stdout
+        assert stderr.startswith("error: bad solution document")
+
 
 class TestGoldenReport:
     # report --exact-check's whole stdout on gen_random(10, 100, 1), byte for
@@ -403,3 +433,41 @@ class TestGoldenReport:
         assert code == 0
         header = f"instance=random-n10-b100-s1\nproblem={problem}\nfamily={family}\n"
         assert stdout == header + self.GOLDEN[problem, family]
+
+
+class TestGoldenMinlen:
+    # minlen's whole stdout, the solution JSON and the summary, on
+    # gen_random(10, 100, 1), byte for byte: a change that keeps stdout must
+    # keep these
+    GOLDEN = {
+        ("matching", "axis"): (
+            '{"problem": "matching", "family": "axis", "k": 3, "lower_bound": null, '
+            '"method": "min_length", "edges": [[0, 4], [1, 2], [3, 9], [5, 8], [6, 7]]}\n'
+            "problem=matching\nfamily=axis\nk=3\nmethod=min_length\nproven=yes\n"
+        ),
+        ("matching", "general"): (
+            '{"problem": "matching", "family": "general", "k": 3, "lower_bound": null, '
+            '"method": "min_length", "edges": [[0, 4], [1, 2], [3, 9], [5, 8], [6, 7]]}\n'
+            "problem=matching\nfamily=general\nk=3\nmethod=min_length\nproven=yes\n"
+        ),
+        ("tree", "axis"): (
+            '{"problem": "tree", "family": "axis", "k": 4, "lower_bound": null, '
+            '"method": "min_length", "edges": [[0, 4], [0, 5], [1, 2], [1, 9], [2, 6], '
+            '[3, 9], [5, 8], [6, 7], [7, 8]]}\n'
+            "problem=tree\nfamily=axis\nk=4\nmethod=min_length\nproven=yes\n"
+        ),
+        ("tree", "general"): (
+            '{"problem": "tree", "family": "general", "k": 6, "lower_bound": null, '
+            '"method": "min_length", "edges": [[0, 4], [0, 5], [1, 2], [1, 6], [1, 9], '
+            '[3, 9], [5, 8], [6, 8], [7, 8]]}\n'
+            "problem=tree\nfamily=general\nk=6\nmethod=min_length\nproven=yes\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("problem, family", sorted(GOLDEN))
+    def test_minlen_stdout(self, tmp_path, capsys, problem, family):
+        path = tmp_path / "random-n10-b100-s1.pts"
+        path.write_text(serialize_instance(gen_random(10, 100, 1)))
+        code, stdout, _ = run(capsys, "minlen", str(path), "--problem", problem, "--family", family)
+        assert code == 0
+        assert stdout == self.GOLDEN[problem, family]

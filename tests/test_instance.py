@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,57 @@ class TestSolutionIO:
             parse_solution("{not json")
         with pytest.raises(SolutionError):
             parse_solution('{"problem": "matching"}')
+
+    GOOD = {
+        "problem": "matching",
+        "family": "axis",
+        "k": 1,
+        "lower_bound": "1/2",
+        "method": "exact",
+        "edges": [[0, 1]],
+    }
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            [1, 2],
+            "matching",
+            None,
+            dict(GOOD, lower_bound="1/0"),
+            dict(GOOD, lower_bound="1/x"),
+            dict(GOOD, k=True),
+            dict(GOOD, k=1.0),
+            dict(GOOD, k="1"),
+            dict(GOOD, edges=[[0, 1.9]]),
+            dict(GOOD, edges=[[False, 1]]),
+            dict(GOOD, edges=[5]),
+            dict(GOOD, edges=[[0, 1, 2]]),
+            dict(GOOD, edges=3),
+        ],
+        ids=[
+            "array",
+            "string",
+            "null",
+            "zero_denominator",
+            "bad_denominator",
+            "bool_k",
+            "float_k",
+            "string_k",
+            "float_index",
+            "bool_index",
+            "bare_index",
+            "three_indices",
+            "edges_not_a_list",
+        ],
+    )
+    def test_malformed_document_raises_solution_error(self, document):
+        # not an object, a zero denominator, or a k or vertex index that is
+        # no JSON integer: each is a SolutionError, never a TypeError, a
+        # ZeroDivisionError or a silently truncated index
+        shape = "" if isinstance(document, dict) else ": not a JSON object"
+        with pytest.raises(SolutionError, match="bad solution document" + shape):
+            parse_solution(json.dumps(document))
+        assert parse_solution(json.dumps(self.GOOD)).lower_bound == Fraction(1, 2)
 
 
 class TestVerifySolution:

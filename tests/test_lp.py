@@ -27,18 +27,33 @@ from minstab.lp import (
     _State,
     lp_solve,
     make_lp,
-    make_row,
 )
 from minstab.models import ModelError, cut_row, fix_edges, stab_rows
 
 
+def rows_block(num_vars, specs):
+    """Rows and their float64 coefficient block from (coefficients, rel, rhs)
+    specs, each coefficients a {variable: value} dict."""
+    block = np.zeros((len(specs), num_vars))
+    for i, (coeffs, _, _) in enumerate(specs):
+        for j, value in coeffs.items():
+            block[i, j] = value
+    return [Row(rel, rhs) for _, rel, rhs in specs], block
+
+
+def program(num_vars, objective, specs=(), bounds=None):
+    """The program of these row specs (see rows_block)."""
+    return make_lp(num_vars, objective, *rows_block(num_vars, specs), bounds)
+
+
+def add_rows(lp, specs):
+    """lp with the rows of these specs appended (see rows_block)."""
+    return lp.with_rows(*rows_block(lp.num_vars, specs))
+
+
 def k_example():
     """min k s.t. x1 + x2 = 1, x1 + x2 <= k."""
-    return make_lp(
-        3,
-        {2: 1},
-        [make_row({0: 1, 1: 1}, "=", 1), make_row({0: 1, 1: 1, 2: -1}, "<=", 0)],
-    )
+    return program(3, {2: 1}, [({0: 1, 1: 1}, "=", 1), ({0: 1, 1: 1, 2: -1}, "<=", 0)])
 
 
 def full_program(model):
@@ -116,7 +131,7 @@ def scipy_solve(lp):
 
 class TestLpSolve:
     def test_simple_lower_bound(self):
-        lp = make_lp(1, {0: 1}, [make_row({0: 1}, ">=", 3)])
+        lp = program(1, {0: 1}, [({0: 1}, ">=", 3)])
         res = lp_solve(lp)
         assert res.status is LpStatus.OPTIMAL
         assert res.objective_value == pytest.approx(3)
@@ -127,7 +142,7 @@ class TestLpSolve:
         assert res.objective_value == pytest.approx(1)
 
     def test_infeasible(self):
-        lp = make_lp(1, {}, [make_row({0: 1}, "<=", -1)])
+        lp = program(1, {}, [({0: 1}, "<=", -1)])
         assert lp_solve(lp).status is LpStatus.INFEASIBLE
 
     def test_unbounded(self):
@@ -171,10 +186,8 @@ class TestExactMode:
                 coeffs = {j: c for j, c in coeffs.items() if c}
                 if not coeffs:
                     continue
-                rows.append(
-                    make_row(coeffs, rng.choice(["<=", ">=", "="]), rng.randint(-4, 4))
-                )
-            lp = make_lp(
+                rows.append((coeffs, rng.choice(["<=", ">=", "="]), rng.randint(-4, 4)))
+            lp = program(
                 n,
                 {j: rng.randint(-3, 3) for j in range(n)},
                 rows,
@@ -204,15 +217,10 @@ class TestExactMode:
     def test_warm_start_keeps_nonbasic_at_upper(self):
         # x0 and x1 sit at their upper bound 1 at the float optimum; put back
         # at their lower bound, x2 = 3/2 would break its bound and fail the check
-        lp = make_lp(
-            3,
-            {0: -1, 1: -1, 2: -1},
-            [make_row({0: 1, 1: 1, 2: 2}, "<=", 3)],
-            [(0, 1)] * 3,
-        )
+        lp = program(3, {0: -1, 1: -1, 2: -1}, [({0: 1, 1: 1, 2: 2}, "<=", 3)], [(0, 1)] * 3)
         prior = lp_solve(lp)
         assert {0, 1} <= prior.basis.at_upper
-        grown = lp.with_rows([make_row({0: 1, 2: 1}, "<=", 2)])
+        grown = add_rows(lp, [({0: 1, 2: 1}, "<=", 2)])
         warm = lp_solve(grown, warm_basis=prior.basis, exact=True)
         cold = lp_solve(grown, exact=True)
         assert warm.warm_started and not cold.warm_started
@@ -225,7 +233,7 @@ class TestExactMode:
         # with x0 = 1, since x0's reduced cost at its upper bound, 2**-40, is
         # below PIVOT_TOL; the check rejects the basis and the Fraction
         # simplex finds x1 = 1
-        lp = make_lp(2, {0: 1 + 2**-40, 1: 1}, [make_row({0: 1, 1: 1}, "=", 1)], [(0, 1)] * 2)
+        lp = program(2, {0: 1 + 2**-40, 1: 1}, [({0: 1, 1: 1}, "=", 1)], [(0, 1)] * 2)
         floated = lp_solve(lp)
         assert floated.primal == [1, 0]
         res = lp_solve(lp, warm_basis=floated.basis, exact=True)
@@ -242,7 +250,7 @@ class TestExactMode:
         damaged = with_inverse(prior.basis, 3 * prior.basis.Binv)
         # iterative refinement through 3 B^-1 doubles the error each round
         assert _ExactSimplex(lp).check(damaged) is None
-        cut = lp.with_rows([make_row({1: 1}, ">=", 0.75)])
+        cut = add_rows(lp, [({1: 1}, ">=", 0.75)])
         res = lp_solve(cut, warm_basis=damaged, exact=True)
         # the float re-solve fails its checks and solves cold; the check
         # certifies that optimum
@@ -257,27 +265,27 @@ class TestExactMode:
         # column order, slacks included, each an exact Fraction
         rng = random.Random(11)
         programs = [
-            make_lp(
+            program(
                 3,
                 {2: 1},
                 [
-                    make_row({0: 0.5, 1: -3}, "<=", 2),
-                    make_row({1: 1, 2: 0.25}, ">=", 1),
-                    make_row({0: 1, 2: -1}, "=", 0),
+                    ({0: 0.5, 1: -3}, "<=", 2),
+                    ({1: 1, 2: 0.25}, ">=", 1),
+                    ({0: 1, 2: -1}, "=", 0),
                 ],
             ).with_rows([Row(">=", 0)], np.array([[0.0, 2.0**-30, 5.0]]))
         ]
         for _ in range(20):
             n = rng.randint(1, 6)
             rows = [
-                make_row(
+                (
                     {j: rng.randint(-3, 3) / 4 for j in range(n) if rng.random() < 0.6},
                     rng.choice(["<=", ">=", "="]),
                     rng.randint(-4, 4),
                 )
                 for _ in range(rng.randint(1, 6))
             ]
-            programs.append(make_lp(n, {}, rows))
+            programs.append(program(n, {}, rows))
         for lp in programs:
             simplex, form = _ExactSimplex(lp), lp.form
             assert simplex.N == form.N and simplex.slack_of_row == form.slack_of_row.tolist()
@@ -294,15 +302,15 @@ class TestAddRows:
     def test_non_binding_row_keeps_objective(self):
         lp = k_example()
         prior = lp_solve(lp)
-        res = lp_solve(lp.with_rows([make_row({0: 1}, "<=", 5)]), warm_basis=prior.basis)
+        res = lp_solve(add_rows(lp, [({0: 1}, "<=", 5)]), warm_basis=prior.basis)
         assert res.objective_value == pytest.approx(prior.objective_value)
 
     def test_binding_row_matches_cold_solve(self):
         lp = k_example()
         prior = lp_solve(lp)
-        row = make_row({0: 1}, ">=", 0.5)
-        warm = lp_solve(lp.with_rows([row]), warm_basis=prior.basis)
-        cold = lp_solve(lp.with_rows([row]))
+        grown = add_rows(lp, [({0: 1}, ">=", 0.5)])
+        warm = lp_solve(grown, warm_basis=prior.basis)
+        cold = lp_solve(grown)
         assert warm.status is LpStatus.OPTIMAL
         assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-6)
         assert warm.objective_value == pytest.approx(1)
@@ -310,17 +318,17 @@ class TestAddRows:
     def test_contradictory_rows_infeasible(self):
         lp = k_example()
         prior = lp_solve(lp)
-        rows = [make_row({0: 1}, ">=", 2), make_row({0: 1}, "<=", 1)]
-        res = lp_solve(lp.with_rows(rows), warm_basis=prior.basis)
+        rows = [({0: 1}, ">=", 2), ({0: 1}, "<=", 1)]
+        res = lp_solve(add_rows(lp, rows), warm_basis=prior.basis)
         assert res.status is LpStatus.INFEASIBLE
 
 
 class TestDualReoptimize:
     def test_binding_row_reoptimizes_warm(self):
-        lp = make_lp(2, {0: 1, 1: 2}, [make_row({0: 1, 1: 1}, ">=", 2)], [(0, 3), (0, 3)])
+        lp = program(2, {0: 1, 1: 2}, [({0: 1, 1: 1}, ">=", 2)], [(0, 3), (0, 3)])
         prior = lp_solve(lp)
         assert prior.objective_value == pytest.approx(2)
-        cut = lp.with_rows([make_row({0: 1}, "<=", 1)])
+        cut = add_rows(lp, [({0: 1}, "<=", 1)])
         warm = lp_solve(cut, warm_basis=prior.basis)
         cold = lp_solve(cut)
         assert warm.warm_started and not cold.warm_started
@@ -335,10 +343,10 @@ class TestDualReoptimize:
         # of the extended inverse are [-3, 0, 1] and [0, -1, 1], so dual
         # steepest edge scores them 9 / 10 and 4 / 2: the second row leaves
         # first, not the one with the largest violation
-        lp = make_lp(2, {0: -1, 1: -1}, [make_row({0: 1}, "<=", 4), make_row({1: 1}, "<=", 4)])
+        lp = program(2, {0: -1, 1: -1}, [({0: 1}, "<=", 4), ({1: 1}, "<=", 4)])
         prior = lp_solve(lp)
         assert prior.primal == [4, 4]
-        cut = lp.with_rows([make_row({0: 3}, "<=", 9), make_row({1: 1}, "<=", 2)])
+        cut = add_rows(lp, [({0: 3}, "<=", 9), ({1: 1}, "<=", 2)])
         leaving = []
         pivot = _FloatSimplex._pivot
 
@@ -359,16 +367,11 @@ class TestDualReoptimize:
         # x0 and x1 sit at their upper bound 1 at the optimum; put back at their
         # lower bound their reduced costs are dual infeasible and the warm start
         # could only fall back to a cold solve
-        lp = make_lp(
-            3,
-            {0: -1, 1: -1, 2: -1},
-            [make_row({0: 1, 1: 1, 2: 2}, "<=", 3)],
-            [(0, 1)] * 3,
-        )
+        lp = program(3, {0: -1, 1: -1, 2: -1}, [({0: 1, 1: 1, 2: 2}, "<=", 3)], [(0, 1)] * 3)
         prior = lp_solve(lp)
         assert prior.objective_value == pytest.approx(-2.5)
         assert {0, 1} <= prior.basis.at_upper
-        cut = lp.with_rows([make_row({2: 1}, "<=", 0.25)])
+        cut = add_rows(lp, [({2: 1}, "<=", 0.25)])
         warm = lp_solve(cut, warm_basis=prior.basis)
         assert warm.warm_started
         assert warm.objective_value == pytest.approx(-2.25)
@@ -377,8 +380,8 @@ class TestDualReoptimize:
     def test_contradictory_rows_left_to_phase_one(self):
         lp = k_example()
         prior = lp_solve(lp)
-        rows = [make_row({0: 1}, ">=", 2), make_row({0: 1}, "<=", 1)]
-        res = lp_solve(lp.with_rows(rows), warm_basis=prior.basis)
+        rows = [({0: 1}, ">=", 2), ({0: 1}, "<=", 1)]
+        res = lp_solve(add_rows(lp, rows), warm_basis=prior.basis)
         assert res.status is LpStatus.INFEASIBLE
         assert not res.warm_started
 
@@ -477,9 +480,9 @@ class TestDualReoptimize:
                     rhs = math.floor(act) + 1 if rel == "<=" else math.ceil(act) - 1
                 else:
                     rhs = rng.randint(-6, 6)
-                return make_row(coeffs, rel, rhs)
+                return coeffs, rel, rhs
 
-            lp = make_lp(
+            lp = program(
                 n,
                 {j: rng.randint(-5, 5) for j in range(n)},
                 [random_row(True) for _ in range(rng.randint(1, 6))],
@@ -490,9 +493,7 @@ class TestDualReoptimize:
             assert inverse_error(lp, prior.basis) < 1e-9
             changed = lp
             if rng.random() < 0.8:
-                changed = changed.with_rows(
-                    [random_row(False) for _ in range(rng.randint(1, 3))]
-                )
+                changed = add_rows(changed, [random_row(False) for _ in range(rng.randint(1, 3))])
             if changed is lp or rng.random() < 0.5:
                 var = rng.randrange(n)
                 value = rng.choice([0, hi[var]])
@@ -553,14 +554,14 @@ class TestWarmVsCold:
         for _ in range(30):
             n = rng.randint(2, 6)
             rows = [
-                make_row(
+                (
                     {j: rng.randint(1, 3) for j in rng.sample(range(n), k=min(2, n))},
                     rng.choice(["<=", ">="]),
                     rng.randint(1, 5),
                 )
                 for _ in range(rng.randint(1, 4))
             ]
-            lp = make_lp(
+            lp = program(
                 n,
                 {j: rng.randint(0, 4) for j in range(n)},
                 rows,
@@ -592,12 +593,8 @@ class TestAgainstScipy:
                 }
                 coeffs = {j: c for j, c in coeffs.items() if c}
                 if coeffs:
-                    rows.append(
-                        make_row(
-                            coeffs, rng.choice(["<=", ">=", "="]), rng.randint(-6, 6)
-                        )
-                    )
-            lp = make_lp(n, obj, rows, bounds)
+                    rows.append((coeffs, rng.choice(["<=", ">=", "="]), rng.randint(-6, 6)))
+            lp = program(n, obj, rows, bounds)
             mine = lp_solve(lp)
 
             ref = scipy_solve(lp)
@@ -628,36 +625,42 @@ class TestValidation:
             make_lp(1, {}, bounds=[(2, 1)])
 
     def test_bad_index(self):
-        with pytest.raises(LpError):
-            make_lp(1, {}, [make_row({3: 1}, "<=", 0)])
+        # a block's columns are the variables and its rows the program's
+        with pytest.raises(LpError, match="does not match the rows"):
+            make_lp(1, {}, [Row("<=", 0)], np.zeros((1, 4)))
+        with pytest.raises(LpError, match="does not match the rows"):
+            make_lp(1, {}, [Row("<=", 0)], np.zeros((2, 1)))
 
     def test_bad_relation(self):
         with pytest.raises(LpError):
-            make_row({0: 1}, "<", 0)
+            Row("<", 0)
 
     @pytest.mark.parametrize("index", [-1, 3])
     def test_bad_index_in_appended_row(self, index):
-        with pytest.raises(LpError, match="out of range"):
-            k_example().with_rows([make_row({0: 1}, ">=", 0), make_row({index: 1}, "<=", 0)])
-        with pytest.raises(LpError, match="out of range"):
-            make_lp(3, {}, [make_row({index: 1}, "<=", 0)])
+        # a block whose last column is variable index: none at -1, and one
+        # past the program's three variables at 3
+        block = np.ones((2, index + 1))
+        with pytest.raises(LpError, match="does not match the rows"):
+            k_example().with_rows([Row(">=", 0), Row("<=", 0)], block)
+        with pytest.raises(LpError, match="does not match the rows"):
+            make_lp(3, {}, [Row("<=", 0)], block[:1])
 
     @pytest.mark.parametrize("coef", [Fraction(1, 3), 2**53 + 1, 10**400, math.inf])
     def test_coefficient_float64_cannot_hold_is_rejected(self, coef):
         # both simplex paths read the float matrix, and the exact path
-        # converts it back: a coefficient must survive float64 unchanged
-        with pytest.raises(LpError, match="no exact float64 value"):
-            make_row({0: coef}, "<=", 1)
-        # a repeated index is summed exactly before the check
-        with pytest.raises(LpError, match="no exact float64 value"):
-            make_row([(0, 2**53), (1, 1), (0, 1)], "<=", 1)
-        # a Row checks its coefficients when built, so none reaches a program
-        with pytest.raises(LpError, match="no exact float64 value"):
-            make_lp(3, {}, [Row("<=", 1, ((0, coef),))])
-        with pytest.raises(LpError, match="no exact float64 value"):
-            k_example().with_rows([Row("<=", 1, ((0, coef),))])
-        # an exactly held coefficient passes, and the exact path reads it back
-        half = make_lp(1, {0: 1}, [make_row({0: Fraction(1, 2)}, ">=", 1)])
+        # converts it back: a block must be float64, so that nothing is
+        # rounded on the way in, and finite. Fraction(1, 3) and 10**400 make
+        # an object block, 2**53 + 1 an int64 one and inf a float64 one
+        block = np.array([[coef]])
+        assert block.dtype == {math.inf: np.float64, 2**53 + 1: np.int64}.get(coef, object)
+        message = "not finite" if block.dtype == np.float64 else "not float64"
+        with pytest.raises(LpError, match=message):
+            make_lp(1, {}, [Row("<=", 1)], block)
+        with pytest.raises(LpError, match=message):
+            make_lp(1, {0: 1}).with_rows([Row("<=", 1)], block)
+        # a float64 coefficient passes, and the exact path reads 0.5 back as 1/2
+        half = make_lp(1, {0: 1}, [Row(">=", 1)], np.array([[0.5]]))
+        assert _ExactSimplex(half).terms[0][0] == (0, Fraction(1, 2))
         assert lp_solve(half, exact=True).objective_value == 2
 
     @pytest.mark.parametrize("rhs", [math.nan, math.inf, -math.inf, 10**400])
@@ -667,25 +670,28 @@ class TestValidation:
         with pytest.raises(LpError, match="no finite float64 value"):
             Row(">=", rhs)
         with pytest.raises(LpError, match="no finite float64 value"):
-            make_row({0: 1, 1: 1}, ">=", rhs)
-        assert make_row({0: 1}, "<=", Fraction(1, 3)).rhs == Fraction(1, 3)
+            Row("=", rhs, key=0)
+        assert Row("<=", Fraction(1, 3)).rhs == Fraction(1, 3)
 
     def test_rows_without_coefficients_need_their_matrix(self):
-        # a pool row carries no coeffs: it enters a program only with its
-        # matrix row, and a program rebuilt from such rows alone raises
-        row = make_row({1: 1, 0: 1}, "=", 1)
-        assert row.coeffs == ((0, 1.0), (1, 1.0))
-        lp = make_lp(3, {2: 1}, [row])
-        assert lp.rows == (row,)
+        # a row's coefficients live only in its program's matrix: rows enter
+        # a program with their block, and a program with rows and no block
+        # raises
+        row = Row("=", 1)
+        with pytest.raises(LpError, match="rows need their coefficient block"):
+            make_lp(3, {2: 1}, [row])
+        lp = make_lp(3, {2: 1}, [row], np.array([[1.0, 1.0, 0.0]]))
+        with pytest.raises(LpError, match="rows need their coefficient block"):
+            lp.with_rows([Row("<=", 0)])
+        with pytest.raises(LpError, match="rows need their coefficient block"):
+            LinearProgram(3, lp.objective, lp.rows, lp.lo, lp.hi)
         grown = lp.with_rows([Row("<=", 0)], np.array([[1.0, 1.0, -1.0]]))
         assert np.array_equal(grown.matrix, [[1, 1, 0], [1, 1, -1]])
         assert grown.rows[0] is row
-        with pytest.raises(LpError, match="row 0 has no coefficients"):
-            lp.with_rows([Row("<=", 0)])
-        with pytest.raises(LpError, match="row 1 has no coefficients"):
-            LinearProgram(3, grown.objective, grown.rows, grown.lo, grown.hi)
-        rebuilt = LinearProgram(3, lp.objective, lp.rows, lp.lo, lp.hi)
-        assert np.array_equal(rebuilt.matrix, lp.matrix)
+        rebuilt = LinearProgram(3, grown.objective, grown.rows, grown.lo, grown.hi, grown.matrix)
+        assert np.array_equal(rebuilt.form.A, grown.form.A)
+        # no rows need no block
+        assert make_lp(3, {2: 1}).matrix.shape == (0, 3)
         with pytest.raises(LpError, match="not finite"):
             lp.with_rows([Row("<=", 0)], np.array([[np.nan, 1.0, 0.0]]))
 
@@ -711,14 +717,16 @@ class TestSharedMatrix:
         # no rows appended: the program itself, form and all
         assert lp.with_rows(()) is lp
         assert lp.with_rows([], np.zeros((0, 3))) is lp
-        fresh = LinearProgram(fixed.num_vars, fixed.objective, fixed.rows, fixed.lo, fixed.hi)
+        fresh = LinearProgram(
+            fixed.num_vars, fixed.objective, fixed.rows, fixed.lo, fixed.hi, fixed.matrix
+        )
         again = lp_solve(fresh)
         assert fresh.form is not form
         assert (warm.primal, warm.objective_value) == (again.primal, again.objective_value)
         assert warm.primal == pytest.approx([0.25, 0.75, 1])
         # appended rows get a new form whose first rows are the old one's,
         # slacks numbered after the variables in row order
-        grown = lp.with_rows([make_row({0: 1}, ">=", 0.5), make_row({1: 1}, "=", 0.5)])
+        grown = add_rows(lp, [({0: 1}, ">=", 0.5), ({1: 1}, "=", 0.5)])
         assert grown.form is not form and lp.form is form
         assert np.array_equal(grown.form.A[:2, : form.N], form.A)
         assert not grown.form.A[:2, form.N :].any()
@@ -737,7 +745,7 @@ class TestSharedMatrix:
 
     def test_copies_keep_the_matrix_of_their_rows(self):
         lp = k_example()
-        grown = lp.with_rows([make_row({0: 2, 2: 1}, ">=", 1)])
+        grown = add_rows(lp, [({0: 2, 2: 1}, ">=", 1)])
         assert np.array_equal(grown.matrix[:2], lp.matrix)
         assert grown.with_bounds({0: (0, 0)}).matrix is grown.matrix
         assert grown.with_objective([(0, 1)]).matrix is grown.matrix
@@ -761,20 +769,25 @@ class TestSharedMatrix:
 
     def test_tableau_equals_one_built_from_scratch(self):
         # a cut row, a fixing and an objective swap, as rounding and
-        # refinement apply them, against the same program read row by row
+        # refinement apply them, against the same program's rows written out
+        # edge by edge from their definitions
         model = build_matching_model(gen_random(8, 100, seed=3), LineFamily.AXIS_PARALLEL)
-        model.lp = model.lp.with_rows([cut_row(model, frozenset({0, 1, 2}))])
+        members = frozenset({0, 1, 2})
+        row, coeffs = cut_row(model, members)
+        model.lp = model.lp.with_rows([row], coeffs[None])
         fix_edges(model, ones=[model.edges[4]])
         lengths = tuple((i, float(i + 1)) for i in range(len(model.edges)))
         lp = dataclasses.replace(model.lp, objective=lengths)
-        fresh = LinearProgram(lp.num_vars, lp.objective, lp.rows, lp.lo, lp.hi)
+        fresh = LinearProgram(lp.num_vars, lp.objective, lp.rows, lp.lo, lp.hi, lp.matrix.copy())
         shared, scratch = _FloatSimplex(lp), _FloatSimplex(fresh)
         for name in ("A", "b", "lo", "hi", "cost", "slack_of_row", "le", "ge"):
             assert np.array_equal(getattr(shared, name), getattr(scratch, name)), name
-        reference = np.zeros((len(lp.rows), lp.num_vars))
-        for i, row in enumerate(lp.rows):
-            for idx, coef in row.coeffs:
-                reference[i, idx] += float(coef)
+        distinct = stab_rows(model, np.flatnonzero(model.stab_distinct))
+        scale = 2.0 ** -math.ceil(math.log2(len(distinct)))
+        reference = [[float(v in e) for e in model.edges] + [0.0] for v in range(model.inst.n)]
+        reference.append((distinct.sum(axis=0) * scale).tolist())
+        reference.append([float((e.a in members) != (e.b in members)) for e in model.edges] + [0.0])
+        assert [r.rel for r in lp.rows] == ["="] * 8 + ["<=", ">="]
         assert np.array_equal(shared.A[:, : lp.num_vars], reference)
 
     def test_copies_check_only_what_they_change(self, monkeypatch):
@@ -832,7 +845,7 @@ class TestSharedMatrix:
         assert warm.pivots == 0
         assert warm.primal == cold.primal
         assert cold.primal[1] == 0
-        cut = lp.with_rows([make_row({1: 1}, ">=", 0.75)])
+        cut = add_rows(lp, [({1: 1}, ">=", 0.75)])
         moved = lp_solve(cut, cold.basis)
         assert moved.warm_started and moved.pivots > 0
         assert moved.primal == pytest.approx([0.25, 0.75, 1])
@@ -853,11 +866,7 @@ class TestSharedMatrix:
         lp = k_example()
         cold = lp_solve(lp)
         # the same shape with equal rows, and with other coefficients
-        shifted = make_lp(
-            3,
-            {2: 1},
-            [make_row({0: 1, 1: 2}, "=", 1), make_row({0: 2, 1: 1, 2: -1}, "<=", 0)],
-        )
+        shifted = program(3, {2: 1}, [({0: 1, 1: 2}, "=", 1), ({0: 2, 1: 1, 2: -1}, "<=", 0)])
         for other in (k_example(), shifted):
             kept = lp_solve(other).basis
             assert kept.Binv.shape == cold.basis.Binv.shape
@@ -869,7 +878,7 @@ class TestSharedMatrix:
         # min -x0 s.t. x0 + x1 <= 2 ends with x0 basic and B^-1 = [1]; under
         # -x0 - 2 x1 the inverse [3] prices x1 at -2 + 3 = 1, so the kept
         # basis looks optimal
-        lp = make_lp(2, {0: -1}, [make_row({0: 1, 1: 1}, "<=", 2)])
+        lp = program(2, {0: -1}, [({0: 1, 1: 1}, "<=", 2)])
         prior = lp_solve(lp)
         kept = prior.basis
         assert prior.basis.basic == (0,)
@@ -898,9 +907,7 @@ class TestSharedMatrix:
         # x_B exact (row 0's rhs is 0) and every reduced cost of the right
         # sign, so no pivot runs and the row and pricing checks pass; only
         # |c_B - y A_B| of the refined duals, about 3e-6, exceeds FEAS_TOL
-        lp = make_lp(
-            2, {0: -3, 1: -1}, [make_row({0: 1, 1: -1}, "<=", 0), make_row({0: 1, 1: 1}, "<=", 4)]
-        )
+        lp = program(2, {0: -3, 1: -1}, [({0: 1, 1: -1}, "<=", 0), ({0: 1, 1: 1}, "<=", 4)])
         prior = lp_solve(lp)
         kept = prior.basis
         assert prior.basis.basic == (0, 1)
@@ -919,12 +926,8 @@ class TestSharedMatrix:
     def test_row_check_names_first_violated_row(self):
         # x0 <= 1 by its bound; the basis puts x0 = 2, and once x0 is clipped
         # to its bound rows 1 and 2 both fail
-        rows = [
-            make_row({0: 1}, "<=", 5),
-            make_row({0: 1}, ">=", 2),
-            make_row({0: 1}, ">=", 3),
-        ]
-        simplex = _FloatSimplex(make_lp(1, {0: 1}, rows, [(0, 1)]))
+        rows = [({0: 1}, "<=", 5), ({0: 1}, ">=", 2), ({0: 1}, ">=", 3)]
+        simplex = _FloatSimplex(program(1, {0: 1}, rows, [(0, 1)]))
         basis = np.array([1, 0, 3])
         state = _State(
             np.linalg.inv(simplex.A[:, basis]),
@@ -941,7 +944,7 @@ class TestSharedMatrix:
     def test_dual_check_names_a_column_that_prices_in(self):
         # x0 basic is feasible for min -x0 - 2 x1 s.t. x0 + x1 <= 2, but the
         # duals of A_B^T y = c_B leave x1 a reduced cost of -1
-        simplex = _FloatSimplex(make_lp(2, {0: -1, 1: -2}, [make_row({0: 1, 1: 1}, "<=", 2)]))
+        simplex = _FloatSimplex(program(2, {0: -1, 1: -2}, [({0: 1, 1: 1}, "<=", 2)]))
         state = _State(
             np.array([[1.0]]),
             simplex.A,

@@ -768,8 +768,11 @@ class TestRowKeys:
                 key = model.lp.rows[i].key
                 if isinstance(key, frozenset):
                     assert key == cut_key(key, model.inst.n)
-                    expected = models.cut_row(model, key)
-                    assert model.lp.rows[i].coeffs == expected.coeffs
+                    row, coeffs = models.cut_row(model, key)
+                    assert row.key == key and row.rel == ">=" and row.rhs == 1
+                    assert np.array_equal(model.lp.matrix[i], coeffs)
+                    crossing = [(e.a in key) != (e.b in key) for e in model.edges]
+                    assert model.lp.matrix[i].tolist() == crossing + [0]
                 else:
                     assert np.array_equal(model.lp.matrix[i], stab_rows(model, [key])[0])
                 keys.append(key)

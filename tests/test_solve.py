@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -177,6 +178,28 @@ class TestBranchAndBound:
         sol = rounded_bnb(unit_square, Problem.MATCHING, AXIS, time_limit=1)
         assert sol.k >= 2
         verify_solution(unit_square, sol)
+
+    def test_expired_search_still_proves_an_incumbent_at_the_bound(self, monkeypatch):
+        # the clock passes the deadline right after the search sets it; the
+        # root's bound, ceil 2, still proves an incumbent with k = 2 optimal,
+        # while one with k = 3 comes back unproven without a node solve
+        inst = gen_random(10, 100, 1)
+        model, root = relaxed(inst, Problem.MATCHING, AXIS)
+        assert math.ceil(root.k_frac - OBJ_TOL) == 2
+        at_bound, above = iterated_rounding(model, root), min_length_matching(inst, AXIS)
+        assert (at_bound.k, above.k) == (2, 3)
+        for incumbent, proven in ((at_bound, True), (above, False)):
+            clock = iter([0.0])
+            expired = SimpleNamespace(monotonic=lambda: next(clock, 10.0))
+            monkeypatch.setattr(minstab.solve, "time", expired)
+            monkeypatch.setattr(minstab.solve, "solve_relaxation", None)  # no node may solve
+            sol = branch_and_bound(model, root, incumbent, time_limit=1)
+            assert (sol.k, sol.edges, sol.proven) == (incumbent.k, incumbent.edges, proven)
+            assert next(clock, None) is None  # the search set its deadline
+
+    def test_negative_time_limit_raises(self, unit_square):
+        with pytest.raises(SolveError, match="time limit -5 ms is negative"):
+            rounded_bnb(unit_square, Problem.MATCHING, AXIS, time_limit=-5)
 
     @pytest.mark.parametrize(
         "problem, family",
@@ -462,17 +485,17 @@ class TestMinLengthMatching:
         inst = Instance(
             "col4", (Point(0, 0), Point(1, 0), Point(2, 0), Point(3, 0))
         )
-        sol = min_length_matching(inst, "euclidean")
+        sol = min_length_matching(inst, GENERAL)
         assert sol.edges == (Segment(0, 1), Segment(2, 3))
         assert sol.method is Method.MIN_LENGTH
 
     def test_unit_square_lexicographic_tie(self, unit_square):
-        sol = min_length_matching(unit_square, "euclidean")
+        sol = min_length_matching(unit_square, GENERAL)
         assert sol.edges == (Segment(0, 1), Segment(2, 3))
 
     def test_two_points(self):
         inst = Instance("pair", (Point(0, 0), Point(5, 5)))
-        sol = min_length_matching(inst, "euclidean")
+        sol = min_length_matching(inst, GENERAL)
         assert sol.edges == (Segment(0, 1),)
 
     def test_matches_oracle_totals(self):
@@ -481,12 +504,12 @@ class TestMinLengthMatching:
 
         for seed in range(5):
             inst = gen_random(8, 50, seed=700 + seed)
-            sol_e = min_length_matching(inst, "euclidean")
+            sol_e = min_length_matching(inst, GENERAL)
             best_e = min(
                 euclidean_total(m, inst.points) for m in enum_perfect_matchings(8)
             )
             assert euclidean_total(sol_e.edges, inst.points) == pytest.approx(best_e)
-            sol_m = min_length_matching(inst, "manhattan")
+            sol_m = min_length_matching(inst, AXIS)
             best_m = min(
                 manhattan_total(m, inst.points) for m in enum_perfect_matchings(8)
             )
@@ -494,7 +517,7 @@ class TestMinLengthMatching:
 
     def test_odd_rejected(self, collinear3):
         with pytest.raises(SolveError):
-            min_length_matching(collinear3, "euclidean")
+            min_length_matching(collinear3, GENERAL)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_enumeration_at_large_coordinates(self, seed):
@@ -534,7 +557,7 @@ class TestMinLengthMatching:
         from minstab.oracle import enum_perfect_matchings
 
         pts = odd_clusters(seed)
-        sol = min_length_matching(Instance("pts", pts), "euclidean")
+        sol = min_length_matching(Instance("pts", pts), GENERAL)
         best = min(euclidean_total(m, pts) for m in enum_perfect_matchings(len(pts)))
         length = euclidean_total(sol.edges, pts)
         assert best * (1 - 1e-12) <= length <= best + OBJ_TOL * max(1.0, best) * (1 + 1e-12)
@@ -546,18 +569,18 @@ def assert_shortest_matching(pts):
     from minstab.geom import euclidean_total
     from minstab.oracle import enum_perfect_matchings
 
-    sol = min_length_matching(Instance("pts", pts), "euclidean")
+    sol = min_length_matching(Instance("pts", pts), GENERAL)
     best = min(euclidean_total(m, pts) for m in enum_perfect_matchings(len(pts)))
     assert euclidean_total(sol.edges, pts) == pytest.approx(best, rel=1e-12)
 
 
 class TestMinLengthTree:
     def test_three_collinear_path(self, collinear3):
-        sol = min_length_tree(collinear3, "euclidean")
+        sol = min_length_tree(collinear3, GENERAL)
         assert sol.edges == (Segment(0, 1), Segment(1, 2))
 
     def test_unit_square_manhattan(self, unit_square):
-        sol = min_length_tree(unit_square, "manhattan")
+        sol = min_length_tree(unit_square, AXIS)
         from minstab.geom import manhattan_total
 
         assert manhattan_total(sol.edges, unit_square.points) == 3
@@ -566,7 +589,7 @@ class TestMinLengthTree:
 
     def test_two_points(self):
         inst = Instance("pair", (Point(0, 0), Point(4, 1)))
-        sol = min_length_tree(inst, "euclidean")
+        sol = min_length_tree(inst, GENERAL)
         assert sol.edges == (Segment(0, 1),)
 
     def test_matches_oracle(self):
@@ -575,7 +598,7 @@ class TestMinLengthTree:
 
         for seed in range(4):
             inst = gen_random(6, 40, seed=800 + seed)
-            sol = min_length_tree(inst, "euclidean")
+            sol = min_length_tree(inst, GENERAL)
             best = min(
                 euclidean_total(t, inst.points) for t in enum_spanning_trees(6)
             )
