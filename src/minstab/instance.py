@@ -79,8 +79,8 @@ class Instance:
 class Solution:
     """Edge structure plus objective metadata.
 
-    ``proven`` is in-memory only (report surface); the file format below does
-    not carry it.
+    ``proven`` is False unless solve.branch_and_bound proves k optimal; it is
+    in-memory only (report surface), and the file format below does not carry it.
     """
 
     problem: Problem
@@ -89,7 +89,7 @@ class Solution:
     k: int
     lower_bound: Optional[Fraction]
     method: Method
-    proven: bool = field(default=True, compare=False)
+    proven: bool = field(default=False, compare=False)
 
 
 def parse_instance(data: Union[str, bytes], name: str = "instance") -> Instance:

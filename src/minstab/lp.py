@@ -24,7 +24,7 @@ A float solve's Basis keeps its final inverse over the program's rows, and
 a warm float solve starts only from it: for a program whose first rows are
 those very Row objects and whose appended rows all have slacks, k appended
 rows a with slack coefficients s add the rows [-diag(1/s) a_B B^-1,
-diag(1/s)], in O(k m^2), and bound or objective changes only move the
+diag(1/s)], in O(k m^2), and bound or cost changes only move the
 nonbasic values and the reduced costs. The float path never inverts a
 basis from scratch: any other warm basis solves cold. The pivots update the
 reduced costs instead of pricing every column again. Every optimum with a
@@ -42,17 +42,16 @@ kept inverse with iterative refinement (Gleixner, Steffy & Wolter 2016) and
 proves them optimal exactly. Otherwise the Fraction simplex solves cold.
 
 A program's lifecycle is: build it, append rows (with_rows), change any
-number of bounds in one step (with_bounds) or the objective (with_objective),
-and re-optimize warm. Its coefficients live only in its read-only float64
-matrix, lp.matrix, a view of the standard form both simplex paths read (one
-slack column per inequality after the variables, in row order). A Row keeps
-its relation, right-hand side and origin key (lp.keys collects the keys),
-and each row set enters with one float64 block, len(rows) x num_vars, that
-is checked and copied as it is: nothing is rounded on the way in, and the
-exact path reads each nonzero as the rational the float path reads. The
-copies with_bounds and with_objective make share the form and the keys, so
-a rounding fixing or a branch re-solves without converting any row again,
-and check only what they change.
+number of bounds in one step (with_bounds) or the cost (with_cost), and
+re-optimize warm. Every number is a float64, checked once on the way in: a
+value float64 cannot hold exactly raises instead of being rounded, so the
+exact path reads each as the rational the float path reads. Costs and bounds
+are vectors, a Row keeps its relation, right-hand side and origin key
+(lp.keys collects the keys), and the coefficients live only in lp.matrix, a
+read-only view of the standard form both simplex paths read; each row set
+enters with one block, len(rows) x num_vars. The copies with_bounds and
+with_cost make share the form and the keys, so a fixing or a branch
+re-solves without converting any row again, and check only what they change.
 
 The float loops run on arrays of a few dozen rows, where a numpy call costs
 more than its arithmetic, so they bind the state's arrays once per loop and
@@ -81,8 +80,6 @@ OBJ_TOL = 1e-6
 REFINE_ROUNDS = 4
 CHECK_DENOMINATOR = 2**80
 
-Number = Union[int, float, Fraction]
-
 
 class LpError(RuntimeError):
     """Solver failure (cycling guard, inconsistent input, numerical trouble)."""
@@ -96,25 +93,23 @@ class LpStatus(Enum):
 
 @dataclass(frozen=True, eq=False)
 class Row:
-    """A constraint's relation and right-hand side; its coefficients are its
-    row of the program's matrix. A right-hand side without a finite float64
-    value raises. key names the row's origin, or is None (see
+    """A constraint's relation and right-hand side, a finite float64 (a value
+    float64 cannot hold exactly raises); its coefficients are its row of the
+    program's matrix. key names the row's origin, or is None (see
     LinearProgram.keys). Rows compare by identity, not by key: a kept basis
     inverse belongs to the very rows it was computed for."""
 
     rel: str  # "<=", "=" or ">="
-    rhs: Number
+    rhs: float
     key: Optional[Hashable] = None
 
     def __post_init__(self) -> None:
         if self.rel not in ("<=", "=", ">="):
             raise LpError(f"bad relation {self.rel!r}")
-        try:
-            finite = math.isfinite(self.rhs)
-        except OverflowError:  # an int or Fraction beyond float64's range
-            finite = False
-        if not finite:
+        rhs = _float64(self.rhs)
+        if rhs is None or not math.isfinite(rhs):
             raise LpError(f"right-hand side {self.rhs} has no finite float64 value")
+        object.__setattr__(self, "rhs", rhs)
 
 
 class _StandardForm:
@@ -144,46 +139,40 @@ class _StandardForm:
             array.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """Minimization LP over bounded variables; treated as immutable.
+    """Minimization LP over bounded variables; immutable, compared by identity.
 
+    cost, lo and hi are read-only float64 vectors of num_vars values
+    (_vector); a cost or lower bound must be finite, and lo <= hi (_bounds).
     matrix holds the rows' coefficients as one float64 block, len(rows) x
     num_vars, which may be None only when there are no rows; it is checked
     (_coefficients) and copied into form, the rows in the standard form both
     simplex paths read (_StandardForm), and matrix is then the form's
     read-only view form.A[:, :num_vars]. keys is the frozenset of the rows'
-    keys that are not None, built with the row set too. with_rows checks and
-    converts the appended block only; with_bounds and with_objective copies
-    share the form and the keys.
+    keys that are not None, built with the row set too.
     """
 
     num_vars: int
-    objective: tuple[tuple[int, Number], ...]
+    cost: np.ndarray
     rows: tuple[Row, ...]
-    lo: tuple[Number, ...]
-    hi: tuple[Number, ...]
-    matrix: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
-    form: _StandardForm = field(init=False, compare=False, repr=False)
-    keys: frozenset = field(init=False, compare=False, repr=False)
+    lo: np.ndarray
+    hi: np.ndarray
+    matrix: Optional[np.ndarray] = field(default=None, repr=False)
+    form: _StandardForm = field(init=False, repr=False)
+    keys: frozenset = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.lo) != self.num_vars or len(self.hi) != self.num_vars:
-            raise LpError("bounds must cover every variable")
-        for j, (l, h) in enumerate(zip(self.lo, self.hi)):
-            _check_bound(j, l, h)
-        _check_objective(self.objective, self.num_vars)
-        form = _StandardForm(self.rows, (_coefficients(self.rows, self.num_vars, self.matrix),))
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "matrix", form.A[:, : self.num_vars])
-        object.__setattr__(self, "keys", _row_keys(frozenset(), self.rows))
+        n = self.num_vars
+        lo, hi = _bounds(self.lo, self.hi, np.arange(n))
+        form = _StandardForm(self.rows, (_coefficients(self.rows, n, self.matrix),))
+        cost, keys = _vector(self.cost, n, "cost"), _row_keys(frozenset(), self.rows)
+        vars(self).update(cost=cost, lo=lo, hi=hi, form=form, matrix=form.A[:, :n], keys=keys)
 
     def _copy(self, **changes) -> "LinearProgram":
-        """A copy with these fields replaced, without __post_init__'s checks
-        of the fields it keeps: the caller checks what it changes."""
+        """A copy with these fields replaced, which the caller has checked."""
         lp = copy.copy(self)
-        for name, value in changes.items():
-            object.__setattr__(lp, name, value)
+        vars(lp).update(changes)
         return lp
 
     def with_rows(
@@ -205,24 +194,24 @@ class LinearProgram:
             keys=_row_keys(self.keys, new_rows),
         )
 
-    def with_bounds(self, bounds: Mapping[int, tuple[Number, Number]]) -> "LinearProgram":
+    def with_bounds(self, bounds: Mapping[int, tuple[float, float]]) -> "LinearProgram":
         """A copy with each var's bounds set to (lo, hi), in one step; checks
-        only these bounds."""
-        lo, hi = list(self.lo), list(self.hi)
-        for var, (l, h) in bounds.items():
-            if not 0 <= var < self.num_vars:
-                raise LpError(f"variable {var} out of range")
-            _check_bound(var, l, h)
-            lo[var], hi[var] = l, h
-        return self._copy(lo=tuple(lo), hi=tuple(hi))
+        only these bounds. The program itself when there are none."""
+        if not bounds:
+            return self
+        out = [var for var in bounds if not 0 <= var < self.num_vars]
+        if out:
+            raise LpError(f"variable {out[0]} out of range")
+        var = np.array(list(bounds), dtype=np.intp)
+        new_lo, new_hi = _bounds(*zip(*bounds.values()), var)
+        lo, hi = self.lo.copy(), self.hi.copy()
+        lo[var], hi[var] = new_lo, new_hi
+        lo.flags.writeable = hi.flags.writeable = False
+        return self._copy(lo=lo, hi=hi)
 
-    def with_objective(
-        self, objective: Iterable[tuple[int, Number]]
-    ) -> "LinearProgram":
-        """A copy minimizing objective; checks only its indices."""
-        objective = tuple(objective)
-        _check_objective(objective, self.num_vars)
-        return self._copy(objective=objective)
+    def with_cost(self, cost: Sequence[float]) -> "LinearProgram":
+        """A copy minimizing cost, one value per variable; checks only it."""
+        return self._copy(cost=_vector(cost, self.num_vars, "cost"))
 
 
 def _row_keys(keys: frozenset, rows: Iterable[Row]) -> frozenset:
@@ -230,17 +219,42 @@ def _row_keys(keys: frozenset, rows: Iterable[Row]) -> frozenset:
     return keys.union(row.key for row in rows if row.key is not None)
 
 
-def _check_bound(var: int, lo: Number, hi: Number) -> None:
-    if not lo <= hi:
-        raise LpError(f"variable {var}: lo {lo} > hi {hi}")
-    if math.isinf(float(lo)):
-        raise LpError(f"variable {var}: lower bound must be finite")
+def _float64(value) -> Optional[float]:
+    """value as a float when float64 holds it exactly (NaN it does not), else None."""
+    value = value.item() if isinstance(value, np.generic) else value
+    try:
+        return float(value) if float(value) == value else None
+    except (OverflowError, TypeError, ValueError):
+        return None
 
 
-def _check_objective(objective: Iterable[tuple[int, Number]], num_vars: int) -> None:
-    for idx, _ in objective:
-        if not 0 <= idx < num_vars:
-            raise LpError(f"objective index {idx} out of range")
+def _vector(values, size: int, what: str, finite: bool = True) -> np.ndarray:
+    """values as a new read-only float64 vector of size values, each held
+    exactly (_float64) and, unless finite is False, finite."""
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64):
+        values = list(values)
+        held = list(map(_float64, values))
+        if None in held:
+            raise LpError(f"{what}: {values[held.index(None)]} has no exact float64 value")
+        values = held
+    vector = np.array(values, dtype=np.float64)
+    if vector.shape != (size,):
+        raise LpError(f"{what} must have {size} values, one per variable")
+    if not np.isfinite(vector).all() and (finite or np.isnan(vector).any()):
+        raise LpError(f"{what} must be finite" if finite else f"{what} must not be nan")
+    vector.flags.writeable = False
+    return vector
+
+
+def _bounds(lo, hi, var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bounds lo and hi of the variables var lists, as vectors (_vector);
+    lo must be finite and at most hi, which may be +inf."""
+    lo = _vector(lo, len(var), "lower bounds")
+    hi = _vector(hi, len(var), "upper bounds", finite=False)
+    if (lo > hi).any():
+        i = int((lo > hi).argmax())
+        raise LpError(f"variable {var[i]}: lo {lo[i]} > hi {hi[i]}")
+    return lo, hi
 
 
 def _coefficients(
@@ -264,21 +278,22 @@ def _coefficients(
 
 def make_lp(
     num_vars: int,
-    objective: Mapping[int, Number] | Iterable[tuple[int, Number]] = (),
+    cost: Mapping[int, float] = {},
     rows: Sequence[Row] = (),
     matrix: Optional[np.ndarray] = None,
-    bounds: Optional[Sequence[tuple[Number, Number]]] = None,
+    bounds: Optional[Sequence[tuple[float, float]]] = None,
 ) -> LinearProgram:
-    """Convenience constructor; matrix is the rows' float64 coefficient block
-    and default bounds are [0, +inf) per variable."""
-    if bounds is None:
-        bounds = [(0, math.inf)] * num_vars
-    obj = tuple(
-        sorted(objective.items() if isinstance(objective, Mapping) else objective)
-    )
-    lo = tuple(b[0] for b in bounds)
-    hi = tuple(b[1] for b in bounds)
-    return LinearProgram(num_vars, obj, tuple(rows), lo, hi, matrix)
+    """The program minimizing cost, a {variable: value} mapping (0 for the
+    variables it leaves out), over these rows and their float64 coefficient
+    block matrix; bounds are (lo, hi) pairs, [0, +inf) by default. The one
+    place that turns a mapping and pairs into vectors."""
+    out = [var for var in cost if not 0 <= var < num_vars]
+    if out:
+        raise LpError(f"cost index {out[0]} out of range")
+    vector = [cost.get(var, 0.0) for var in range(num_vars)]
+    bounds = [(0.0, math.inf)] * num_vars if bounds is None else bounds
+    lo, hi = [pair[0] for pair in bounds], [pair[1] for pair in bounds]
+    return LinearProgram(num_vars, vector, tuple(rows), lo, hi, matrix)
 
 
 @dataclass(frozen=True)
@@ -315,7 +330,7 @@ class LpResult:
     path the float re-solve's plus the Fraction simplex's."""
 
     status: LpStatus
-    objective_value: Optional[Number]
+    objective_value: Union[float, Fraction, None]
     primal: list
     basis: Basis
     warm_started: bool = False
@@ -395,24 +410,16 @@ class _State:
 
 class _FloatSimplex:
     def __init__(self, lp: LinearProgram) -> None:
-        n = lp.num_vars
-        m = len(lp.rows)
-        self.n = n
-        self.m = m
+        n = self.n = lp.num_vars
+        m = self.m = len(lp.rows)
         self.rows = lp.rows
         form = lp.form
         self.le, self.ge, self.slack_of_row = form.le, form.ge, form.slack_of_row
         self.A, self.b = form.A, form.b
         N = self.N = form.N
-        lo = np.zeros(N)
-        hi = np.full(N, np.inf)
-        lo[:n] = lp.lo
-        hi[:n] = lp.hi
-        self.lo = lo
-        self.hi = hi
-        self.cost = np.zeros(N)
-        for idx, coef in lp.objective:
-            self.cost[idx] += float(coef)
+        self.lo = np.concatenate([lp.lo, np.zeros(N - n)])
+        self.hi = np.concatenate([lp.hi, np.full(N - n, np.inf)])
+        self.cost = np.concatenate([lp.cost, np.zeros(N - n)])
         size = m + N
         self.dantzig_limit = 500 + 5 * size
         self.iter_cap = self.dantzig_limit + 5000 + 100 * size
@@ -793,10 +800,8 @@ class _ExactSimplex:
     """Bounded-variable simplex over exact rationals with Bland pivoting."""
 
     def __init__(self, lp: LinearProgram) -> None:
-        n = lp.num_vars
-        m = len(lp.rows)
-        self.n = n
-        self.m = m
+        n = self.n = lp.num_vars
+        m = self.m = len(lp.rows)
         form = lp.form
         N = self.N = form.N
         num_slacks = N - n
@@ -806,15 +811,14 @@ class _ExactSimplex:
         rows_i, cols_j = form.A.nonzero()
         for i, j, coef in zip(rows_i.tolist(), cols_j.tolist(), form.A[rows_i, cols_j].tolist()):
             self.terms[i].append((j, Fraction(coef)))
-        self.b = [_frac(row.rhs) for row in lp.rows]
+        # every number is a float64, read exactly; None is an infinite bound
+        self.b = list(map(Fraction, form.b.tolist()))
         self.slack_of_row = form.slack_of_row.tolist()
-        self.lo: list[Fraction] = [_frac(v) for v in lp.lo] + [Fraction(0)] * num_slacks
+        self.lo: list[Fraction] = list(map(Fraction, lp.lo.tolist())) + [Fraction(0)] * num_slacks
         self.hi: list[Optional[Fraction]] = [
-            None if math.isinf(float(v)) else _frac(v) for v in lp.hi
+            None if math.isinf(v) else Fraction(v) for v in lp.hi.tolist()
         ] + [None] * num_slacks
-        self.cost = [Fraction(0)] * N
-        for idx, coef in lp.objective:
-            self.cost[idx] += _frac(coef)
+        self.cost = list(map(Fraction, lp.cost.tolist())) + [Fraction(0)] * num_slacks
         self.iter_cap = 20000 + 200 * (m + N)
         self.pivots = 0
 
@@ -1067,12 +1071,3 @@ def _refined(residual, solve, size: int) -> Optional[list]:
     z = [v.limit_denominator(CHECK_DENOMINATOR) for v in z]
     return None if any(residual(z)) else z
 
-
-def _frac(v: Number) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if math.isinf(v):
-        raise LpError("cannot convert infinity to a rational")
-    return Fraction(v)

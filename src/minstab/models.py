@@ -12,7 +12,7 @@ int8); a row, an activity or a stab count is derived from the signs over the
 edges it needs, so no lines x edges array is kept.
 Each appended row carries its key, a pool row's line index or a cut's
 cut_key, so model.lp.keys is the one record of what the program holds.
-Fixings change edge bounds through fix_edges, one program copy per call.
+Fixings are edge bounds only, set by fix_edges in one program copy per call.
 
 The surrogate row is the sum of the pool's distinct rows, scaled by a power
 of two (Glover, "Surrogate constraints", Operations Research 16(4), 1968).
@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import compress
 from typing import Optional, Union
 
 import numpy as np
@@ -73,13 +74,12 @@ class ModelError(RuntimeError):
 class InfeasibleRelaxationError(ModelError):
     """The relaxation has no solution; only inconsistent fixings cause this."""
 
-    def __init__(self, fixed_ones: frozenset, fixed_zeros: frozenset) -> None:
+    def __init__(self, model: StabModel) -> None:
+        self.fixed_ones, self.fixed_zeros = model.fixed_ones, model.fixed_zeros
         super().__init__(
-            f"infeasible relaxation under fixings ones={sorted(fixed_ones)} "
-            f"zeros={sorted(fixed_zeros)}"
+            f"infeasible relaxation under fixings ones={sorted(self.fixed_ones)} "
+            f"zeros={sorted(self.fixed_zeros)}"
         )
-        self.fixed_ones = fixed_ones
-        self.fixed_zeros = fixed_zeros
 
 
 @dataclass
@@ -111,7 +111,8 @@ class StabModel:
     lp.keys names them all: a stabbing row its line's index, a cut row the
     canonical side of its vertex set (cut_key).
 
-    length_objective is the Euclidean length objective of lexicographic
+    Fixings live only in lp's bounds (fixed_ones, fixed_zeros, free_edges).
+    length_cost is the Euclidean length cost vector of lexicographic
     refinement, built by its first call and shared by later forks.
     """
 
@@ -125,14 +126,26 @@ class StabModel:
     line_sides: np.ndarray
     stab_distinct: np.ndarray
     edge_ends: np.ndarray
-    fixed_ones: set[Segment] = field(default_factory=set)
-    fixed_zeros: set[Segment] = field(default_factory=set)
-    length_objective: Optional[tuple[tuple[int, float], ...]] = None
+    length_cost: Optional[np.ndarray] = None
 
     def fork(self) -> StabModel:
-        """A copy with its own fixings; the immutable lp, its row keys and
-        the line pool are shared until either side replaces lp."""
-        return replace(self, fixed_ones=set(self.fixed_ones), fixed_zeros=set(self.fixed_zeros))
+        """A copy that shares lp, fixings and all, until either replaces it."""
+        return replace(self)
+
+    @property
+    def free_edges(self) -> np.ndarray:
+        """Which edges are fixed neither to one nor to zero, in edge order."""
+        return (self.lp.lo[: len(self.edges)] != 1) & (self.lp.hi[: len(self.edges)] != 0)
+
+    @property
+    def fixed_ones(self) -> frozenset[Segment]:
+        """The edges fixed to one: lo == 1."""
+        return frozenset(compress(self.edges, self.lp.lo[: len(self.edges)] == 1))
+
+    @property
+    def fixed_zeros(self) -> frozenset[Segment]:
+        """The edges fixed to zero: hi == 0."""
+        return frozenset(compress(self.edges, self.lp.hi[: len(self.edges)] == 0))
 
 
 @dataclass
@@ -153,15 +166,14 @@ def _build(inst: Instance, family: LineFamily, problem: Problem) -> StabModel:
     k_index = num_edges
     num_vars = num_edges + 1
     ends = _edge_ends(edges)
-    inf = float("inf")
     if problem is Problem.MATCHING:
-        bounds = [(0, 1)] * num_edges + [(0, inf)]
+        bounds = [(0, 1)] * num_edges + [(0, math.inf)]
         rows, block = degree_rows(n, ends, num_vars)
     else:
         # no upper bound on tree edge weights: the relaxation only has the
         # nonnegativity bound, which is what lets weight shift off a crossing
         # pair even when a neighbor edge already carries weight one
-        bounds = [(0, inf)] * num_edges + [(0, inf)]
+        bounds = None  # make_lp's [0, inf) for every variable
         rows, block = [Row("=", n - 1)], np.zeros((1, num_vars))
         block[0, :num_edges] = 1.0
     sides = _line_sides(inst, representative_lines(inst.points, family))
@@ -272,10 +284,10 @@ def pool_stabbing_number(model: StabModel, edges) -> int:
 
 
 def fix_edges(model: StabModel, ones=(), zeros=()) -> None:
-    """Pin the edges in ones to 1 and those in zeros to 0 through their
-    bounds, in one program copy; stabbing rows follow. An edge whose bounds
-    exclude its value raises ModelError: one fixed the other way before, or
-    in both collections."""
+    """Pin the edges in ones to 1 and those in zeros to 0 by writing their
+    bounds, the model's only record of fixings, in one program copy. An edge
+    whose bounds exclude its value raises ModelError: one fixed the other
+    way before, or in both collections."""
     bounds = {}
     for value, edges in ((1, ones), (0, zeros)):
         for seg in edges:
@@ -285,8 +297,6 @@ def fix_edges(model: StabModel, ones=(), zeros=()) -> None:
                 raise ModelError(f"cannot fix edge {seg} to {value}: its bounds are [{lo}, {hi}]")
             bounds[idx] = (value, value)
     model.lp = model.lp.with_bounds(bounds)
-    model.fixed_ones.update(ones)
-    model.fixed_zeros.update(zeros)
 
 
 def cut_row(model: StabModel, members: frozenset[int]) -> tuple[Row, np.ndarray]:
@@ -364,9 +374,7 @@ def _run_loop(
         result = lp_solve(model.lp, warm_basis=warm_basis, exact=exact)
         iterations += 1
         if result.status is LpStatus.INFEASIBLE:
-            raise InfeasibleRelaxationError(
-                frozenset(model.fixed_ones), frozenset(model.fixed_zeros)
-            )
+            raise InfeasibleRelaxationError(model)
         if result.status is not LpStatus.OPTIMAL:
             raise ModelError(f"relaxation came back {result.status.value}")
         warm_basis = result.basis
@@ -408,10 +416,10 @@ def solve_relaxation(
     return _run_loop(model, exact=False, warm_basis=warm_basis)
 
 
-def _set_objective(model: StabModel, objective, k_hi) -> None:
-    """Give model.lp this objective and this upper bound on k."""
+def _set_objective(model: StabModel, cost: np.ndarray, k_hi: float) -> None:
+    """Give model.lp this cost vector and this upper bound on k."""
     k = model.k_index
-    model.lp = model.lp.with_objective(objective).with_bounds({k: (model.lp.lo[k], k_hi)})
+    model.lp = model.lp.with_cost(cost).with_bounds({k: (model.lp.lo[k], k_hi)})
 
 
 def lexicographic_refine(
@@ -439,11 +447,10 @@ def lexicographic_refine(
     enlarged cut set and phase 2 retried from the new k-objective basis,
     which terminates because every retry consumes at least one fresh cut.
     """
-    if model.length_objective is None:
-        model.length_objective = tuple(
-            (i, euclidean_length(e, model.inst.points)) for i, e in enumerate(model.edges)
-        )
-    k_objective, k_hi = model.lp.objective, model.lp.hi[model.k_index]
+    if model.length_cost is None:
+        lengths = [euclidean_length(e, model.inst.points) for e in model.edges]
+        model.length_cost = np.append(lengths, 0.0)  # k costs nothing
+    k_cost, k_hi = model.lp.cost, model.lp.hi[model.k_index]
     k_frac = result.k_frac
     warm = result.basis
     length_warm = warm if length_basis is None else length_basis
@@ -452,11 +459,11 @@ def lexicographic_refine(
     iters_total = 0
     try:
         for _ in range(len(model.edges) * 4 + 64):
-            _set_objective(model, model.length_objective, float(k_frac) + OBJ_TOL)
+            _set_objective(model, model.length_cost, float(k_frac) + OBJ_TOL)
             try:
                 refined = _run_loop(model, exact=False, warm_basis=length_warm)
             except InfeasibleRelaxationError:
-                _set_objective(model, k_objective, k_hi)
+                _set_objective(model, k_cost, k_hi)
                 fresh = solve_relaxation(model, warm)  # raises if fixings truly infeasible
                 k_frac = fresh.k_frac
                 warm = length_warm = fresh.basis
@@ -474,7 +481,7 @@ def lexicographic_refine(
             )
         raise ModelError("length refinement failed to stabilize")
     finally:
-        _set_objective(model, k_objective, k_hi)
+        _set_objective(model, k_cost, k_hi)
 
 
 def _log_support_quality(model: StabModel, x) -> None:
@@ -483,7 +490,8 @@ def _log_support_quality(model: StabModel, x) -> None:
         return
     max_w = max(x[e] for e in support)
     threshold = 0.2 if model.problem is Problem.MATCHING else 1 / 3
-    if not model.fixed_ones and max_w < threshold - OBJ_TOL:
+    fixed_ones = model.fixed_ones
+    if not fixed_ones and max_w < threshold - OBJ_TOL:
         logger.warning(
             "refined %s solution has max edge weight %.6f below %.3f",
             model.problem.value,
@@ -492,7 +500,7 @@ def _log_support_quality(model: StabModel, x) -> None:
         )
     # planarity is a property of the residual problem: fixed edges are part
     # of the environment and the uncrossing shift cannot touch them
-    free = [e for e in support if e not in model.fixed_ones]
+    free = [e for e in support if e not in fixed_ones]
     points = model.inst.points
     boxes = sorted(
         (

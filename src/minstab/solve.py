@@ -9,6 +9,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -114,7 +115,7 @@ def iterated_rounding(
                     "iteration": len(work.fixed_ones),
                     "k_frac": float(relax.k_frac),
                     "x": dict(refined.x),
-                    "fixed_ones": frozenset(work.fixed_ones),
+                    "fixed_ones": work.fixed_ones,
                     "chosen": choice,
                 }
             )
@@ -152,8 +153,8 @@ def _dead_edges(model: StabModel, extra_ones) -> set[Segment]:
         uf.union(e.a, e.b)
     return {
         e
-        for e in model.edges
-        if e not in ones and e not in model.fixed_zeros and uf.find(e.a) == uf.find(e.b)
+        for e in compress(model.edges, model.free_edges)
+        if e not in ones and uf.find(e.a) == uf.find(e.b)
     }
 
 
@@ -162,14 +163,10 @@ def _pick_edge(model: StabModel, x: dict, problem: Problem) -> Segment:
     free edge joins two components of the fixed forest, since
     the others are fixed to zero (_dead_edges); for matchings an edge at a
     matched vertex is skipped."""
-    matched = {v for e in model.fixed_ones for v in e}
-    candidates = []
-    for e in model.edges:
-        if e in model.fixed_ones or e in model.fixed_zeros:
-            continue
-        if problem is Problem.MATCHING and (e.a in matched or e.b in matched):
-            continue
-        candidates.append(e)
+    candidates = list(compress(model.edges, model.free_edges))
+    if problem is Problem.MATCHING:
+        matched = {v for e in model.fixed_ones for v in e}
+        candidates = [e for e in candidates if e.a not in matched and e.b not in matched]
     if not candidates:
         raise SolveError("no candidate edge left to fix; structure incomplete")
     best_w = max(float(x[e]) for e in candidates)
@@ -221,7 +218,7 @@ def branch_and_bound(
     inst, problem, family = model.inst, model.problem, model.family
     if time_limit < 0:
         raise SolveError(f"time limit {time_limit} ms is negative")
-    if model.fixed_ones or model.fixed_zeros:
+    if not model.free_edges.all():
         raise SolveError("branch-and-bound needs a model without fixings")
     if incumbent.problem is not problem or incumbent.family is not family:
         raise SolveError(
@@ -278,9 +275,8 @@ def branch_and_bound(
             continue
         branch_edge = _most_fractional(work, relax.x)
         for value in (1, 0):
-            ones = set(node.fixed_ones)
-            zeros = set(node.fixed_zeros)
-            (ones if value else zeros).add(branch_edge)
+            ones = node.fixed_ones | {branch_edge} if value else node.fixed_ones
+            zeros = node.fixed_zeros if value else node.fixed_zeros | {branch_edge}
             # a tree's branch edge is free, so it joins two components of
             # the fixed forest (_dead_edges); a matching's is kept off
             # the matched vertices only by its weight passing INT_TOL
@@ -289,7 +285,7 @@ def branch_and_bound(
                 if len(touched) != len(set(touched)):
                     continue
             counter += 1
-            child = BnbNode(frozenset(ones), frozenset(zeros), k_frac, relax.basis)
+            child = BnbNode(ones, zeros, k_frac, relax.basis)
             heapq.heappush(heap, (child.bound, counter, child))
 
     return Solution(
@@ -306,9 +302,7 @@ def branch_and_bound(
 def _most_fractional(model: StabModel, x: dict) -> Segment:
     best: Optional[Segment] = None
     best_score = float("inf")
-    for e in model.edges:
-        if e in model.fixed_ones or e in model.fixed_zeros:
-            continue
+    for e in compress(model.edges, model.free_edges):
         w = float(x[e])
         if w <= INT_TOL or abs(w - 1) <= INT_TOL:
             continue
@@ -395,8 +389,8 @@ def min_length_matching(inst: Instance, family: LineFamily) -> Solution:
     fix_edges(model, zeros=[e for e, length in zip(edges, lengths) if length > budget])
     matched: set[int] = set()
     warm = result.basis
-    for e in edges:
-        if e.a in matched or e.b in matched or e in model.fixed_zeros:
+    for i, e in enumerate(edges):
+        if e.a in matched or e.b in matched or model.lp.hi[i] == 0:
             continue
         trial = model.fork()
         fix_edges(trial, ones=[e])

@@ -103,10 +103,6 @@ def exact_solution(result):
 
 def scipy_solve(lp):
     """Reference solve of the same program with scipy's HiGHS."""
-    n = lp.num_vars
-    c = np.zeros(n)
-    for j, v in lp.objective:
-        c[j] = v
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for r, arr in zip(lp.rows, lp.matrix):
         if r.rel == "<=":
@@ -119,7 +115,7 @@ def scipy_solve(lp):
             a_eq.append(arr)
             b_eq.append(r.rhs)
     return linprog(
-        c,
+        lp.cost,
         A_ub=np.array(a_ub) if a_ub else None,
         b_ub=b_ub or None,
         A_eq=np.array(a_eq) if a_eq else None,
@@ -671,7 +667,101 @@ class TestValidation:
             Row(">=", rhs)
         with pytest.raises(LpError, match="no finite float64 value"):
             Row("=", rhs, key=0)
-        assert Row("<=", Fraction(1, 3)).rhs == Fraction(1, 3)
+        with pytest.raises(LpError, match="no finite float64 value"):
+            Row("<=", Fraction(1, 3))
+
+    @pytest.mark.parametrize("rhs", [2**53 + 1, Fraction(1, 3)])
+    def test_right_hand_side_float64_cannot_hold_exactly_is_rejected(self, rhs):
+        # the float path would round it and the exact path would not, so the
+        # two would solve different programs
+        with pytest.raises(LpError, match="no finite float64 value"):
+            Row(">=", rhs)
+        with pytest.raises(LpError, match="no finite float64 value"):
+            Row("<=", rhs, key=0)
+        # a value float64 holds enters as that float
+        for held in (2**53, Fraction(1, 2), 3):
+            row = Row(">=", held)
+            assert type(row.rhs) is float and row.rhs == held
+
+    @pytest.mark.parametrize("value", [Fraction(1, 3), 2**53 + 1, 10**400, math.nan])
+    def test_bound_float64_cannot_hold_exactly_is_rejected(self, value):
+        with pytest.raises(LpError, match="no exact float64 value"):
+            make_lp(1, {0: 1}, bounds=[(value, math.inf)])
+        with pytest.raises(LpError, match="no exact float64 value"):
+            make_lp(1, {0: 1}, bounds=[(0, value)])
+        lp = make_lp(2, {0: 1})
+        with pytest.raises(LpError, match="no exact float64 value"):
+            lp.with_bounds({1: (value, value)})
+        with pytest.raises(LpError, match="no exact float64 value"):
+            lp.with_bounds({0: (0, 1), 1: (0, value)})
+        with pytest.raises(LpError, match="no exact float64 value"):
+            LinearProgram(2, lp.cost, (), [0, value], lp.hi)
+
+    @pytest.mark.parametrize("value", [Fraction(1, 3), 2**53 + 1, 10**400, math.nan])
+    def test_cost_float64_cannot_hold_exactly_is_rejected(self, value):
+        with pytest.raises(LpError, match="no exact float64 value"):
+            make_lp(2, {1: value})
+        lp = make_lp(2, {0: 1})
+        with pytest.raises(LpError, match="no exact float64 value"):
+            lp.with_cost([1, value])
+        with pytest.raises(LpError, match="no exact float64 value"):
+            LinearProgram(2, [value, 0], (), lp.lo, lp.hi)
+        if value is math.nan:
+            with pytest.raises(LpError, match="cost must be finite"):
+                lp.with_cost(np.array([1.0, value]))
+            with pytest.raises(LpError, match="upper bounds must not be nan"):
+                LinearProgram(2, lp.cost, (), lp.lo, np.array([1.0, value]))
+
+    def test_non_finite_cost_and_lower_bound_are_rejected(self):
+        lp = make_lp(2, {0: 1})
+        for cost in ([math.inf, 0], [0, -math.inf]):
+            with pytest.raises(LpError, match="cost must be finite"):
+                lp.with_cost(cost)
+            with pytest.raises(LpError, match="cost must be finite"):
+                LinearProgram(2, cost, (), lp.lo, lp.hi)
+        with pytest.raises(LpError, match="^lower bounds must be finite$"):
+            make_lp(2, bounds=[(0, 1), (-math.inf, 1)])
+        with pytest.raises(LpError, match="^variable 0: lo 1.0 > hi -inf$"):
+            lp.with_bounds({0: (1, -math.inf)})
+        with pytest.raises(LpError, match="must have 2 values, one per variable"):
+            make_lp(2, bounds=[(0, 1)])
+
+    def test_program_numbers_are_read_only_float64_vectors(self):
+        # the float path and the exact path read the same vectors, and the
+        # exact path reads each as the rational the float path reads
+        lp = program(2, {0: 2**53, 1: Fraction(1, 2)}, [({0: 1, 1: 1}, ">=", 3)], [(1, 2**53), (0, 1)])
+        for vector in (lp.cost, lp.lo, lp.hi):
+            assert vector.dtype == np.float64 and vector.shape == (2,)
+            assert not vector.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                vector[0] = 7.0
+        assert lp.cost.tolist() == [2**53, 0.5]
+        assert (lp.lo.tolist(), lp.hi.tolist()) == ([1, 0], [2**53, 1])
+        exact = _ExactSimplex(lp)
+        assert exact.cost[:2] == [2**53, Fraction(1, 2)]
+        assert (exact.lo[:2], exact.hi[:2]) == ([1, 0], [2**53, 1])
+        assert exact.b == [3]
+        # min x s.t. x >= 2**53 solves to the same value on both paths
+        big = program(1, {0: 1}, [({0: 1}, ">=", 2**53)])
+        assert lp_solve(big).objective_value == 2**53 == lp_solve(big, exact=True).objective_value
+        # a caller's array is copied, so editing it later changes no program
+        cost = np.array([1.0, 2.0])
+        own = lp.with_cost(cost)
+        cost[0] = 7.0
+        assert own.cost.tolist() == [1, 2]
+        # an int64 array is read value by value, exactly
+        assert lp.with_cost(np.array([1, 2**53])).cost.tolist() == [1, 2**53]
+        with pytest.raises(LpError, match="no exact float64 value"):
+            lp.with_cost(np.array([1, 2**53 + 1]))
+
+    def test_programs_compare_by_identity(self):
+        # like its rows, a program equals only itself: its vectors have no
+        # single truth value to compare by
+        lp = k_example()
+        same = LinearProgram(lp.num_vars, lp.cost, lp.rows, lp.lo, lp.hi, lp.matrix)
+        assert lp == lp and same != lp
+        assert lp.with_bounds({}) is lp and lp.with_rows(()) is lp
+        assert lp.with_bounds({0: (0, 1)}) != lp
 
     def test_rows_without_coefficients_need_their_matrix(self):
         # a row's coefficients live only in its program's matrix: rows enter
@@ -684,11 +774,11 @@ class TestValidation:
         with pytest.raises(LpError, match="rows need their coefficient block"):
             lp.with_rows([Row("<=", 0)])
         with pytest.raises(LpError, match="rows need their coefficient block"):
-            LinearProgram(3, lp.objective, lp.rows, lp.lo, lp.hi)
+            LinearProgram(3, lp.cost, lp.rows, lp.lo, lp.hi)
         grown = lp.with_rows([Row("<=", 0)], np.array([[1.0, 1.0, -1.0]]))
         assert np.array_equal(grown.matrix, [[1, 1, 0], [1, 1, -1]])
         assert grown.rows[0] is row
-        rebuilt = LinearProgram(3, grown.objective, grown.rows, grown.lo, grown.hi, grown.matrix)
+        rebuilt = LinearProgram(3, grown.cost, grown.rows, grown.lo, grown.hi, grown.matrix)
         assert np.array_equal(rebuilt.form.A, grown.form.A)
         # no rows need no block
         assert make_lp(3, {2: 1}).matrix.shape == (0, 3)
@@ -707,7 +797,7 @@ class TestSharedMatrix:
         fixed = lp.with_bounds({0: (0.25, 0.25)})
         warm = lp_solve(fixed, cold.basis)
         assert warm.warm_started
-        for other in (fixed, fixed.with_objective([(0, 1)]), lp.with_bounds({2: (0, 5)})):
+        for other in (fixed, fixed.with_cost([1, 0, 0]), lp.with_bounds({2: (0, 5)})):
             assert other.form is form
         assert _FloatSimplex(fixed).A is form.A
         for array in (form.A, form.b, form.le, form.ge, form.slack_of_row):
@@ -718,7 +808,7 @@ class TestSharedMatrix:
         assert lp.with_rows(()) is lp
         assert lp.with_rows([], np.zeros((0, 3))) is lp
         fresh = LinearProgram(
-            fixed.num_vars, fixed.objective, fixed.rows, fixed.lo, fixed.hi, fixed.matrix
+            fixed.num_vars, fixed.cost, fixed.rows, fixed.lo, fixed.hi, fixed.matrix
         )
         again = lp_solve(fresh)
         assert fresh.form is not form
@@ -737,7 +827,7 @@ class TestSharedMatrix:
         assert grown.form.le.tolist() == [False, True, False, False]
         assert grown.form.ge.tolist() == [False, False, True, False]
         # dataclasses.replace rebuilds an equal form from the coefficients
-        replaced = dataclasses.replace(grown, objective=((0, 1),))
+        replaced = dataclasses.replace(grown, cost=[1, 0, 0])
         assert replaced.form is not grown.form
         for name in ("A", "b", "le", "ge", "slack_of_row"):
             assert np.array_equal(getattr(replaced.form, name), getattr(grown.form, name)), name
@@ -748,7 +838,7 @@ class TestSharedMatrix:
         grown = add_rows(lp, [({0: 2, 2: 1}, ">=", 1)])
         assert np.array_equal(grown.matrix[:2], lp.matrix)
         assert grown.with_bounds({0: (0, 0)}).matrix is grown.matrix
-        assert grown.with_objective([(0, 1)]).matrix is grown.matrix
+        assert grown.with_cost([1, 0, 0]).matrix is grown.matrix
         # the matrix is the form's read-only view of the coefficients
         assert grown.matrix.base is grown.form.A
         assert np.array_equal(grown.matrix, grown.form.A[:, :3])
@@ -757,7 +847,7 @@ class TestSharedMatrix:
             grown.matrix[0, 0] = 2.0
         # a caller's array is copied, so editing it later changes no program
         coefficients = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, -1.0]])
-        own = LinearProgram(3, lp.objective, lp.rows, lp.lo, lp.hi, coefficients)
+        own = LinearProgram(3, lp.cost, lp.rows, lp.lo, lp.hi, coefficients)
         appended = np.array([[0.0, 1.0, 0.0]])
         longer = own.with_rows([Row("<=", 0.5)], appended)
         coefficients[0, 0] = appended[0, 0] = 7.0
@@ -776,9 +866,9 @@ class TestSharedMatrix:
         row, coeffs = cut_row(model, members)
         model.lp = model.lp.with_rows([row], coeffs[None])
         fix_edges(model, ones=[model.edges[4]])
-        lengths = tuple((i, float(i + 1)) for i in range(len(model.edges)))
-        lp = dataclasses.replace(model.lp, objective=lengths)
-        fresh = LinearProgram(lp.num_vars, lp.objective, lp.rows, lp.lo, lp.hi, lp.matrix.copy())
+        lengths = [float(i + 1) for i in range(len(model.edges))] + [0.0]
+        lp = dataclasses.replace(model.lp, cost=lengths)
+        fresh = LinearProgram(lp.num_vars, lp.cost, lp.rows, lp.lo, lp.hi, lp.matrix.copy())
         shared, scratch = _FloatSimplex(lp), _FloatSimplex(fresh)
         for name in ("A", "b", "lo", "hi", "cost", "slack_of_row", "le", "ge"):
             assert np.array_equal(getattr(shared, name), getattr(scratch, name)), name
@@ -792,32 +882,38 @@ class TestSharedMatrix:
 
     def test_copies_check_only_what_they_change(self, monkeypatch):
         checked = []
-        check = minstab.lp._check_bound
+        check = minstab.lp._bounds
 
-        def recorded(var, lo, hi):
-            checked.append(var)
-            check(var, lo, hi)
+        def recorded(lo, hi, var):
+            checked.append(var.tolist())
+            return check(lo, hi, var)
 
-        monkeypatch.setattr(minstab.lp, "_check_bound", recorded)
+        monkeypatch.setattr(minstab.lp, "_bounds", recorded)
         lp = k_example()
-        assert checked == [0, 1, 2]  # a program constructed directly checks all
+        assert checked == [[0, 1, 2]]  # a program constructed directly checks all
         fixed = lp.with_bounds({0: (1, 1)})
-        capped = fixed.with_objective([(0, 1)]).with_bounds({2: (0, 5)})
-        assert checked == [0, 1, 2, 0, 2]
-        assert (capped.lo, capped.hi) == ((1, 0, 0), (1, math.inf, 5))
-        assert capped.objective == ((0, 1),) and capped.matrix is lp.matrix
+        capped = fixed.with_cost([1, 0, 0]).with_bounds({2: (0, 5)})
+        assert checked == [[0, 1, 2], [0], [2]]
+        assert (capped.lo.tolist(), capped.hi.tolist()) == ([1, 0, 0], [1, math.inf, 5])
+        assert capped.cost.tolist() == [1, 0, 0] and capped.matrix is lp.matrix
         # several bounds change in one copy, and each is checked once
         both = lp.with_bounds({2: (0, 5), 0: (1, 1)})
-        assert checked == [0, 1, 2, 0, 2, 2, 0]
-        assert (both.lo, both.hi) == (capped.lo, capped.hi) and both.form is lp.form
+        assert checked == [[0, 1, 2], [0], [2], [2, 0]]
+        assert np.array_equal(both.lo, capped.lo) and np.array_equal(both.hi, capped.hi)
+        assert both.form is lp.form
+        # the copies leave the vectors they were made from as they were
+        assert (lp.lo.tolist(), lp.hi.tolist()) == ([0, 0, 0], [math.inf] * 3)
+        assert lp.cost.tolist() == [0, 0, 1]
         with pytest.raises(LpError, match="must be finite"):
             lp.with_bounds({2: (math.inf, math.inf)})
-        with pytest.raises(LpError, match="lo 2 > hi 1"):
+        with pytest.raises(LpError, match=r"^variable 0: lo 2\.0 > hi 1\.0$"):
             lp.with_bounds({0: (2, 1)})
         with pytest.raises(LpError, match="out of range"):
             lp.with_bounds({3: (0, 1)})
-        with pytest.raises(LpError, match="objective index 3"):
-            lp.with_objective([(3, 1)])
+        with pytest.raises(LpError, match="one per variable"):
+            lp.with_cost([1, 0])
+        with pytest.raises(LpError, match="cost index 3"):
+            make_lp(3, {3: 1})
 
     def test_warm_solve_without_pivots_factors_once(self, monkeypatch, finish_failures):
         # the cold solve forms the only inverse: a warm solve extends it and
@@ -886,7 +982,7 @@ class TestSharedMatrix:
         assert not kept.Binv.flags.writeable
         damaged_Binv = kept.Binv.copy()
         damaged_Binv[0, 0] = 3
-        swapped = lp.with_objective([(0, -1), (1, -2)])
+        swapped = lp.with_cost([-1, -2])
         res = lp_solve(swapped, with_inverse(prior.basis, damaged_Binv))
         # _finish catches the damaged inverse, and the cold solve follows
         assert len(finish_failures) == 1 and finish_failures[0].startswith("basis residual ")

@@ -320,7 +320,7 @@ class TestWarmReoptimization:
 def rows_kept(lp, keep):
     """lp with only the rows whose indices keep lists, in that order."""
     rows = tuple(lp.rows[i] for i in keep)
-    return LinearProgram(lp.num_vars, lp.objective, rows, lp.lo, lp.hi, lp.matrix[keep])
+    return LinearProgram(lp.num_vars, lp.cost, rows, lp.lo, lp.hi, lp.matrix[keep])
 
 
 def without_surrogate(model):
@@ -660,15 +660,15 @@ class TestLexicographicRefine:
         infeasible; returns the injected calls, and the (warm_basis, result)
         pairs of the k-program solves that follow them."""
         real = models.lp_solve
-        k_objective = model.lp.objective
+        k_cost = model.lp.cost
         injected, k_solves = [], []
 
         def spy(lp, warm_basis=None, **kwargs):
-            if lp.objective != k_objective and not injected:
+            if not np.array_equal(lp.cost, k_cost) and not injected:
                 injected.append(lp)
                 return LpResult(LpStatus.INFEASIBLE, None, [], NO_BASIS)
             result = real(lp, warm_basis, **kwargs)
-            if injected and lp.objective == k_objective:
+            if injected and np.array_equal(lp.cost, k_cost):
                 k_solves.append((warm_basis, result))
             return result
 
@@ -678,8 +678,8 @@ class TestLexicographicRefine:
     def _assert_k_program_kept(self, model, built, refined):
         # k's objective and bounds are back, the rows only grew, and every
         # row past the built ones is a cut the model keys
-        assert model.lp.objective == built.objective
-        assert (model.lp.lo, model.lp.hi) == (built.lo, built.hi)
+        for name in ("cost", "lo", "hi"):
+            assert np.array_equal(getattr(model.lp, name), getattr(built, name)), name
         assert model.lp.rows[: len(built.rows)] == built.rows
         assert len(model.lp.keys) == len(model.lp.rows) - len(built.rows)
         assert refined.cuts_added > 0
@@ -717,7 +717,9 @@ class TestLexicographicRefine:
         fixed = model.lp
         with pytest.raises(InfeasibleRelaxationError):
             lexicographic_refine(model, root)
-        assert model.lp == fixed
+        assert (model.lp.num_vars, model.lp.rows) == (fixed.num_vars, fixed.rows)
+        for name in ("cost", "lo", "hi"):
+            assert np.array_equal(getattr(model.lp, name), getattr(fixed, name)), name
 
     def test_heavy_edge_bounds(self):
         for seed in range(8):
@@ -812,6 +814,42 @@ class TestFixEdge:
         assert res.x[e] == pytest.approx(1)
         assert res.x[Segment(2, 3)] == pytest.approx(1)
         assert res.k_frac == pytest.approx(2)
+
+    def test_fixings_are_the_edge_bounds(self, unit_square):
+        model = build_matching_model(unit_square, AXIS)
+        assert model.free_edges.all() and not model.fixed_ones and not model.fixed_zeros
+        one, zero = Segment(0, 1), Segment(0, 2)
+        # bounds set through with_bounds alone are fixings too
+        model.lp = model.lp.with_bounds({model.edge_index[one]: (1, 1)})
+        assert (model.fixed_ones, model.fixed_zeros) == ({one}, set())
+        fix_edges(model, zeros=[zero])
+        assert (model.fixed_ones, model.fixed_zeros) == ({one}, {zero})
+        free = [e for e, f in zip(model.edges, model.free_edges.tolist()) if f]
+        assert free == [e for e in model.edges if e not in (one, zero)]
+        # k's bounds are no fixing
+        assert len(model.free_edges) == len(model.edges)
+
+    def test_fixing_a_fork_leaves_its_parent_unfixed(self, unit_square):
+        parent = build_matching_model(unit_square, AXIS)
+        built = parent.lp
+        child = parent.fork()
+        fix_edges(child, ones=[Segment(0, 1)], zeros=[Segment(0, 2)])
+        assert (child.fixed_ones, child.fixed_zeros) == ({Segment(0, 1)}, {Segment(0, 2)})
+        assert not parent.fixed_ones and not parent.fixed_zeros
+        assert parent.free_edges.all() and parent.lp is built
+        # the fork copies no record of its own: its program is the parent's
+        # until fix_edges replaces it
+        assert parent.fork().lp is built
+
+    def test_infeasible_relaxation_carries_the_bounds_fixings(self, unit_square):
+        model = build_matching_model(unit_square, AXIS)
+        ones = {Segment(0, 1), Segment(0, 2)}  # vertex 0 twice: infeasible
+        model.lp = model.lp.with_bounds({model.edge_index[e]: (1, 1) for e in ones})
+        fix_edges(model, zeros=[Segment(1, 3)])
+        with pytest.raises(InfeasibleRelaxationError) as err:
+            solve_relaxation(model)
+        assert err.value.fixed_ones == ones
+        assert err.value.fixed_zeros == {Segment(1, 3)}
 
     def test_bad_value_rejected(self, unit_square):
         model = build_matching_model(unit_square, AXIS)

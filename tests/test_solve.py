@@ -269,6 +269,17 @@ class TestBranchAndBound:
         with pytest.raises(SolveError, match="without fixings"):
             branch_and_bound(model, root, incumbent)
 
+    @pytest.mark.parametrize("value", [0, 1])
+    def test_rejects_model_whose_bounds_pin_an_edge(self, value):
+        # a fixing is an edge bound: one set through with_bounds alone counts
+        model, root = relaxed(gen_random(8, 60, seed=77), Problem.MATCHING, AXIS)
+        incumbent = iterated_rounding(model, root)
+        idx = model.edge_index[incumbent.edges[0]]
+        model.lp = model.lp.with_bounds({idx: (value, value)})
+        assert not model.free_edges[idx]
+        with pytest.raises(SolveError, match="without fixings"):
+            branch_and_bound(model, root, incumbent)
+
     def test_value_independent_of_rerun(self):
         inst = gen_random(8, 60, seed=77)
         a = rounded_bnb(inst, Problem.MATCHING, AXIS)
