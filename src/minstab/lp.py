@@ -1,9 +1,8 @@
 """Bounded-variable simplex with warm re-optimization after added rows.
 
-A numpy float64 revised simplex (Dantzig pricing first, Bland afterwards,
-with a cycling guard) solves, and an exact solve proves the float optimum in
-exact arithmetic or runs an independent pure-Fraction Bland tableau simplex.
-Both simplex paths are two-phase with artificial variables.
+A numpy float64 two-phase revised simplex (Dantzig pricing first, Bland
+afterwards, with a cycling guard) solves, and an exact solve proves its
+verdict in exact arithmetic or raises.
 
 The float path keeps the explicit basis inverse B^-1, m x m, beside the
 program's matrix A, never the m x N tableau B^-1 A: a pivot reads tableau row
@@ -26,20 +25,25 @@ those very Row objects and whose appended rows all have slacks, k appended
 rows a with slack coefficients s add the rows [-diag(1/s) a_B B^-1,
 diag(1/s)], in O(k m^2), and bound or cost changes only move the
 nonbasic values and the reduced costs. The float path never inverts a
-basis from scratch: any other warm basis solves cold. The pivots update the
-reduced costs instead of pricing every column again. Every optimum with a
-structural basis is checked against the original matrix: its basic values
-x_B = B^-1 (b - A_N x_N) and duals y = c_B B^-1 are computed through the
-inverse in O(m^2), each refined once against A_B; the rows must hold,
-|c_B - y A_B| must stay within FEAS_TOL of the size of the terms it sums, and
-y must price no free nonbasic column in. A warm solve that fails a check
-solves cold; a cold solve that fails one raises.
+basis from scratch: any other warm basis, one with a basic artificial
+included, solves cold. The pivots update the reduced costs instead of
+pricing every column again. Every optimum is checked against the original
+matrix: its basic values x_B = B^-1 (b - A_N x_N) and duals y = c_B B^-1 are
+computed through the inverse in O(m^2), each refined once against A_B; the
+rows must hold, |c_B - y A_B| must stay within FEAS_TOL of the size of the
+terms it sums, and y must price no free nonbasic column in. A warm solve
+that fails a check solves cold; a cold solve that fails one raises. An
+artificial left basic at 0 by a redundant row stays in the kept inverse as
+the unit column +e_r, fixed to [0, 0]; an infeasible verdict carries phase
+1's duals as its Farkas certificate.
 
-An exact solve offered a basis verifies a float optimum instead of
-re-solving (Applegate, Cook, Dash & Espinoza 2007): the float simplex
-re-solves from the basis, and _ExactSimplex.check reads x_B and y through the
-kept inverse with iterative refinement (Gleixner, Steffy & Wolter 2016) and
-proves them optimal exactly. Otherwise the Fraction simplex solves cold.
+An exact solve is the float solve, warm from the basis offered or cold,
+followed by an exact check of its verdict (Applegate, Cook, Dash & Espinoza
+2007). _ExactCheck.check reads x_B and y through the kept inverse with
+iterative refinement (Gleixner, Steffy & Wolter 2016) and proves the optimum
+optimal in Fractions; _ExactCheck.farkas proves infeasibility from the
+certificate. A check that fails, a float solve that raises and an unbounded
+verdict all raise LpError: an exact result is always certified.
 
 A program's lifecycle is: build it, append rows (with_rows), change any
 number of bounds in one step (with_bounds) or the cost (with_cost), and
@@ -48,10 +52,11 @@ value float64 cannot hold exactly raises instead of being rounded, so the
 exact path reads each as the rational the float path reads. Costs and bounds
 are vectors, a Row keeps its relation, right-hand side and origin key
 (lp.keys collects the keys), and the coefficients live only in lp.matrix, a
-read-only view of the standard form both simplex paths read; each row set
-enters with one block, len(rows) x num_vars. The copies with_bounds and
-with_cost make share the form and the keys, so a fixing or a branch
-re-solves without converting any row again, and check only what they change.
+read-only view of the standard form the float path and the exact check
+read; each row set enters with one block, len(rows) x num_vars. The copies
+with_bounds and with_cost make share the form and the keys, so a fixing or a
+branch re-solves without converting any row again, and check only what they
+change.
 
 The float loops run on arrays of a few dozen rows, where a numpy call costs
 more than its arithmetic, so they bind the state's arrays once per loop and
@@ -79,6 +84,8 @@ OBJ_TOL = 1e-6
 # which recovers any denominator up to 2**80 (the largest seen is 3.8e7, n = 28)
 REFINE_ROUNDS = 4
 CHECK_DENOMINATOR = 2**80
+# a float Farkas certificate is rounded to this denominator before its check
+FARKAS_DENOMINATOR = 2**40
 
 
 class LpError(RuntimeError):
@@ -113,12 +120,13 @@ class Row:
 
 
 class _StandardForm:
-    """A program's rows as both simplex paths read them, read-only: A is the
-    coefficient matrix with one slack column per inequality after the
-    variables, numbered in row order (+1 in a <= row, -1 in a >= row),
-    slack_of_row each row's slack column or -1, b the right-hand sides, and
-    le and ge mark the <= and >= rows. blocks hold the coefficients of
-    consecutive rows and are copied into A one by one, never stacked first."""
+    """A program's rows as the float path and the exact check read them,
+    read-only: A is the coefficient matrix with one slack column per
+    inequality after the variables, numbered in row order (+1 in a <= row,
+    -1 in a >= row), slack_of_row each row's slack column or -1, b the
+    right-hand sides, and le and ge mark the <= and >= rows. blocks hold the
+    coefficients of consecutive rows and are copied into A one by one, never
+    stacked first."""
 
     def __init__(self, rows: tuple[Row, ...], blocks: Sequence[np.ndarray]) -> None:
         m, n = len(rows), blocks[0].shape[1]
@@ -147,10 +155,10 @@ class LinearProgram:
     (_vector); a cost or lower bound must be finite, and lo <= hi (_bounds).
     matrix holds the rows' coefficients as one float64 block, len(rows) x
     num_vars, which may be None only when there are no rows; it is checked
-    (_coefficients) and copied into form, the rows in the standard form both
-    simplex paths read (_StandardForm), and matrix is then the form's
-    read-only view form.A[:, :num_vars]. keys is the frozenset of the rows'
-    keys that are not None, built with the row set too.
+    (_coefficients) and copied into form, the rows in the standard form the
+    float path and the exact check read (_StandardForm), and matrix is then
+    the form's read-only view form.A[:, :num_vars]. keys is the frozenset of
+    the rows' keys that are not None, built with the row set too.
     """
 
     num_vars: int
@@ -300,16 +308,17 @@ def make_lp(
 class Basis:
     """The basic variable of each row and the nonbasic variables held at their
     upper bound. Slacks are numbered after the program's variables in row
-    order; -1 marks a row whose artificial stayed basic.
+    order; -1 marks a row whose artificial stayed basic, at 0, because the
+    row is redundant.
 
-    A float solve whose basis has no artificial keeps its final inverse: rows
-    are the program's rows and Binv is B^-1, m x m, for the basic columns of
-    its variables and slacks in row order, read-only, so copies of a Basis
-    share it. Both are left out of == and repr. A warm float solve extends
-    the inverse when the program's first rows are these very Row objects
-    (with_rows keeps them) and every appended row has a slack; otherwise, or
-    without an inverse, the float solve starts cold. The exact path hands it
-    to the float simplex, not the Fraction one."""
+    An optimal float solve keeps its final inverse: rows are the program's
+    rows and Binv is B^-1, m x m (0 x 0 without rows), for the basic columns
+    in row order, read-only, so copies of a Basis share it. A kept artificial
+    counts as the unit column +e_r, fixed to [0, 0]. Both are left out of ==
+    and repr. A warm float solve extends the inverse when the program's
+    first rows are these very Row objects (with_rows keeps them), every
+    appended row has a slack and no artificial is basic; otherwise the float
+    solve starts cold. The exact check reads x_B and y through it."""
 
     basic: tuple[int, ...]
     at_upper: frozenset[int] = frozenset()
@@ -322,12 +331,13 @@ NO_BASIS = Basis(())
 
 @dataclass
 class LpResult:
-    """A solve's outcome. warm_started: on the float path, the optimum was
-    reached from the prior basis's kept inverse, with or without dual pivots;
-    on the exact path, the exact check certified the float optimum re-solved
-    from it, and the Fraction simplex did not run. pivots counts the basis
-    changes of every phase: a discarded warm attempt's too, and on the exact
-    path the float re-solve's plus the Fraction simplex's."""
+    """A solve's outcome. warm_started: the optimum was reached from the
+    prior basis's kept inverse, with or without dual pivots. pivots counts
+    the basis changes of every phase, a discarded warm attempt's too. An
+    exact result has the float solve's warm_started and pivots. farkas is an
+    INFEASIBLE result's certificate, one multiplier y per row (phase 1's
+    duals): over the bounds, max y A x < y b or min y A x > y b, so no x
+    fits the rows; Fractions that passed that test on the exact path."""
 
     status: LpStatus
     objective_value: Union[float, Fraction, None]
@@ -335,6 +345,7 @@ class LpResult:
     basis: Basis
     warm_started: bool = False
     pivots: int = 0
+    farkas: Optional[list] = None
 
 
 def lp_solve(
@@ -346,28 +357,26 @@ def lp_solve(
     """Solve to proven optimality, or report Infeasible/Unbounded.
 
     warm_basis is the basis of an earlier solve of this program before rows
-    were appended or bounds changed. exact=True gives the rational optimum,
-    float coefficients read exactly: the float one re-solved from warm_basis
-    if the exact check proves it optimal, else the Fraction simplex's.
+    were appended or bounds changed. exact=True proves the float verdict in
+    exact arithmetic, float coefficients read exactly: an optimum by its
+    basis, as Fractions, and infeasibility by its Farkas certificate. It
+    raises LpError when the float solve does, when the check fails, and on
+    an unbounded program, so an exact result is always certified.
     """
+    result = _FloatSimplex(lp).solve(warm_basis)
     if not exact:
-        return _FloatSimplex(lp).solve(warm_basis)
-    simplex, pivots = _ExactSimplex(lp), 0
-    if warm_basis is not None:
-        floating = _FloatSimplex(lp)
-        try:
-            basis = floating.solve(warm_basis).basis
-        except LpError:
-            basis = NO_BASIS  # keeps no inverse, which the check declines
-        pivots = floating.pivots
-        checked = simplex.check(basis)
-        if checked is not None:
-            checked.warm_started = True
-            checked.pivots = pivots
-            return checked
-    result = simplex.solve()
-    result.pivots += pivots
-    return result
+        return result
+    if result.status is LpStatus.UNBOUNDED:
+        raise LpError("unbounded program: exact mode certifies only an optimum or infeasibility")
+    check = _ExactCheck(lp)
+    if result.status is LpStatus.INFEASIBLE:
+        certified = check.farkas(result.farkas)
+    else:
+        certified = check.check(result.basis)
+    if certified is None:
+        raise LpError(f"exact check failed to certify the float {result.status.value} verdict")
+    certified.warm_started, certified.pivots = result.warm_started, result.pivots
+    return certified
 
 
 # ---------------------------------------------------------------------------
@@ -609,9 +618,12 @@ class _FloatSimplex:
                 raise LpError("cycling guard tripped")
             if status == "unbounded":
                 raise LpError("phase 1 became unbounded; inconsistent state")
-            phase1_obj = float(state.xB[state.basis >= N].sum())
+            artificial = state.basis >= N
+            phase1_obj = float(state.xB[artificial].sum())
             if phase1_obj > FEAS_TOL * max(1.0, float(np.abs(self.b).sum())):
-                return LpResult(LpStatus.INFEASIBLE, None, [], NO_BASIS)
+                # phase 1's duals c_B B^-1 certify that no x fits the rows
+                farkas = (artificial @ state.Binv).tolist()
+                return LpResult(LpStatus.INFEASIBLE, None, [], NO_BASIS, farkas=farkas)
             self._drive_out_artificials(state)
             state.hi[N:] = 0.0
             state.hi_B = state.hi[state.basis]
@@ -730,30 +742,33 @@ class _FloatSimplex:
                 xB[r] = entering_value
 
     def _finish(self, state: _State, status: str) -> LpResult:
-        """The optimum's result, checked against the original matrix. With a
-        structural basis the basic values x_B = B^-1 (b - A_N x_N) and the
-        duals y = c_B B^-1 are computed through the kept inverse, each with
-        one step of iterative refinement against A_B; the rows must hold at
-        the optimum, |c_B - y A_B| must stay within FEAS_TOL times
+        """The optimum's result, checked against the original matrix. The
+        basic values x_B = B^-1 (b - A_N x_N) and the duals y = c_B B^-1 are
+        computed through the kept inverse, each with one step of iterative
+        refinement against A_B; the rows must hold at the optimum,
+        |c_B - y A_B| must stay within FEAS_TOL times
         max(1, |c_B| + |y| |A_B|), and y must price no free nonbasic column
-        in. A structural basis keeps the inverse, read-only."""
+        in. The result keeps the inverse, read-only. An artificial still
+        basic in row r, fixed to [0, 0], becomes the unit column +e_r: row r
+        of B^-1 changes sign where its coefficient was -1."""
         if status == "unbounded":
             return LpResult(LpStatus.UNBOUNDED, None, [], NO_BASIS)
-        n, N, A, b, cost = self.n, self.N, self.A, self.b, self.cost
-        at_upper, basis = state.at_upper, state.basis
+        n, N, A, b = self.n, self.N, self.A, self.b
+        at_upper, basis, Binv = state.at_upper, state.basis, state.Binv
+        arts = (basis >= N).nonzero()[0]
+        Binv[arts] *= state.A[arts, basis[arts]][:, None]
+        A_B = state.A[:, basis]
+        A_B[arts, arts] = 1.0  # an artificial's only nonzero is in its own row
+        cost = np.zeros(state.width)
+        cost[:N] = self.cost
+        c_B = cost[basis]
         x = np.where(at_upper, np.where(np.isfinite(state.hi), state.hi, 0.0), state.lo)
-        structural = len(basis) > 0 and bool((basis < N).all())
-        y = None
-        if len(basis):
-            x[basis] = 0.0
-            if structural:
-                Binv, A_B, c_B = state.Binv, A[:, basis], cost[basis]
-                rhs = b - A @ x[:N]
-                xB = Binv @ rhs
-                state.xB = xB + Binv @ (rhs - A_B @ xB)
-                y = c_B @ Binv
-                y += (c_B - y @ A_B) @ Binv
-            x[basis] = state.xB
+        x[basis] = 0.0
+        rhs = b - A @ x[:N]
+        xB = Binv @ rhs
+        x[basis] = xB + Binv @ (rhs - A_B @ xB)
+        y = c_B @ Binv
+        y += (c_B - y @ A_B) @ Binv
         primal = np.clip(x[:n], self.lo[:n], self.hi[:n])
         activities = A[:, :n] @ primal
         tol = 10 * FEAS_TOL * np.maximum(1.0, np.abs(b))
@@ -767,27 +782,25 @@ class _FloatSimplex:
             act, rhs = float(activities[i]), float(b[i])
             sign = ">" if self.le[i] else "<" if self.ge[i] else "!="
             raise LpError(f"row {i} violated at optimum: {act} {sign} {rhs}")
-        if y is not None:
-            d = cost - y @ A
-            # c_B - y A_B, against the size of the terms its float sum adds
-            residual = np.abs(d[basis])
-            scale = np.abs(c_B) + np.abs(y) @ np.abs(A_B)
-            if not (residual <= FEAS_TOL * np.maximum(1.0, scale)).all():
-                raise LpError(f"basis residual {float(residual.max())} at optimum")
-            free = self.hi > self.lo
-            free[basis] = False
-            priced_in = free & np.where(at_upper[:N], d > FEAS_TOL, d < -FEAS_TOL)
-            if priced_in.any():
-                j = int(priced_in.argmax())
-                raise LpError(f"column {j} prices in at optimum: reduced cost {float(d[j])}")
-        obj = float(cost[:n] @ primal)
-        if structural:
-            state.Binv.flags.writeable = False
+        # c_B - y A_B, against the size of the terms its float sum adds
+        residual = np.abs(c_B - y @ A_B)
+        scale = np.abs(c_B) + np.abs(y) @ np.abs(A_B)
+        if not (residual <= FEAS_TOL * np.maximum(1.0, scale)).all():
+            raise LpError(f"basis residual {float(residual.max())} at optimum")
+        d = self.cost - y @ A
+        free = self.hi > self.lo
+        free[basis[basis < N]] = False
+        priced_in = free & np.where(at_upper[:N], d > FEAS_TOL, d < -FEAS_TOL)
+        if priced_in.any():
+            j = int(priced_in.argmax())
+            raise LpError(f"column {j} prices in at optimum: reduced cost {float(d[j])}")
+        obj = float(self.cost[:n] @ primal)
+        Binv.flags.writeable = False
         basis_out = Basis(
             tuple(np.where(basis < N, basis, -1).tolist()),
             frozenset(at_upper[:N].nonzero()[0].tolist()),
-            self.rows if structural else (),
-            state.Binv if structural else None,
+            self.rows,
+            Binv,
         )
         return LpResult(LpStatus.OPTIMAL, obj, primal.tolist(), basis_out)
 
@@ -796,268 +809,97 @@ class _FloatSimplex:
 # exact path
 
 
-class _ExactSimplex:
-    """Bounded-variable simplex over exact rationals with Bland pivoting."""
+class _ExactCheck:
+    """Proves a float verdict in exact rationals: an optimum by its basis
+    (check), infeasibility by a Farkas certificate (farkas)."""
 
     def __init__(self, lp: LinearProgram) -> None:
         n = self.n = lp.num_vars
-        m = self.m = len(lp.rows)
         form = lp.form
         N = self.N = form.N
         num_slacks = N - n
         # each row's nonzero coefficients in column order, slack included,
         # each float64 converted exactly
-        self.terms: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
+        self.terms: list[list[tuple[int, Fraction]]] = [[] for _ in lp.rows]
         rows_i, cols_j = form.A.nonzero()
         for i, j, coef in zip(rows_i.tolist(), cols_j.tolist(), form.A[rows_i, cols_j].tolist()):
             self.terms[i].append((j, Fraction(coef)))
         # every number is a float64, read exactly; None is an infinite bound
         self.b = list(map(Fraction, form.b.tolist()))
-        self.slack_of_row = form.slack_of_row.tolist()
         self.lo: list[Fraction] = list(map(Fraction, lp.lo.tolist())) + [Fraction(0)] * num_slacks
         self.hi: list[Optional[Fraction]] = [
             None if math.isinf(v) else Fraction(v) for v in lp.hi.tolist()
         ] + [None] * num_slacks
         self.cost = list(map(Fraction, lp.cost.tolist())) + [Fraction(0)] * num_slacks
-        self.iter_cap = 20000 + 200 * (m + N)
-        self.pivots = 0
 
-    def solve(self) -> LpResult:
-        state, infeasible = self._phase1()
-        if infeasible:
-            result = LpResult(LpStatus.INFEASIBLE, None, [], NO_BASIS)
-        elif self._loop(state, phase1=False) == "unbounded":
-            result = LpResult(LpStatus.UNBOUNDED, None, [], NO_BASIS)
-        else:
-            result = self._finish(state)
-        result.pivots = self.pivots
-        return result
+    def _reduced_costs(self, y: list, columns: Sequence[int]) -> list:
+        """(c - y A)_columns; a column -1 in place r is row r's kept
+        artificial, the unit column +e_r at cost 0."""
+        d = {j: self.cost[j] for j in columns if j >= 0}
+        for yi, row in zip(y, self.terms):
+            if yi:
+                for j, a in row:
+                    if j in d:
+                        d[j] -= yi * a
+        return [d[j] if j >= 0 else -y[r] for r, j in enumerate(columns)]
 
     def check(self, basis: Basis) -> Optional[LpResult]:
         """The solution on basis, a float optimum's, if exact arithmetic
         proves it optimal, else None: x_B and y solve B x_B = b - A_N x_N and
-        y B = c_B exactly (_refined), x fits every bound, slacks included, and
-        each movable nonbasic column's reduced cost has its bound's sign."""
-        if basis.Binv is None:  # only an optimal float solve keeps one
-            return None
+        y B = c_B exactly (_refined), x fits every bound, slacks included, a
+        kept artificial is 0, and each movable nonbasic column's reduced cost
+        has its bound's sign. Fixing the kept artificials to 0 leaves the
+        program's feasible set as it was, so x is the program's optimum."""
         N, Binv, cols = self.N, basis.Binv, list(basis.basic)
-        at_upper = [j in basis.at_upper and self.hi[j] is not None for j in range(N)]
-        x = [self.hi[j] if at_upper[j] else self.lo[j] for j in range(N)]
+        lo, hi = self.lo, self.hi
+        at_upper = [j in basis.at_upper and hi[j] is not None for j in range(N)]
+        x = [hi[j] if at_upper[j] else lo[j] for j in range(N)]
 
-        def rows_residual(xB: list) -> list:  # b - A x, with x_B = xB put into x
+        def rows_residual(xB: list) -> list:  # b - A x, artificials included, x_B put into x
             for j, v in zip(cols, xB):
-                x[j] = v
-            return self._residual(x)
+                if j >= 0:
+                    x[j] = v
+            return [
+                b - sum((a * x[j] for j, a in row if x[j]), Fraction(0)) - (v if j < 0 else 0)
+                for b, row, j, v in zip(self.b, self.terms, cols, xB)
+            ]
 
-        def reduced_costs(y: list, columns: Sequence[int]) -> list:  # (c - y A)_columns
-            d = {j: self.cost[j] for j in columns}
-            for yi, row in zip(y, self.terms):
-                if yi:
-                    for j, a in row:
-                        if j in d:
-                            d[j] -= yi * a
-            return [d[j] for j in columns]
-
-        y = _refined(lambda y: reduced_costs(y, cols), lambda r: r @ Binv, len(cols))
+        y = _refined(lambda y: self._reduced_costs(y, cols), lambda r: r @ Binv, len(cols))
         # the last residual leaves the rounded x_B in x
         xB = _refined(rows_residual, lambda r: Binv @ r, len(cols))
-        if y is None or xB is None or not self._within_bounds(x, cols):
+        if y is None or xB is None:
             return None
-        d = reduced_costs(y, range(N))
-        movable = (j for j in range(N) if self.lo[j] != self.hi[j])
+        if not all(
+            lo[j] <= v and (hi[j] is None or v <= hi[j]) if j >= 0 else v == 0
+            for j, v in zip(cols, xB)
+        ):
+            return None
+        d = self._reduced_costs(y, range(N))
+        movable = (j for j in range(N) if lo[j] != hi[j])
         if any(d[j] > 0 if at_upper[j] else d[j] < 0 for j in movable):
             return None
-        return self._optimum(x, basis)
-
-    def _residual(self, x: list) -> list:
-        """b - A x, slacks included."""
-        return [
-            b - sum((a * x[j] for j, a in row if x[j]), Fraction(0))
-            for b, row in zip(self.b, self.terms)
-        ]
-
-    def _within_bounds(self, x: list, columns: Iterable[int]) -> bool:
-        lo, hi = self.lo, self.hi
-        return all(lo[j] <= x[j] and (hi[j] is None or x[j] <= hi[j]) for j in columns)
-
-    def _optimum(self, x: list, basis: Basis) -> LpResult:
         primal = x[: self.n]
-        obj = sum((self.cost[j] * primal[j] for j in range(self.n)), Fraction(0))
+        obj = sum((c * v for c, v in zip(self.cost, primal)), Fraction(0))
         return LpResult(LpStatus.OPTIMAL, obj, primal, basis)
 
-    # state: [T, basis, xB, at_upper, num_art]; at_upper marks only finite upper bounds
-
-    def _phase1(self):
-        m, N = self.m, self.N
-        if m == 0:
-            return [[], [], [], [False] * N, 0], False
-        resid = self._residual(self.lo)
-        basis = [-1] * m
-        art_rows = []
-        for i in range(m):
-            s = self.slack_of_row[i]
-            # a row's slack is its last term
-            if s >= 0 and resid[i] * self.terms[i][-1][1] >= 0:
-                basis[i] = s
-            else:
-                art_rows.append(i)
-        num_art = len(art_rows)
-        T = [[Fraction(0)] * (N + num_art) for _ in range(m)]
-        for row, terms in zip(T, self.terms):
-            for j, a in terms:
-                row[j] = a
-        for t, i in enumerate(art_rows):
-            T[i][N + t] = Fraction(1) if resid[i] >= 0 else Fraction(-1)
-            basis[i] = N + t
-        # each basic column is +-1 in its own row, of the sign of resid there
-        for i in range(m):
-            if T[i][basis[i]] < 0:
-                T[i] = [-v for v in T[i]]
-        xB = [abs(v) for v in resid]
-        self.lo += [Fraction(0)] * num_art
-        self.hi += [None] * num_art
-        state = [T, basis, xB, [False] * (N + num_art), num_art]
-        if num_art:
-            status = self._loop(state, phase1=True)
-            if status != "optimal":
-                raise LpError("exact phase 1 failed to reach an optimum")
-            obj = sum(v for v, bi in zip(state[2], state[1]) if bi >= N)
-            if obj > 0:
-                return state, True
-            self._drive_out(state)
-            for t in range(num_art):
-                self.hi[N + t] = Fraction(0)
-        return state, False
-
-    def _drive_out(self, state) -> None:
-        T, basis, xB, at_upper, _ = state
-        basic = set(basis)
-        for r in range(self.m):
-            if basis[r] < self.N:
-                continue
-            pivot_col = next(
-                (j for j in range(self.N) if j not in basic and T[r][j] != 0), None
-            )
-            if pivot_col is None:
-                continue
-            basic.discard(basis[r])
-            entering_value = self.hi[pivot_col] if at_upper[pivot_col] else self.lo[pivot_col]
-            self._pivot(state, r, pivot_col)
-            xB[r] = entering_value
-            basic.add(pivot_col)
-
-    def _pivot(self, state, r: int, j: int) -> None:
-        self.pivots += 1
-        T, basis, _, at_upper, _ = state
-        piv = T[r][j]
-        if piv != 1:
-            T[r] = [v / piv for v in T[r]]
-        row_r = T[r]
-        for i in range(len(T)):
-            if i != r and T[i][j] != 0:
-                factor = T[i][j]
-                T[i] = [a - factor * p for a, p in zip(T[i], row_r)]
-        basis[r] = j
-        at_upper[j] = False
-
-    def _loop(self, state, phase1: bool) -> str:
-        T, basis, xB, at_upper, num_art = state
-        width = self.N + num_art
-        if phase1:
-            cost = [Fraction(0)] * self.N + [Fraction(1)] * num_art
-        else:
-            cost = list(self.cost) + [Fraction(0)] * num_art
-        iters = 0
-        basic = set(basis)
-        while True:
-            iters += 1
-            if iters > self.iter_cap:
-                raise LpError("cycling guard tripped")
-            z = list(cost)
-            for i, bi in enumerate(basis):
-                cb = cost[bi]
-                if cb:
-                    row = T[i]
-                    for j in range(width):
-                        if row[j]:
-                            z[j] -= cb * row[j]
-            entering = -1
-            for j in range(width):
-                if j in basic or j >= self.N:
-                    continue
-                if self.hi[j] is not None and self.lo[j] == self.hi[j]:
-                    continue
-                if at_upper[j]:
-                    if z[j] > 0:
-                        entering = j
-                        break
-                elif z[j] < 0:
-                    entering = j
-                    break
-            if entering < 0:
-                return "optimal"
-            j = entering
-            sigma = -1 if at_upper[j] else 1
-            flip_t: Optional[Fraction] = (
-                self.hi[j] - self.lo[j] if self.hi[j] is not None else None
-            )
-            best_t: Optional[Fraction] = flip_t
-            best_row = -1
-            for i in range(len(basis)):
-                d = T[i][j]
-                if d == 0:
-                    continue
-                delta = -sigma * d
-                bi = basis[i]
-                if delta > 0:
-                    if self.hi[bi] is None:
-                        continue
-                    t = (self.hi[bi] - xB[i]) / delta
-                else:
-                    t = (xB[i] - self.lo[bi]) / (-delta)
-                if t < 0:
-                    t = Fraction(0)
-                if (
-                    best_t is None
-                    or t < best_t
-                    or (t == best_t and best_row >= 0 and bi < basis[best_row])
-                ):
-                    best_t = t
-                    best_row = i
-            if best_t is None:
-                return "unbounded"
-            t_star = best_t
-            if t_star != 0:
-                for i in range(len(basis)):
-                    d = T[i][j]
-                    if d:
-                        xB[i] -= sigma * t_star * d
-            if best_row < 0:
-                at_upper[j] = not at_upper[j]
-                continue
-            r = best_row
-            entering_value = (self.hi[j] if at_upper[j] else self.lo[j]) + sigma * t_star
-            leaving = basis[r]
-            d_r = -sigma * T[r][j]
-            at_upper[leaving] = d_r > 0 and self.hi[leaving] is not None
-            basic.discard(leaving)
-            self._pivot(state, r, j)
-            basic.add(j)
-            xB[r] = entering_value
-
-    def _finish(self, state) -> LpResult:
-        T, basis, xB, at_upper, num_art = state
-        x = [self.hi[j] if at_upper[j] else self.lo[j] for j in range(self.N + num_art)]
-        for i, j in enumerate(basis):
-            x[j] = xB[i]
-        # checked apart from the tableau: A x = b and the basic values' bounds
-        if any(self._residual(x)) or not self._within_bounds(x, basis):
-            raise LpError("exact optimum violates a row or a bound")
-        basis_out = Basis(
-            tuple(int(j) if j < self.N else -1 for j in basis),
-            frozenset(j for j in range(self.N) if at_upper[j]),
-        )
-        return self._optimum(x, basis_out)
+    def farkas(self, multipliers: list) -> Optional[LpResult]:
+        """The INFEASIBLE result certified by y, the multipliers rounded to
+        denominators at most FARKAS_DENOMINATOR (which turns a float's stray
+        1e-17 in y A_j to 0), if y proves that no x within the bounds, slacks
+        included, fits A x = b: the largest y A x over the bounds stays below
+        y b, or the smallest above it. Else None."""
+        y = [Fraction(v).limit_denominator(FARKAS_DENOMINATOR) for v in multipliers]
+        yA = [c - d for c, d in zip(self.cost, self._reduced_costs(y, range(self.N)))]
+        yb = sum((yi * b for yi, b in zip(y, self.b)), Fraction(0))
+        for sign in (1, -1):
+            # the largest sign * y A x over the bounds takes each x_j at the
+            # bound its term's sign picks; an infinite one proves nothing
+            ends = [(v, self.hi[j] if sign * v > 0 else self.lo[j]) for j, v in enumerate(yA) if v]
+            if all(end is not None for _, end in ends) and sign * sum(
+                (v * end for v, end in ends), Fraction(0)
+            ) < sign * yb:
+                return LpResult(LpStatus.INFEASIBLE, None, [], NO_BASIS, farkas=y)
+        return None
 
 
 def _refined(residual, solve, size: int) -> Optional[list]:

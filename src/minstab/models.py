@@ -534,10 +534,11 @@ def _log_support_quality(model: StabModel, x) -> None:
 
 def certify_relaxation(model: StabModel, result: RelaxationResult) -> Fraction:
     """Exact rational optimum of the relaxation, re-separated with zero
-    tolerances. Each exact solve is offered the float basis: lp_solve's exact
-    check proves the float optimum optimal in exact arithmetic, and only a
-    failed check runs the Fraction simplex. Raises if the exact loop cannot
-    confirm the float value within the objective tolerance."""
+    tolerances. Each exact solve is offered the float basis: the float
+    re-solve starts warm from it, and lp_solve's exact check proves that
+    optimum optimal in exact arithmetic or raises LpError. Raises if the
+    exact loop cannot confirm the float value within the objective
+    tolerance."""
     value = _run_loop(model, exact=True, warm_basis=result.basis).k_frac
     assert isinstance(value, Fraction)
     if abs(float(value) - float(result.k_frac)) > OBJ_TOL:

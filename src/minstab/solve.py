@@ -327,8 +327,10 @@ def min_length_matching(inst: Instance, family: LineFamily) -> Solution:
     general ones.
 
     Degree equalities plus lazily separated odd-set cuts make every vertex of
-    the feasible region integral; integrality is asserted and re-checked with
-    the exact rational solver before giving up. Ties between optimal
+    the feasible region integral; integrality is asserted, and a fractional
+    float optimum is re-checked before giving up: the loop runs again in
+    exact mode from its basis, each optimum certified in rationals and the
+    cuts separated exactly. Ties between optimal
     matchings are broken toward the lexicographically smallest edge list by
     greedy fixing: an edge stays fixed to one when the optimum under the
     fixing stays within an optimal-length cap, and is fixed to zero otherwise.
@@ -374,7 +376,7 @@ def min_length_matching(inst: Instance, family: LineFamily) -> Solution:
     result = _run_loop(model, exact=False, warm_basis=None)
     if _integral(result.x) is None:
         logger.info("fractional matching optimum; re-checking with exact solver")
-        result = _run_loop(model, exact=True, warm_basis=None)
+        result = _run_loop(model, exact=True, warm_basis=result.basis)
         if _integral(result.x) is None:
             raise SolveError(
                 "matching LP stayed fractional after exact re-check; "

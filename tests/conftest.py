@@ -1,7 +1,6 @@
 import pytest
 
 from minstab import Instance, Point
-from minstab.lp import _ExactSimplex
 
 
 @pytest.fixture
@@ -13,16 +12,3 @@ def unit_square() -> Instance:
 def collinear3() -> Instance:
     return Instance("col3", (Point(0, 0), Point(1, 0), Point(2, 0)))
 
-
-@pytest.fixture
-def fraction_runs(monkeypatch):
-    """One entry per run of the Fraction simplex, in order."""
-    runs = []
-    solve = _ExactSimplex.solve
-
-    def recorded(self, *args):
-        runs.append(1)
-        return solve(self, *args)
-
-    monkeypatch.setattr(_ExactSimplex, "solve", recorded)
-    return runs

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import minstab.cli
+import minstab.lp
 import minstab.solve
 from minstab.cli import main
 from minstab.instance import gen_random, serialize_instance
@@ -334,6 +335,27 @@ class TestDegenerateInputs:
                 assert json.loads(stdout.splitlines()[0])["edges"] == edges
         keys = ("k_frac", "ceil_bound", "k_rounding", "k_exact", "ratio", "cuts_added", "k_frac_exact")
         assert " ".join(printed[k] for k in keys) == values
+
+
+class TestExactCheckFailure:
+    @pytest.mark.parametrize("command", ["bound", "exact"])
+    def test_a_declined_check_is_a_solver_error(self, tmp_path, capsys, monkeypatch, command):
+        # with no second solver behind it, a check that declines makes the
+        # run fail loudly rather than print an uncertified value
+        path = tmp_path / "a.pts"
+        path.write_text(serialize_instance(gen_random(8, 100, 3)))
+        out = tmp_path / "sol.json"
+        monkeypatch.setattr(minstab.lp._ExactCheck, "check", lambda self, basis: None)
+        args = [command, str(path), "--problem", "matching", "--family", "axis", "--exact-check"]
+        if command == "exact":
+            args += ["-o", str(out)]
+        code, stdout, stderr = run(capsys, *args)
+        assert code == 2
+        assert stderr.startswith("solver error: exact check failed to certify")
+        assert "k_frac_exact=" not in stdout
+        assert not out.exists() and "{" not in stdout
+        if command == "bound":
+            assert "k_frac=" in stdout
 
 
 class TestDropLast:

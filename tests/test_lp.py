@@ -18,11 +18,12 @@ from minstab import (
 from minstab.lp import (
     FEAS_TOL,
     OBJ_TOL,
+    Basis,
     LinearProgram,
     LpError,
     LpStatus,
     Row,
-    _ExactSimplex,
+    _ExactCheck,
     _FloatSimplex,
     _State,
     lp_solve,
@@ -125,6 +126,10 @@ def scipy_solve(lp):
     )
 
 
+# scipy's linprog status codes as statuses
+SCIPY_STATUS = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
+
+
 class TestLpSolve:
     def test_simple_lower_bound(self):
         lp = program(1, {0: 1}, [({0: 1}, ">=", 3)])
@@ -173,7 +178,10 @@ class TestExactMode:
         assert all(isinstance(v, Fraction) for v in res.primal)
 
     def test_agrees_with_float(self):
+        # values and statuses come from scipy's HiGHS; the exact path proves
+        # the float verdict, and raises on an unbounded program
         rng = random.Random(7)
+        statuses = []
         for _ in range(40):
             n = rng.randint(1, 5)
             rows = []
@@ -190,23 +198,34 @@ class TestExactMode:
                 bounds=[(0, rng.choice([1, 3, math.inf])) for _ in range(n)],
             )
             a = lp_solve(lp)
+            ref = scipy_solve(lp)
+            expected = SCIPY_STATUS[ref.status]
+            assert a.status is expected
+            statuses.append(expected)
+            if expected is LpStatus.UNBOUNDED:
+                with pytest.raises(LpError, match="unbounded"):
+                    lp_solve(lp, exact=True)
+                continue
             b = lp_solve(lp, exact=True)
-            assert a.status is b.status
-            if a.status is LpStatus.OPTIMAL:
+            assert b.status is expected
+            if expected is LpStatus.OPTIMAL:
                 assert abs(a.objective_value - float(b.objective_value)) <= 1e-6
+                assert float(b.objective_value) == pytest.approx(ref.fun, abs=1e-6)
             # offered the float basis, the exact path gives the same answer
             checked = lp_solve(lp, warm_basis=a.basis, exact=True)
             assert (checked.status, checked.objective_value) == (b.status, b.objective_value)
+        assert set(statuses) == set(LpStatus)
 
     def test_warm_start_from_float_basis(self):
         # offered a float basis, the exact path re-solves the float program
-        # from it and certifies its optimum in exact arithmetic, without a
-        # Fraction pivot
+        # from it without a pivot and certifies its optimum in exact
+        # arithmetic; without one it solves cold first
         lp = k_example()
         res = lp_solve(lp)
         exact = lp_solve(lp, warm_basis=res.basis, exact=True)
         cold = lp_solve(lp, exact=True)
         assert exact.warm_started and exact.pivots == 0 and not cold.warm_started
+        assert cold.pivots == res.pivots > 0
         assert exact.basis == res.basis and exact.basis.Binv is not None
         assert exact_solution(exact) == exact_solution(cold) == (Fraction(1), [1, 0, 1])
 
@@ -224,37 +243,135 @@ class TestExactMode:
         assert exact_solution(warm) == exact_solution(cold)
         assert warm.objective_value == Fraction(-5, 2)
 
-    def test_check_rejects_an_optimum_off_within_tolerance(self, fraction_runs):
+    def test_check_rejects_an_optimum_off_within_tolerance(self):
         # min (1 + 2**-40) x0 + x1 s.t. x0 + x1 = 1: the float simplex stops
         # with x0 = 1, since x0's reduced cost at its upper bound, 2**-40, is
-        # below PIVOT_TOL; the check rejects the basis and the Fraction
-        # simplex finds x1 = 1
+        # below PIVOT_TOL. The optimum is x1 = 1, so the check rejects the
+        # basis, and the exact path raises rather than certify it
         lp = program(2, {0: 1 + 2**-40, 1: 1}, [({0: 1, 1: 1}, "=", 1)], [(0, 1)] * 2)
         floated = lp_solve(lp)
         assert floated.primal == [1, 0]
-        res = lp_solve(lp, warm_basis=floated.basis, exact=True)
-        assert fraction_runs == [1]
-        cold = lp_solve(lp, exact=True)
-        assert not res.warm_started
-        # the float re-solve makes no pivot, so all are the Fraction simplex's
-        assert res.pivots == cold.pivots > 0
-        assert exact_solution(res) == exact_solution(cold) == (Fraction(1), [0, 1])
+        assert _ExactCheck(lp).check(floated.basis) is None
+        for warm_basis in (floated.basis, None):
+            with pytest.raises(LpError, match="exact check failed to certify the float optimal"):
+                lp_solve(lp, warm_basis=warm_basis, exact=True)
 
-    def test_damaged_inverse_never_certifies_a_wrong_optimum(self, finish_failures):
+    def test_check_rejects_a_basis_that_breaks_a_bound(self):
+        # min -x0 s.t. x0 + x1 <= 2, x0 <= 1: with x0 basic, x0 = 2 breaks its
+        # bound while y = -1 prices x1 and the slack out, so only the bound
+        # test tells this basis from the optimum x0 = 1 at its upper bound
+        lp = program(2, {0: -1}, [({0: 1, 1: 1}, "<=", 2)], [(0, 1), (0, math.inf)])
+        wrong = Basis((0,), frozenset(), lp.rows, np.array([[1.0]]))
+        assert _ExactCheck(lp).check(wrong) is None
+        floated = lp_solve(lp)
+        assert (floated.basis.basic, floated.basis.at_upper) == ((2,), {0})
+        assert exact_solution(_ExactCheck(lp).check(floated.basis)) == (-1, [1, 0])
+
+    def test_damaged_inverse_never_certifies_a_wrong_optimum(self, finish_failures, monkeypatch):
         lp = k_example()
         prior = lp_solve(lp)
         damaged = with_inverse(prior.basis, 3 * prior.basis.Binv)
         # iterative refinement through 3 B^-1 doubles the error each round
-        assert _ExactSimplex(lp).check(damaged) is None
+        assert _ExactCheck(lp).check(damaged) is None
         cut = add_rows(lp, [({1: 1}, ">=", 0.75)])
         res = lp_solve(cut, warm_basis=damaged, exact=True)
         # the float re-solve fails its checks and solves cold; the check
         # certifies that optimum
-        assert finish_failures and res.warm_started
-        cold = lp_solve(cut, exact=True)
-        assert exact_solution(res) == exact_solution(cold)
+        assert finish_failures and not res.warm_started
         assert res.primal == [Fraction(1, 4), Fraction(3, 4), 1]
+        assert float(res.objective_value) == pytest.approx(scipy_solve(cut).fun, abs=1e-9)
+        # a damaged inverse that reaches the check raises
+        solve = _FloatSimplex.solve
 
+        def damaging(self, warm_basis):
+            result = solve(self, warm_basis)
+            damaged = with_inverse(result.basis, 3 * result.basis.Binv)
+            return dataclasses.replace(result, basis=damaged)
+
+        monkeypatch.setattr(_FloatSimplex, "solve", damaging)
+        with pytest.raises(LpError, match="exact check failed"):
+            lp_solve(cut, exact=True)
+
+    def test_float_failure_raises(self, monkeypatch):
+        # the exact path has no second solver: the float solve's error is its own
+        def failing(self):
+            raise LpError("cycling guard tripped")
+
+        monkeypatch.setattr(_FloatSimplex, "_cold", failing)
+        with pytest.raises(LpError, match="cycling guard tripped"):
+            lp_solve(k_example(), exact=True)
+
+    @pytest.mark.parametrize("rhs", [1, -1])
+    def test_redundant_equality_row_is_certified_by_the_check(self, rhs):
+        # the 2-point matching's shape: both degree rows read x0 = rhs, so
+        # one artificial stays basic at 0. The kept inverse reads it as +e_r,
+        # with row r negated where its coefficient was -1 (rhs = -1)
+        lp = program(2, {0: 1, 1: 1}, [({0: rhs}, "=", rhs), ({0: rhs}, "=", rhs)], [(0, 1)] * 2)
+        floated = lp_solve(lp)
+        assert floated.basis.basic == (0, -1)
+        A_B = np.array([[rhs, 0.0], [rhs, 1.0]])
+        assert np.array_equal(floated.basis.Binv @ A_B, np.eye(2))
+        assert not floated.basis.Binv.flags.writeable
+        certified = _ExactCheck(lp).check(floated.basis)
+        assert exact_solution(certified) == (1, [1, 0])
+        for warm_basis in (None, floated.basis):
+            res = lp_solve(lp, warm_basis=warm_basis, exact=True)
+            assert exact_solution(res) == (1, [1, 0])
+            assert res.basis.basic == (0, -1) and not res.warm_started
+        # a float warm solve offered the kept-artificial basis solves cold
+        grown = add_rows(lp, [({1: 1}, ">=", 0.5)])
+        warm = lp_solve(grown, warm_basis=floated.basis)
+        assert not warm.warm_started
+        assert warm == lp_solve(grown)
+        assert warm.objective_value == pytest.approx(scipy_solve(grown).fun, abs=1e-9)
+        exact = lp_solve(grown, warm_basis=floated.basis, exact=True)
+        assert exact.objective_value == Fraction(3, 2)
+
+    def test_nearly_redundant_row_inconsistent_by_a_hair_raises(self):
+        # x0 = 1 and x0 = 1 + 2**-40: phase 1 ends below FEAS_TOL with the
+        # second row's artificial basic at 2**-40, so the float path calls
+        # the program feasible; the check holds the artificial to exactly 0
+        lp = program(1, {0: 1}, [({0: 1}, "=", 1), ({0: 1}, "=", 1 + 2**-40)], [(0, 2)])
+        floated = lp_solve(lp)
+        assert floated.status is LpStatus.OPTIMAL and floated.basis.basic == (0, -1)
+        assert _ExactCheck(lp).check(floated.basis) is None
+        with pytest.raises(LpError, match="failed to certify the float optimal"):
+            lp_solve(lp, exact=True)
+
+    def test_program_without_rows_is_certified_by_the_check(self):
+        lp = make_lp(3, {0: 1, 1: -1, 2: 0.5}, bounds=[(0, 4), (1, 4), (2, math.inf)])
+        floated = lp_solve(lp)
+        assert floated.basis.basic == () and floated.basis.Binv.shape == (0, 0)
+        certified = _ExactCheck(lp).check(floated.basis)
+        assert exact_solution(certified) == (-3, [0, 4, 2])
+        assert exact_solution(lp_solve(lp, exact=True)) == (-3, [0, 4, 2])
+        assert scipy_solve(lp).fun == pytest.approx(-3)
+
+    def test_infeasible_verdict_carries_a_checked_farkas_certificate(self, monkeypatch):
+        # x0 + x1 >= 3 with x0, x1 <= 1: y = (1) gives max y A x = 2 < 3
+        lp = program(2, {0: 1}, [({0: 1, 1: 1}, ">=", 3)], [(0, 1)] * 2)
+        floated = lp_solve(lp)
+        assert floated.status is LpStatus.INFEASIBLE and len(floated.farkas) == 1
+        res = lp_solve(lp, exact=True)
+        assert res.status is LpStatus.INFEASIBLE and res.objective_value is None
+        assert all(type(v) is Fraction for v in res.farkas)
+        assert _ExactCheck(lp).farkas(res.farkas).farkas == res.farkas
+        # either direction certifies: -y puts the smallest -y A x above -y b
+        assert _ExactCheck(lp).farkas([-v for v in res.farkas]) is not None
+        # a certificate that proves nothing raises instead of an uncertified verdict
+        assert _ExactCheck(lp).farkas([0.0]) is None
+        # x0 >= 3 is feasible: y = 1 bounds y A x only by x0's infinite upper bound
+        feasible = program(1, {0: 1}, [({0: 1}, ">=", 3)])
+        assert _ExactCheck(feasible).farkas([1.0]) is None
+        assert _ExactCheck(feasible).farkas([-1.0]) is None
+        solve = _FloatSimplex.solve
+
+        def blank(self, warm_basis):
+            return dataclasses.replace(solve(self, warm_basis), farkas=[0.0])
+
+        monkeypatch.setattr(_FloatSimplex, "solve", blank)
+        with pytest.raises(LpError, match="failed to certify the float infeasible"):
+            lp_solve(lp, exact=True)
 
     def test_terms_are_the_nonzeros_of_the_standard_form(self):
         # the exact path reads the float path's form: each row's nonzeros in
@@ -283,13 +400,13 @@ class TestExactMode:
             ]
             programs.append(program(n, {}, rows))
         for lp in programs:
-            simplex, form = _ExactSimplex(lp), lp.form
-            assert simplex.N == form.N and simplex.slack_of_row == form.slack_of_row.tolist()
+            simplex, form = _ExactCheck(lp), lp.form
+            assert simplex.N == form.N
             assert len(simplex.terms) == len(lp.rows)
             for i, terms in enumerate(simplex.terms):
                 assert [j for j, _ in terms] == form.A[i].nonzero()[0].tolist()
                 assert all(type(a) is Fraction and a == form.A[i, j] for j, a in terms)
-        first = _ExactSimplex(programs[0])
+        first = _ExactCheck(programs[0])
         assert [terms[-1] for terms in first.terms] == [(3, 1), (4, -1), (2, -1), (5, -1)]
         assert first.terms[3] == [(1, Fraction(1, 2**30)), (2, 5), (5, -1)]
 
@@ -387,15 +504,11 @@ class TestDualReoptimize:
         assert cold.pivots > 0 and not cold.warm_started
         again = lp_solve(lp, warm_basis=cold.basis)
         assert again.warm_started and again.pivots == 0
-        # exact: the float re-solve's pivots plus any Fraction pivots, and
-        # warm_started when the check certified the basis. A Fraction
-        # simplex basis keeps no inverse, so its float re-solve starts cold
+        # exact: the float solve's pivots and warm_started
         exact = lp_solve(lp, exact=True)
-        assert exact.pivots > 0 and not exact.warm_started
+        assert exact.pivots == cold.pivots and not exact.warm_started
         checked = lp_solve(lp, warm_basis=exact.basis, exact=True)
-        assert checked.warm_started and checked.pivots == cold.pivots
-        again = lp_solve(lp, warm_basis=checked.basis, exact=True)
-        assert again.warm_started and again.pivots == 0
+        assert checked.warm_started and checked.pivots == 0
 
     def test_fuzz_rows_and_fixings_against_cold_and_scipy(self, monkeypatch):
         # the dual pivots update the reduced costs; kept dual feasible, the
@@ -571,35 +684,62 @@ class TestWarmVsCold:
             assert abs(warm.objective_value - cold.objective_value) <= 1e-6
 
 
+def random_programs(seed, count):
+    """count programs of up to 7 variables and 7 random rows."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        bounds = [
+            (rng.choice([0, 0, 1]), rng.choice([1, 2, 5, math.inf]))
+            for _ in range(n)
+        ]
+        bounds = [(lo, max(lo, hi)) for lo, hi in bounds]
+        obj = {j: rng.randint(-5, 5) for j in range(n)}
+        rows = []
+        for _ in range(rng.randint(0, 7)):
+            coeffs = {
+                j: rng.randint(-4, 4) for j in range(n) if rng.random() < 0.7
+            }
+            coeffs = {j: c for j, c in coeffs.items() if c}
+            if coeffs:
+                rows.append((coeffs, rng.choice(["<=", ">=", "="]), rng.randint(-6, 6)))
+        yield program(n, obj, rows, bounds)
+
+
 class TestAgainstScipy:
     def test_randomized(self):
-        rng = random.Random(4242)
-        for _ in range(150):
-            n = rng.randint(1, 7)
-            bounds = [
-                (rng.choice([0, 0, 1]), rng.choice([1, 2, 5, math.inf]))
-                for _ in range(n)
-            ]
-            bounds = [(lo, max(lo, hi)) for lo, hi in bounds]
-            obj = {j: rng.randint(-5, 5) for j in range(n)}
-            rows = []
-            for _ in range(rng.randint(0, 7)):
-                coeffs = {
-                    j: rng.randint(-4, 4) for j in range(n) if rng.random() < 0.7
-                }
-                coeffs = {j: c for j, c in coeffs.items() if c}
-                if coeffs:
-                    rows.append((coeffs, rng.choice(["<=", ">=", "="]), rng.randint(-6, 6)))
-            lp = program(n, obj, rows, bounds)
+        for lp in random_programs(4242, 150):
             mine = lp_solve(lp)
 
             ref = scipy_solve(lp)
-            expected = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}[
-                ref.status
-            ]
+            expected = SCIPY_STATUS[ref.status]
             assert mine.status is expected
             if expected is LpStatus.OPTIMAL:
                 assert mine.objective_value == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
+
+    def test_exact_mode_certifies_or_raises(self):
+        # the same programs: an exact optimum is HiGHS's, an infeasible
+        # verdict carries a Farkas certificate that passes the check, and an
+        # unbounded program raises
+        seen = []
+        for lp in random_programs(4242, 150):
+            ref = scipy_solve(lp)
+            expected = SCIPY_STATUS[ref.status]
+            seen.append(expected)
+            if expected is LpStatus.UNBOUNDED:
+                with pytest.raises(LpError, match="unbounded"):
+                    lp_solve(lp, exact=True)
+                continue
+            res = lp_solve(lp, exact=True)
+            assert res.status is expected
+            if expected is LpStatus.OPTIMAL:
+                assert float(res.objective_value) == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
+                assert exact_solution(res)
+            else:
+                assert res.farkas and all(type(v) is Fraction for v in res.farkas)
+                assert _ExactCheck(lp).farkas(res.farkas) is not None
+        counts = {status: seen.count(status) for status in LpStatus}
+        assert min(counts.values()) >= 10, counts
 
 
 class TestRatioTestStability:
@@ -656,7 +796,7 @@ class TestValidation:
             make_lp(1, {0: 1}).with_rows([Row("<=", 1)], block)
         # a float64 coefficient passes, and the exact path reads 0.5 back as 1/2
         half = make_lp(1, {0: 1}, [Row(">=", 1)], np.array([[0.5]]))
-        assert _ExactSimplex(half).terms[0][0] == (0, Fraction(1, 2))
+        assert _ExactCheck(half).terms[0][0] == (0, Fraction(1, 2))
         assert lp_solve(half, exact=True).objective_value == 2
 
     @pytest.mark.parametrize("rhs", [math.nan, math.inf, -math.inf, 10**400])
@@ -737,7 +877,7 @@ class TestValidation:
                 vector[0] = 7.0
         assert lp.cost.tolist() == [2**53, 0.5]
         assert (lp.lo.tolist(), lp.hi.tolist()) == ([1, 0], [2**53, 1])
-        exact = _ExactSimplex(lp)
+        exact = _ExactCheck(lp)
         assert exact.cost[:2] == [2**53, Fraction(1, 2)]
         assert (exact.lo[:2], exact.hi[:2]) == ([1, 0], [2**53, 1])
         assert exact.b == [3]

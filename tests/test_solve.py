@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -529,6 +530,39 @@ class TestMinLengthMatching:
     def test_odd_rejected(self, collinear3):
         with pytest.raises(SolveError):
             min_length_matching(collinear3, GENERAL)
+
+    @pytest.mark.parametrize("family", [AXIS, GENERAL])
+    def test_exact_recheck_of_a_fractional_optimum(self, monkeypatch, family):
+        # the first float optimum reads as fractional: the loop runs again in
+        # exact mode, warm from that optimum's basis, and the matching is the
+        # unpatched run's
+        inst = gen_random(10, 100, seed=3)
+        expected = min_length_matching(inst, family)
+        integral, reads = minstab.solve._integral, []
+
+        def fractional_once(x):
+            reads.append(x)
+            return None if len(reads) == 1 else integral(x)
+
+        solve, exact_solves = minstab.models.lp_solve, []
+
+        def recorded(lp, warm_basis=None, **kwargs):
+            result = solve(lp, warm_basis, **kwargs)
+            if kwargs.get("exact"):
+                exact_solves.append((warm_basis, result))
+            return result
+
+        monkeypatch.setattr(minstab.solve, "_integral", fractional_once)
+        monkeypatch.setattr(minstab.models, "lp_solve", recorded)
+        sol = min_length_matching(inst, family)
+        assert sol == expected
+        assert len(reads) == 2 and all(isinstance(v, Fraction) for v in reads[1].values())
+        assert exact_solves and all(warm is not None for warm, _ in exact_solves)
+        assert exact_solves[0][1].warm_started and exact_solves[0][1].pivots == 0
+        # an optimum that stays fractional gives up
+        monkeypatch.setattr(minstab.solve, "_integral", lambda x: None)
+        with pytest.raises(SolveError, match="stayed fractional after exact re-check"):
+            min_length_matching(inst, family)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_enumeration_at_large_coordinates(self, seed):
