@@ -1,41 +1,44 @@
 """Bounded-variable simplex with warm re-optimization after added rows.
 
-A numpy float64 two-phase revised simplex (Dantzig pricing first, Bland
-afterwards, with a cycling guard) solves, and an exact solve proves its
-verdict in exact arithmetic or raises.
+Every row has a slack column, so every float solve is one numpy float64
+path: a bounded dual simplex restores primal feasibility on a dual feasible
+basis, a primal simplex (Dantzig pricing first, Bland afterwards, with a
+cycling guard) finishes on the program's costs, and the optimum is checked.
+A cold solve starts from the all-slack basis B = diag(+-1), its own inverse,
+with every other column at its lower bound, which is dual feasible for the
+costs max(c, 0) its dual simplex runs on (Koberstein 2005; Maros 2003). An
+exact solve proves the float verdict in exact arithmetic or raises.
 
 The float path keeps the explicit basis inverse B^-1, m x m, beside the
 program's matrix A, never the m x N tableau B^-1 A: a pivot reads tableau row
 r as B^-1_r A and the entering column as B^-1 A_j, and updates only the
 inverse. It re-optimizes from a prior basis after rows are added or bounds
-fixed: nonbasic variables return to the bound they held, a bounded dual
-simplex restores primal feasibility while the reduced costs stay dual
-feasible, and the primal simplex finishes. The dual simplex picks its leaving
-row by dual steepest edge, with the exact weights ||e_r^T B^-1||^2 read off
-the kept inverse. The state keeps the basic variables' bounds, which each
-pivot updates in the entering row, and the dual ratio test keeps a +-1 sign
-per column for the bound it sits at, so no pivot gathers either again. A
-basis that is not dual feasible, or a dual ratio test with no entering
-column, falls back to the cold two-phase solve, so only phase 1 declares a
-program infeasible.
+fixed: nonbasic variables return to the bound they held, and the dual simplex
+runs on the program's costs, which the prior optimum keeps dual feasible. The
+dual simplex picks its leaving row by dual steepest edge, with the exact
+weights ||e_r^T B^-1||^2 read off the kept inverse. The state keeps the basic
+variables' bounds, which each pivot updates in the entering row, and the dual
+ratio test keeps a +-1 sign per column for the bound it sits at, so no pivot
+gathers either again. A row whose basic value no column can move toward its
+bound proves the program infeasible, with that row of B^-1 as the Farkas
+certificate; a warm start that finds one, or whose basis is not dual
+feasible, solves cold instead, so a drifted inverse never decides
+infeasibility.
 
 A float solve's Basis keeps its final inverse over the program's rows, and
 a warm float solve starts only from it: for a program whose first rows are
-those very Row objects and whose appended rows all have slacks, k appended
-rows a with slack coefficients s add the rows [-diag(1/s) a_B B^-1,
-diag(1/s)], in O(k m^2), and bound or cost changes only move the
-nonbasic values and the reduced costs. The float path never inverts a
-basis from scratch: any other warm basis, one with a basic artificial
-included, solves cold. The pivots update the reduced costs instead of
-pricing every column again. Every optimum is checked against the original
-matrix: its basic values x_B = B^-1 (b - A_N x_N) and duals y = c_B B^-1 are
-computed through the inverse in O(m^2), each refined once against A_B; the
-rows must hold, |c_B - y A_B| must stay within FEAS_TOL of the size of the
-terms it sums, and y must price no free nonbasic column in. A warm solve
-that fails a check solves cold; a cold solve that fails one raises. An
-artificial left basic at 0 by a redundant row stays in the kept inverse as
-the unit column +e_r, fixed to [0, 0]; an infeasible verdict carries phase
-1's duals as its Farkas certificate.
+those very Row objects, k appended rows a with slack coefficients s add the
+rows [-diag(s) a_B B^-1, diag(s)], in O(k m^2), and bound or cost changes
+only move the nonbasic values and the reduced costs. The float path never
+inverts a basis from scratch: any other warm basis solves cold. The pivots
+update the reduced costs instead of pricing every column again. Every optimum
+is checked against the original matrix: its basic values
+x_B = B^-1 (b - A_N x_N) and duals y = c_B B^-1 are computed through the
+inverse in O(m^2), each refined once against A_B; the rows must hold,
+|c_B - y A_B| must stay within FEAS_TOL of the size of the terms it sums, and
+y must price no free nonbasic column in. A warm solve that fails a check
+solves cold; a cold solve that fails one raises. An equality row's slack is
+fixed to [0, 0], so a redundant equality row keeps it basic at 0.
 
 An exact solve is the float solve, warm from the basis offered or cold,
 followed by an exact check of its verdict (Applegate, Cook, Dash & Espinoza
@@ -121,29 +124,27 @@ class Row:
 
 class _StandardForm:
     """A program's rows as the float path and the exact check read them,
-    read-only: A is the coefficient matrix with one slack column per
-    inequality after the variables, numbered in row order (+1 in a <= row,
-    -1 in a >= row), slack_of_row each row's slack column or -1, b the
-    right-hand sides, and le and ge mark the <= and >= rows. blocks hold the
-    coefficients of consecutive rows and are copied into A one by one, never
-    stacked first."""
+    read-only: A is the coefficient matrix with row i's slack, column
+    num_vars + i, after the variables, slack the slacks' coefficients (+1 in
+    a <= or = row, -1 in a >= row; an equality row's slack is fixed to 0), b
+    the right-hand sides, and le and ge mark the <= and >= rows. blocks hold
+    the coefficients of consecutive rows and are copied into A one by one,
+    never stacked first."""
 
     def __init__(self, rows: tuple[Row, ...], blocks: Sequence[np.ndarray]) -> None:
         m, n = len(rows), blocks[0].shape[1]
         self.le = np.array([row.rel == "<=" for row in rows], dtype=bool)
         self.ge = np.array([row.rel == ">=" for row in rows], dtype=bool)
-        slack_rows = (self.le | self.ge).nonzero()[0]
-        self.N = n + len(slack_rows)
+        self.N = n + m
         self.A = np.zeros((m, self.N))
         i = 0
         for block in blocks:
             self.A[i : i + len(block), :n] = block
             i += len(block)
-        self.slack_of_row = np.full(m, -1, dtype=int)
-        self.slack_of_row[slack_rows] = n + np.arange(len(slack_rows))
-        self.A[slack_rows, self.slack_of_row[slack_rows]] = np.where(self.le[slack_rows], 1.0, -1.0)
+        self.slack = np.where(self.ge, -1.0, 1.0)
+        self.A[np.arange(m), n + np.arange(m)] = self.slack
         self.b = np.array([row.rhs for row in rows], dtype=float)
-        for array in (self.le, self.ge, self.A, self.slack_of_row, self.b):
+        for array in (self.le, self.ge, self.A, self.slack, self.b):
             array.flags.writeable = False
 
 
@@ -307,18 +308,15 @@ def make_lp(
 @dataclass(frozen=True)
 class Basis:
     """The basic variable of each row and the nonbasic variables held at their
-    upper bound. Slacks are numbered after the program's variables in row
-    order; -1 marks a row whose artificial stayed basic, at 0, because the
-    row is redundant.
+    upper bound. Row i's slack is variable num_vars + i.
 
     An optimal float solve keeps its final inverse: rows are the program's
     rows and Binv is B^-1, m x m (0 x 0 without rows), for the basic columns
-    in row order, read-only, so copies of a Basis share it. A kept artificial
-    counts as the unit column +e_r, fixed to [0, 0]. Both are left out of ==
-    and repr. A warm float solve extends the inverse when the program's
-    first rows are these very Row objects (with_rows keeps them), every
-    appended row has a slack and no artificial is basic; otherwise the float
-    solve starts cold. The exact check reads x_B and y through it."""
+    in row order, read-only, so copies of a Basis share it. Both are left
+    out of == and repr. A warm float solve extends the inverse when the
+    program's first rows are these very Row objects (with_rows keeps them);
+    otherwise the float solve starts cold. The exact check reads x_B and y
+    through it."""
 
     basic: tuple[int, ...]
     at_upper: frozenset[int] = frozenset()
@@ -333,11 +331,12 @@ NO_BASIS = Basis(())
 class LpResult:
     """A solve's outcome. warm_started: the optimum was reached from the
     prior basis's kept inverse, with or without dual pivots. pivots counts
-    the basis changes of every phase, a discarded warm attempt's too. An
+    the basis changes of every loop, a discarded warm attempt's too. An
     exact result has the float solve's warm_started and pivots. farkas is an
-    INFEASIBLE result's certificate, one multiplier y per row (phase 1's
-    duals): over the bounds, max y A x < y b or min y A x > y b, so no x
-    fits the rows; Fractions that passed that test on the exact path."""
+    INFEASIBLE result's certificate, one multiplier y per row: row r of B^-1
+    for a row r whose basic value no column could move toward its bound.
+    Over the bounds, max y A x < y b or min y A x > y b, so no x fits the
+    rows; Fractions that passed that test on the exact path."""
 
     status: LpStatus
     objective_value: Union[float, Fraction, None]
@@ -386,12 +385,12 @@ def lp_solve(
 @dataclass
 class _State:
     Binv: np.ndarray       # m x m inverse of the basis columns of A
-    A: np.ndarray          # m x width constraint matrix, artificial columns included
+    A: np.ndarray          # m x N constraint matrix, a slack column per row
     basis: np.ndarray      # m basic variable indices
     xB: np.ndarray         # m basic values
-    at_upper: np.ndarray   # width nonbasic-at-upper flags
-    lo: np.ndarray         # width lower bounds
-    hi: np.ndarray         # width upper bounds (inf allowed)
+    at_upper: np.ndarray   # N nonbasic-at-upper flags
+    lo: np.ndarray         # N lower bounds
+    hi: np.ndarray         # N upper bounds (inf allowed)
     # lo[basis] and hi[basis], gathered here and kept current by each pivot
     lo_B: np.ndarray = field(init=False)
     hi_B: np.ndarray = field(init=False)
@@ -399,18 +398,6 @@ class _State:
     def __post_init__(self) -> None:
         self.lo_B = self.lo[self.basis]
         self.hi_B = self.hi[self.basis]
-
-    @property
-    def width(self) -> int:
-        return self.A.shape[1]
-
-    def row(self, r: int) -> np.ndarray:
-        """Row r of the tableau B^-1 A."""
-        return self.Binv[r] @ self.A
-
-    def column(self, j: int) -> np.ndarray:
-        """Column j of the tableau B^-1 A."""
-        return self.Binv @ self.A[:, j]
 
     def reduced_costs(self, cost: np.ndarray) -> np.ndarray:
         """cost - y A for the duals y = c_B B^-1."""
@@ -423,12 +410,12 @@ class _FloatSimplex:
         m = self.m = len(lp.rows)
         self.rows = lp.rows
         form = lp.form
-        self.le, self.ge, self.slack_of_row = form.le, form.ge, form.slack_of_row
+        self.le, self.ge, self.slack = form.le, form.ge, form.slack
         self.A, self.b = form.A, form.b
         N = self.N = form.N
-        self.lo = np.concatenate([lp.lo, np.zeros(N - n)])
-        self.hi = np.concatenate([lp.hi, np.full(N - n, np.inf)])
-        self.cost = np.concatenate([lp.cost, np.zeros(N - n)])
+        self.lo = np.concatenate([lp.lo, np.zeros(m)])
+        self.hi = np.concatenate([lp.hi, np.where(form.le | form.ge, np.inf, 0.0)])
+        self.cost = np.concatenate([lp.cost, np.zeros(m)])
         size = m + N
         self.dantzig_limit = 500 + 5 * size
         self.iter_cap = self.dantzig_limit + 5000 + 100 * size
@@ -440,44 +427,58 @@ class _FloatSimplex:
             state = self._kept_state(warm_basis)
             if state is not None:
                 try:
-                    result = self._warm(state)
+                    result = self._run(state, self.cost)
                 except LpError:
-                    # the optimum reached from the kept inverse failed a check
-                    # against the original matrix: drift or a damaged inverse
+                    # no dual feasible start, a tripped guard, or an optimum
+                    # that failed a check against the original matrix: drift
+                    # or a damaged inverse
                     pass
+                if result is not None and result.status is LpStatus.INFEASIBLE:
+                    result = None  # only a cold start decides infeasibility
         warm_started = result is not None
         if result is None:
-            result = self._cold()
+            result = self._run(self._slack_state(), np.maximum(self.cost, 0.0))
         result.warm_started = warm_started
         result.pivots = self.pivots
         return result
 
-    def _warm(self, state: _State) -> Optional[LpResult]:
-        if not self._dual_loop(state):
-            return None
-        status = self._loop(state, phase1=False)
+    def _run(self, state: _State, dual_cost: np.ndarray) -> LpResult:
+        """The dual simplex on dual_cost, for which state's basis is dual
+        feasible, then the primal simplex on the program's cost, and the
+        checked result (_finish). A row in which the dual simplex finds no
+        entering column makes the result INFEASIBLE, with that row of B^-1
+        as its Farkas certificate. Raises LpError when the dual simplex
+        does, the primal one's guard trips or _finish's checks fail."""
+        r = self._dual_loop(state, dual_cost)
+        if r >= 0:
+            farkas = state.Binv[r].tolist()
+            return LpResult(LpStatus.INFEASIBLE, None, [], NO_BASIS, farkas=farkas)
+        status = self._loop(state)
         if status == "cycled":
-            return None
+            raise LpError("cycling guard tripped")
         return self._finish(state, status)
+
+    def _slack_state(self) -> _State:
+        """The cold start: every row's slack basic, so B = diag(+-1) is its
+        own inverse, and every other column at its lower bound."""
+        return self._start(frozenset(), self.n + np.arange(self.m), np.diag(self.slack))
 
     def _kept_state(self, warm: Basis) -> Optional[_State]:
         """warm's kept inverse extended by the appended rows, each of whose
         slacks joins the basis, in O(k m^2) for k rows; None unless this
-        program's first rows are the inverse's very rows, every appended row
-        has a slack and the columns form a basis of this program."""
+        program's first rows are the inverse's very rows and the columns
+        form a basis of this program."""
         if warm.Binv is None:
             return None
         m0 = len(warm.rows)
-        new_slacks = self.slack_of_row[m0:]
         if (
             m0 > self.m
             or len(warm.basic) != m0
             or warm.Binv.shape != (m0, m0)
-            or (new_slacks < 0).any()
             or not all(map(operator.is_, warm.rows, self.rows))
         ):
             return None
-        columns = list(warm.basic) + new_slacks.tolist()
+        columns = list(warm.basic) + list(range(self.n + m0, self.N))
         at_upper = warm.at_upper
         if (
             len(set(columns)) != self.m
@@ -491,35 +492,38 @@ class _FloatSimplex:
         Binv[:m0, :m0] = warm.Binv
         if m0 < self.m:
             # the basis gains each new row's slack: B = [[B0, 0], [a_B, S]]
-            # with S the slack coefficients, so its inverse has the rows
-            # [-S^-1 a_B B0^-1, S^-1] below B0^-1
-            A_new = self.A[m0:]
-            coef = A_new[np.arange(len(new_slacks)), new_slacks]
-            Binv[m0:, :m0] = -(A_new[:, basis[:m0]] @ warm.Binv) / coef[:, None]
-            Binv[m0:, m0:] = np.diag(1.0 / coef)
-        return self._start(warm, basis, Binv)
+            # with S = diag(+-1) the slack coefficients, its own inverse, so
+            # B^-1 has the rows [-S a_B B0^-1, S] below B0^-1
+            s = self.slack[m0:]
+            Binv[m0:, :m0] = -(self.A[m0:, basis[:m0]] @ warm.Binv) * s[:, None]
+            Binv[m0:, m0:] = np.diag(s)
+        return self._start(at_upper, basis, Binv)
 
-    def _start(self, warm: Basis, basis: np.ndarray, Binv: np.ndarray) -> _State:
-        """The state on basis inverse Binv with the nonbasic variables at the
-        bounds warm records and x_B = B^-1 (b - A x_N)."""
+    def _start(self, upper: frozenset, basis: np.ndarray, Binv: np.ndarray) -> _State:
+        """The state on basis inverse Binv with the nonbasic variables upper
+        lists at their upper bounds, the others at their lower ones, and
+        x_B = B^-1 (b - A x_N)."""
         at_upper = np.zeros(self.N, dtype=bool)
-        at_upper[list(warm.at_upper)] = True
+        at_upper[list(upper)] = True
         at_upper &= np.isfinite(self.hi)
         at_upper[basis] = False
         xN = np.where(at_upper, self.hi, self.lo)
         xN[basis] = 0.0
         xB = Binv @ (self.b - self.A @ xN)
-        return _State(Binv, self.A, basis, xB, at_upper, self.lo.copy(), self.hi.copy())
+        return _State(Binv, self.A, basis, xB, at_upper, self.lo, self.hi)
 
-    def _dual_loop(self, state: _State) -> bool:
-        """Bounded dual simplex until every basic value fits its bounds.
+    def _dual_loop(self, state: _State, cost: np.ndarray) -> int:
+        """Bounded dual simplex on cost until every basic value fits its
+        bounds.
 
         The leaving row is chosen by dual steepest edge (_leaving_row); the
         entering column minimizes |d_j| / |alpha_rj| over the nonbasic
         columns that move the leaving value toward its bound, ties to the
-        largest |alpha_rj| and then the lowest index. Returns False when the
-        basis is not dual feasible, no column can enter or the iteration cap
-        trips; the caller then solves cold.
+        largest |alpha_rj| and then the lowest index. Returns -1 once every
+        basic value fits, or a row r whose value no column can move toward
+        its bound, for which row r of B^-1 proves the program infeasible.
+        Raises LpError when the basis is not dual feasible for cost or the
+        iteration cap trips.
         """
         lo, hi, at_upper, basis = state.lo, state.hi, state.at_upper, state.basis
         xB, lo_B, hi_B, Binv, A = state.xB, state.lo_B, state.hi_B, state.Binv, state.A
@@ -528,15 +532,15 @@ class _FloatSimplex:
         free[basis] = False
         # -1 at upper, +1 otherwise: the direction a nonbasic column can move
         sign = np.where(at_upper, -1.0, 1.0)
-        z = state.reduced_costs(self.cost)
+        z = state.reduced_costs(cost)
         for it in range(self.dantzig_limit):
             r = self._leaving_row(state)
             if r < 0:
-                return True
+                return -1
             # dual slack: how far each reduced cost is from pricing its column in
             slack = sign * z
             if it == 0 and (free & (slack < -FEAS_TOL)).any():
-                return False
+                raise LpError("the basis is not dual feasible")
             rises = bool(xB[r] < lo_B[r])
             alpha = Binv[r] @ A
             # the leaving value rises when below its bound; column j moves it by
@@ -548,7 +552,7 @@ class _FloatSimplex:
                 np.negative(t, out=t)
             elig = (free & (t < -PIVOT_TOL)).nonzero()[0]
             if not len(elig):
-                return False
+                return r
             size = -t[elig]
             ratios = np.maximum(slack[elig], 0.0) / size
             best = float(ratios.min())
@@ -566,7 +570,7 @@ class _FloatSimplex:
             self._pivot(state, r, q, d)
             z -= (z[q] / alpha[q]) * alpha
             xB[r] = entering_value
-        return False
+        raise LpError("cycling guard tripped in the dual simplex")
 
     @staticmethod
     def _leaving_row(state: _State) -> int:
@@ -583,77 +587,6 @@ class _FloatSimplex:
         weights = np.einsum("ij,ij->i", Binv, Binv)
         return int(rows[(viol[rows] ** 2 / weights).argmax()])
 
-    def _cold(self) -> LpResult:
-        m, N, A = self.m, self.N, self.A
-        resid = self.b - A @ self.lo
-        # a row keeps its slack basic when the slack's value resid / coef is
-        # not negative; every other row gets an artificial of resid's sign
-        rows = np.arange(m)
-        has_slack = self.slack_of_row >= 0
-        slack_coef = np.zeros(m)
-        slack_coef[has_slack] = A[rows[has_slack], self.slack_of_row[has_slack]]
-        own = has_slack & (resid * slack_coef >= 0)
-        basis = np.where(own, self.slack_of_row, -1)
-        art_rows = (~own).nonzero()[0]
-        num_art = len(art_rows)
-        art_cols = N + np.arange(num_art)
-
-        A_ext = np.hstack([A, np.zeros((m, num_art))]) if num_art else A
-        if num_art:
-            A_ext[art_rows, art_cols] = np.where(resid[art_rows] >= 0, 1.0, -1.0)
-            basis[art_rows] = art_cols
-
-        # every basic column is a slack or an artificial, +-1 in its own row
-        diag = A_ext[rows, basis]
-        Binv = np.diag(1.0 / diag)
-        xB = np.where(basis >= N, np.abs(resid), resid * diag)
-
-        lo_ext = np.concatenate([self.lo, np.zeros(num_art)])
-        hi_ext = np.concatenate([self.hi, np.full(num_art, np.inf)])
-        state = _State(Binv, A_ext, basis, xB, np.zeros(N + num_art, dtype=bool), lo_ext, hi_ext)
-
-        if num_art:
-            status = self._loop(state, phase1=True)
-            if status == "cycled":
-                raise LpError("cycling guard tripped")
-            if status == "unbounded":
-                raise LpError("phase 1 became unbounded; inconsistent state")
-            artificial = state.basis >= N
-            phase1_obj = float(state.xB[artificial].sum())
-            if phase1_obj > FEAS_TOL * max(1.0, float(np.abs(self.b).sum())):
-                # phase 1's duals c_B B^-1 certify that no x fits the rows
-                farkas = (artificial @ state.Binv).tolist()
-                return LpResult(LpStatus.INFEASIBLE, None, [], NO_BASIS, farkas=farkas)
-            self._drive_out_artificials(state)
-            state.hi[N:] = 0.0
-            state.hi_B = state.hi[state.basis]
-
-        status = self._loop(state, phase1=False)
-        if status == "cycled":
-            raise LpError("cycling guard tripped")
-        return self._finish(state, status)
-
-    def _drive_out_artificials(self, state: _State) -> None:
-        N = self.N
-        basic = set(state.basis.tolist())
-        # a pivot in row r changes only row r's basic variable
-        for r in (state.basis >= N).nonzero()[0].tolist():
-            row = state.row(r)[:N]
-            pivot_col = -1
-            for j in (np.abs(row) > PIVOT_TOL).nonzero()[0].tolist():
-                if j not in basic:
-                    pivot_col = j
-                    break
-            if pivot_col < 0:
-                continue  # redundant row; artificial stays basic, pinned at zero
-            basic.discard(int(state.basis[r]))
-            entering_value = (
-                state.hi[pivot_col] if state.at_upper[pivot_col] else state.lo[pivot_col]
-            )
-            self._pivot(state, r, pivot_col, state.column(pivot_col))
-            state.xB[r] = entering_value
-            basic.add(pivot_col)
-
     def _pivot(self, state: _State, r: int, j: int, d: np.ndarray) -> None:
         """Column j enters in row r; d is its tableau column B^-1 A_j. The
         inverse is updated in place: row r is divided by d_r, and d times it
@@ -669,23 +602,16 @@ class _FloatSimplex:
         state.hi_B[r] = state.hi[j]
         state.at_upper[j] = False
 
-    def _loop(self, state: _State, phase1: bool) -> str:
-        N, m = self.N, self.m
-        cost = np.zeros(state.width)
-        if phase1:
-            cost[N:] = 1.0
-        else:
-            cost[:N] = self.cost
+    def _loop(self, state: _State) -> str:
+        m = self.m
         lo, hi, at_upper, basis = state.lo, state.hi, state.at_upper, state.basis
         xB, lo_B, hi_B, Binv, A = state.xB, state.lo_B, state.hi_B, state.Binv, state.A
-        # nonbasic structural or slack columns that can move; artificials
-        # never re-enter, and each pivot swaps two entries
+        # nonbasic columns that can move; each pivot swaps two entries
         enterable = (hi - lo) > 0
-        enterable[N:] = False
         free = enterable.copy()
         free[basis] = False
         # priced once; each pivot updates them with the pivot row
-        z = state.reduced_costs(cost)
+        z = state.reduced_costs(self.cost)
 
         iters = 0
         # the ratio test divides every row and keeps the quotients of the
@@ -748,23 +674,16 @@ class _FloatSimplex:
         refinement against A_B; the rows must hold at the optimum,
         |c_B - y A_B| must stay within FEAS_TOL times
         max(1, |c_B| + |y| |A_B|), and y must price no free nonbasic column
-        in. The result keeps the inverse, read-only. An artificial still
-        basic in row r, fixed to [0, 0], becomes the unit column +e_r: row r
-        of B^-1 changes sign where its coefficient was -1."""
+        in. The result keeps the inverse, read-only."""
         if status == "unbounded":
             return LpResult(LpStatus.UNBOUNDED, None, [], NO_BASIS)
-        n, N, A, b = self.n, self.N, self.A, self.b
+        n, A, b, cost = self.n, self.A, self.b, self.cost
         at_upper, basis, Binv = state.at_upper, state.basis, state.Binv
-        arts = (basis >= N).nonzero()[0]
-        Binv[arts] *= state.A[arts, basis[arts]][:, None]
-        A_B = state.A[:, basis]
-        A_B[arts, arts] = 1.0  # an artificial's only nonzero is in its own row
-        cost = np.zeros(state.width)
-        cost[:N] = self.cost
+        A_B = A[:, basis]
         c_B = cost[basis]
-        x = np.where(at_upper, np.where(np.isfinite(state.hi), state.hi, 0.0), state.lo)
+        x = np.where(at_upper, np.where(np.isfinite(self.hi), self.hi, 0.0), self.lo)
         x[basis] = 0.0
-        rhs = b - A @ x[:N]
+        rhs = b - A @ x
         xB = Binv @ rhs
         x[basis] = xB + Binv @ (rhs - A_B @ xB)
         y = c_B @ Binv
@@ -787,20 +706,17 @@ class _FloatSimplex:
         scale = np.abs(c_B) + np.abs(y) @ np.abs(A_B)
         if not (residual <= FEAS_TOL * np.maximum(1.0, scale)).all():
             raise LpError(f"basis residual {float(residual.max())} at optimum")
-        d = self.cost - y @ A
+        d = cost - y @ A
         free = self.hi > self.lo
-        free[basis[basis < N]] = False
-        priced_in = free & np.where(at_upper[:N], d > FEAS_TOL, d < -FEAS_TOL)
+        free[basis] = False
+        priced_in = free & np.where(at_upper, d > FEAS_TOL, d < -FEAS_TOL)
         if priced_in.any():
             j = int(priced_in.argmax())
             raise LpError(f"column {j} prices in at optimum: reduced cost {float(d[j])}")
-        obj = float(self.cost[:n] @ primal)
+        obj = float(cost[:n] @ primal)
         Binv.flags.writeable = False
         basis_out = Basis(
-            tuple(np.where(basis < N, basis, -1).tolist()),
-            frozenset(at_upper[:N].nonzero()[0].tolist()),
-            self.rows,
-            Binv,
+            tuple(basis.tolist()), frozenset(at_upper.nonzero()[0].tolist()), self.rows, Binv
         )
         return LpResult(LpStatus.OPTIMAL, obj, primal.tolist(), basis_out)
 
@@ -814,54 +730,51 @@ class _ExactCheck:
     (check), infeasibility by a Farkas certificate (farkas)."""
 
     def __init__(self, lp: LinearProgram) -> None:
-        n = self.n = lp.num_vars
+        self.n = lp.num_vars
         form = lp.form
-        N = self.N = form.N
-        num_slacks = N - n
+        self.N = form.N
         # each row's nonzero coefficients in column order, slack included,
         # each float64 converted exactly
         self.terms: list[list[tuple[int, Fraction]]] = [[] for _ in lp.rows]
         rows_i, cols_j = form.A.nonzero()
         for i, j, coef in zip(rows_i.tolist(), cols_j.tolist(), form.A[rows_i, cols_j].tolist()):
             self.terms[i].append((j, Fraction(coef)))
-        # every number is a float64, read exactly; None is an infinite bound
+        # every number is a float64, read exactly; None is an infinite bound,
+        # and an equality row's slack is fixed to 0
         self.b = list(map(Fraction, form.b.tolist()))
-        self.lo: list[Fraction] = list(map(Fraction, lp.lo.tolist())) + [Fraction(0)] * num_slacks
+        self.lo: list[Fraction] = list(map(Fraction, lp.lo.tolist())) + [Fraction(0)] * len(lp.rows)
         self.hi: list[Optional[Fraction]] = [
             None if math.isinf(v) else Fraction(v) for v in lp.hi.tolist()
-        ] + [None] * num_slacks
-        self.cost = list(map(Fraction, lp.cost.tolist())) + [Fraction(0)] * num_slacks
+        ] + [None if slack else Fraction(0) for slack in (form.le | form.ge).tolist()]
+        self.cost = list(map(Fraction, lp.cost.tolist())) + [Fraction(0)] * len(lp.rows)
 
     def _reduced_costs(self, y: list, columns: Sequence[int]) -> list:
-        """(c - y A)_columns; a column -1 in place r is row r's kept
-        artificial, the unit column +e_r at cost 0."""
-        d = {j: self.cost[j] for j in columns if j >= 0}
+        """(c - y A)_columns."""
+        d = {j: self.cost[j] for j in columns}
         for yi, row in zip(y, self.terms):
             if yi:
                 for j, a in row:
                     if j in d:
                         d[j] -= yi * a
-        return [d[j] if j >= 0 else -y[r] for r, j in enumerate(columns)]
+        return [d[j] for j in columns]
 
     def check(self, basis: Basis) -> Optional[LpResult]:
         """The solution on basis, a float optimum's, if exact arithmetic
         proves it optimal, else None: x_B and y solve B x_B = b - A_N x_N and
-        y B = c_B exactly (_refined), x fits every bound, slacks included, a
-        kept artificial is 0, and each movable nonbasic column's reduced cost
-        has its bound's sign. Fixing the kept artificials to 0 leaves the
-        program's feasible set as it was, so x is the program's optimum."""
+        y B = c_B exactly (_refined), x fits every bound, slacks included, so
+        an equality row's slack is 0, and each movable nonbasic column's
+        reduced cost has its bound's sign."""
         N, Binv, cols = self.N, basis.Binv, list(basis.basic)
         lo, hi = self.lo, self.hi
         at_upper = [j in basis.at_upper and hi[j] is not None for j in range(N)]
         x = [hi[j] if at_upper[j] else lo[j] for j in range(N)]
 
-        def rows_residual(xB: list) -> list:  # b - A x, artificials included, x_B put into x
+        def rows_residual(xB: list) -> list:  # b - A x, x_B put into x
             for j, v in zip(cols, xB):
-                if j >= 0:
-                    x[j] = v
+                x[j] = v
             return [
-                b - sum((a * x[j] for j, a in row if x[j]), Fraction(0)) - (v if j < 0 else 0)
-                for b, row, j, v in zip(self.b, self.terms, cols, xB)
+                b - sum((a * x[j] for j, a in row if x[j]), Fraction(0))
+                for b, row in zip(self.b, self.terms)
             ]
 
         y = _refined(lambda y: self._reduced_costs(y, cols), lambda r: r @ Binv, len(cols))
@@ -869,10 +782,7 @@ class _ExactCheck:
         xB = _refined(rows_residual, lambda r: Binv @ r, len(cols))
         if y is None or xB is None:
             return None
-        if not all(
-            lo[j] <= v and (hi[j] is None or v <= hi[j]) if j >= 0 else v == 0
-            for j, v in zip(cols, xB)
-        ):
+        if not all(lo[j] <= v and (hi[j] is None or v <= hi[j]) for j, v in zip(cols, xB)):
             return None
         d = self._reduced_costs(y, range(N))
         movable = (j for j in range(N) if lo[j] != hi[j])

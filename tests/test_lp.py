@@ -297,18 +297,17 @@ class TestExactMode:
         def failing(self):
             raise LpError("cycling guard tripped")
 
-        monkeypatch.setattr(_FloatSimplex, "_cold", failing)
+        monkeypatch.setattr(_FloatSimplex, "_slack_state", failing)
         with pytest.raises(LpError, match="cycling guard tripped"):
             lp_solve(k_example(), exact=True)
 
     @pytest.mark.parametrize("rhs", [1, -1])
     def test_redundant_equality_row_is_certified_by_the_check(self, rhs):
         # the 2-point matching's shape: both degree rows read x0 = rhs, so
-        # one artificial stays basic at 0. The kept inverse reads it as +e_r,
-        # with row r negated where its coefficient was -1 (rhs = -1)
+        # row 2's slack (variable 3), fixed to [0, 0], stays basic at 0
         lp = program(2, {0: 1, 1: 1}, [({0: rhs}, "=", rhs), ({0: rhs}, "=", rhs)], [(0, 1)] * 2)
         floated = lp_solve(lp)
-        assert floated.basis.basic == (0, -1)
+        assert floated.basis.basic == (0, 3)
         A_B = np.array([[rhs, 0.0], [rhs, 1.0]])
         assert np.array_equal(floated.basis.Binv @ A_B, np.eye(2))
         assert not floated.basis.Binv.flags.writeable
@@ -317,23 +316,28 @@ class TestExactMode:
         for warm_basis in (None, floated.basis):
             res = lp_solve(lp, warm_basis=warm_basis, exact=True)
             assert exact_solution(res) == (1, [1, 0])
-            assert res.basis.basic == (0, -1) and not res.warm_started
-        # a float warm solve offered the kept-artificial basis solves cold
+            assert res.basis.basic == (0, 3)
+            assert res.warm_started is (warm_basis is not None)
+        # a float warm solve offered that basis re-solves warm, to the cold
+        # solve's optimum
         grown = add_rows(lp, [({1: 1}, ">=", 0.5)])
         warm = lp_solve(grown, warm_basis=floated.basis)
-        assert not warm.warm_started
-        assert warm == lp_solve(grown)
+        cold = lp_solve(grown)
+        assert warm.warm_started and not cold.warm_started
+        assert (warm.status, warm.primal, warm.basis) == (cold.status, cold.primal, cold.basis)
+        assert warm.objective_value == cold.objective_value
         assert warm.objective_value == pytest.approx(scipy_solve(grown).fun, abs=1e-9)
         exact = lp_solve(grown, warm_basis=floated.basis, exact=True)
         assert exact.objective_value == Fraction(3, 2)
 
     def test_nearly_redundant_row_inconsistent_by_a_hair_raises(self):
-        # x0 = 1 and x0 = 1 + 2**-40: phase 1 ends below FEAS_TOL with the
-        # second row's artificial basic at 2**-40, so the float path calls
-        # the program feasible; the check holds the artificial to exactly 0
+        # x0 = 1 and x0 = 1 + 2**-40: x0 enters in the second row, which
+        # leaves the first row's slack basic at -2**-40, within FEAS_TOL of
+        # its bounds [0, 0], so the float path calls the program feasible;
+        # the check holds the slack to exactly 0
         lp = program(1, {0: 1}, [({0: 1}, "=", 1), ({0: 1}, "=", 1 + 2**-40)], [(0, 2)])
         floated = lp_solve(lp)
-        assert floated.status is LpStatus.OPTIMAL and floated.basis.basic == (0, -1)
+        assert floated.status is LpStatus.OPTIMAL and floated.basis.basic == (1, 0)
         assert _ExactCheck(lp).check(floated.basis) is None
         with pytest.raises(LpError, match="failed to certify the float optimal"):
             lp_solve(lp, exact=True)
@@ -407,8 +411,8 @@ class TestExactMode:
                 assert [j for j, _ in terms] == form.A[i].nonzero()[0].tolist()
                 assert all(type(a) is Fraction and a == form.A[i, j] for j, a in terms)
         first = _ExactCheck(programs[0])
-        assert [terms[-1] for terms in first.terms] == [(3, 1), (4, -1), (2, -1), (5, -1)]
-        assert first.terms[3] == [(1, Fraction(1, 2**30)), (2, 5), (5, -1)]
+        assert [terms[-1] for terms in first.terms] == [(3, 1), (4, -1), (5, 1), (6, -1)]
+        assert first.terms[3] == [(1, Fraction(1, 2**30)), (2, 5), (6, -1)]
 
 
 class TestAddRows:
@@ -490,13 +494,18 @@ class TestDualReoptimize:
         assert warm.objective_value == pytest.approx(-2.25)
         assert warm.primal == pytest.approx([1, 1, 0.25])
 
-    def test_contradictory_rows_left_to_phase_one(self):
+    def test_contradictory_rows_left_to_the_cold_solve(self):
+        # the warm dual simplex finds no entering column, and only the cold
+        # solve declares the program infeasible, with its Farkas certificate
         lp = k_example()
         prior = lp_solve(lp)
         rows = [({0: 1}, ">=", 2), ({0: 1}, "<=", 1)]
-        res = lp_solve(add_rows(lp, rows), warm_basis=prior.basis)
+        grown = add_rows(lp, rows)
+        res = lp_solve(grown, warm_basis=prior.basis)
         assert res.status is LpStatus.INFEASIBLE
         assert not res.warm_started
+        assert res.farkas == lp_solve(grown).farkas
+        assert _ExactCheck(grown).farkas(res.farkas) is not None
 
     def test_counts_pivots_on_both_paths(self):
         lp = k_example()
@@ -511,19 +520,29 @@ class TestDualReoptimize:
         assert checked.warm_started and checked.pivots == 0
 
     def test_fuzz_rows_and_fixings_against_cold_and_scipy(self, monkeypatch):
-        # the dual pivots update the reduced costs; kept dual feasible, the
-        # basis is optimal once primal feasible, and the primal simplex that
-        # follows a successful dual loop makes no pivot
+        # the dual pivots update the reduced costs; kept dual feasible, a
+        # warm basis is optimal once primal feasible, and the primal simplex
+        # that follows a successful warm dual loop makes no pivot (a cold
+        # dual loop runs on max(c, 0), so a negative cost leaves it pivots)
         primal_after_dual = []
-        dual_loop, loop = _FloatSimplex._dual_loop, _FloatSimplex._loop
+        kept_state, dual_loop, loop = (
+            _FloatSimplex._kept_state,
+            _FloatSimplex._dual_loop,
+            _FloatSimplex._loop,
+        )
 
-        def recorded_dual_loop(self, state):
-            self.dual_done = dual_loop(self, state)
-            return self.dual_done
+        def recorded_kept_state(self, warm):
+            self.warm_state = kept_state(self, warm)
+            return self.warm_state
 
-        def recorded_loop(self, state, phase1):
+        def recorded_dual_loop(self, state, cost):
+            r = dual_loop(self, state, cost)
+            self.dual_done = r < 0 and state is getattr(self, "warm_state", None)
+            return r
+
+        def recorded_loop(self, state):
             before = self.pivots
-            status = loop(self, state, phase1)
+            status = loop(self, state)
             if getattr(self, "dual_done", False):
                 primal_after_dual.append(self.pivots - before)
             return status
@@ -560,15 +579,18 @@ class TestDualReoptimize:
         # every warm solve starts from the prior basis's kept inverse, and no
         # optimum reached from it fails a check
         warm_attempts = []
-        warm_path = _FloatSimplex._warm
+        run = _FloatSimplex._run
 
-        def recorded_warm(self, state):
+        def recorded_run(self, state, dual_cost):
+            if state is not getattr(self, "warm_state", None):
+                return run(self, state, dual_cost)
             warm_attempts.append("raised")  # replaced unless a check raises
-            result = warm_path(self, state)
-            warm_attempts[-1] = result is not None
+            result = run(self, state, dual_cost)
+            warm_attempts[-1] = result.status is not LpStatus.INFEASIBLE
             return result
 
-        monkeypatch.setattr(_FloatSimplex, "_warm", recorded_warm)
+        monkeypatch.setattr(_FloatSimplex, "_kept_state", recorded_kept_state)
+        monkeypatch.setattr(_FloatSimplex, "_run", recorded_run)
         monkeypatch.setattr(_FloatSimplex, "_dual_loop", recorded_dual_loop)
         monkeypatch.setattr(_FloatSimplex, "_loop", recorded_loop)
         monkeypatch.setattr(_FloatSimplex, "_leaving_row", staticmethod(recorded_leaving_row))
@@ -583,7 +605,7 @@ class TestDualReoptimize:
             def random_row(feasible_at_point: bool):
                 coeffs = {j: rng.randint(-4, 4) for j in range(n) if rng.random() < 0.7}
                 coeffs = {j: c for j, c in coeffs.items() if c} or {0: 1}
-                rel = rng.choice(["<=", ">="])
+                rel = rng.choice(["<=", ">="] if feasible_at_point else ["<=", ">=", "="])
                 if feasible_at_point:
                     act = sum(c * point[j] for j, c in coeffs.items())
                     rhs = math.floor(act) + 1 if rel == "<=" else math.ceil(act) - 1
@@ -613,7 +635,8 @@ class TestDualReoptimize:
             ref = scipy_solve(changed)
             expected = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE}[ref.status]
             assert warm.status is cold.status is expected
-            # every appended row has a slack, so the prior inverse is extended
+            # every appended row has a slack, equality rows too, so the prior
+            # inverse is extended
             assert warm_attempts[attempts:] == [warm.warm_started]
             if expected is LpStatus.OPTIMAL:
                 optimal += 1
@@ -801,8 +824,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("rhs", [math.nan, math.inf, -math.inf, 10**400])
     def test_right_hand_side_without_finite_float64_value_is_rejected(self, rhs):
-        # a NaN or infinite right-hand side would reach phase 1 of the float
-        # path and Fraction() on the exact one
+        # a NaN or infinite right-hand side would reach the cold start of
+        # the float path and Fraction() on the exact one
         with pytest.raises(LpError, match="no finite float64 value"):
             Row(">=", rhs)
         with pytest.raises(LpError, match="no finite float64 value"):
@@ -940,7 +963,7 @@ class TestSharedMatrix:
         for other in (fixed, fixed.with_cost([1, 0, 0]), lp.with_bounds({2: (0, 5)})):
             assert other.form is form
         assert _FloatSimplex(fixed).A is form.A
-        for array in (form.A, form.b, form.le, form.ge, form.slack_of_row):
+        for array in (form.A, form.b, form.le, form.ge, form.slack):
             assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             form.A[0, 0] = 2.0
@@ -954,24 +977,24 @@ class TestSharedMatrix:
         assert fresh.form is not form
         assert (warm.primal, warm.objective_value) == (again.primal, again.objective_value)
         assert warm.primal == pytest.approx([0.25, 0.75, 1])
-        # appended rows get a new form whose first rows are the old one's,
-        # slacks numbered after the variables in row order
+        # appended rows get a new form whose first rows are the old one's;
+        # row i's slack is variable num_vars + i
         grown = add_rows(lp, [({0: 1}, ">=", 0.5), ({1: 1}, "=", 0.5)])
         assert grown.form is not form and lp.form is form
         assert np.array_equal(grown.form.A[:2, : form.N], form.A)
         assert not grown.form.A[:2, form.N :].any()
-        assert grown.form.A[2].tolist() == [1, 0, 0, 0, -1]
-        assert grown.form.A[3].tolist() == [0, 1, 0, 0, 0]
-        assert grown.form.slack_of_row.tolist() == [-1, 3, 4, -1]
+        assert grown.form.A[2].tolist() == [1, 0, 0, 0, 0, -1, 0]
+        assert grown.form.A[3].tolist() == [0, 1, 0, 0, 0, 0, 1]
+        assert grown.form.slack.tolist() == [1, 1, -1, 1]
         assert grown.form.b.tolist() == [1, 0, 0.5, 0.5]
         assert grown.form.le.tolist() == [False, True, False, False]
         assert grown.form.ge.tolist() == [False, False, True, False]
         # dataclasses.replace rebuilds an equal form from the coefficients
         replaced = dataclasses.replace(grown, cost=[1, 0, 0])
         assert replaced.form is not grown.form
-        for name in ("A", "b", "le", "ge", "slack_of_row"):
+        for name in ("A", "b", "le", "ge", "slack"):
             assert np.array_equal(getattr(replaced.form, name), getattr(grown.form, name)), name
-        assert replaced.form.N == grown.form.N == 5
+        assert replaced.form.N == grown.form.N == 7
 
     def test_copies_keep_the_matrix_of_their_rows(self):
         lp = k_example()
@@ -1010,7 +1033,7 @@ class TestSharedMatrix:
         lp = dataclasses.replace(model.lp, cost=lengths)
         fresh = LinearProgram(lp.num_vars, lp.cost, lp.rows, lp.lo, lp.hi, lp.matrix.copy())
         shared, scratch = _FloatSimplex(lp), _FloatSimplex(fresh)
-        for name in ("A", "b", "lo", "hi", "cost", "slack_of_row", "le", "ge"):
+        for name in ("A", "b", "lo", "hi", "cost", "slack", "le", "ge"):
             assert np.array_equal(getattr(shared, name), getattr(scratch, name)), name
         distinct = stab_rows(model, np.flatnonzero(model.stab_distinct))
         scale = 2.0 ** -math.ceil(math.log2(len(distinct)))
